@@ -1,9 +1,17 @@
 """Fixity, fixed-point profiles, derangements, and elusiveness.
 
-Everything here is an exhaustive scan over the group elements, guarded
-by the enumeration cap.  At corpus scale the scans are oracle-grade and
-a single pass collects every quantity at once; the pass is cached on the
-group, so repeated queries are free.
+Every quantity here is a class function: conjugate elements have the
+same order and the same number of fixed points, and the power of a
+conjugate is the conjugate of the power.  So each is evaluated on the
+representatives of the group's conjugacy-class table
+(PermGroup.conjugacy_classes, guarded by the enumeration cap), with the
+sum of squared fixed-point counts weighted by class size.  A
+representative is the first element of its class in the group's
+element walk, and each witness comes from the first element in that
+walk with a property conjugation preserves, so the witnesses are the
+ones a scan of every element in walk order finds.  Nothing is cached
+here: the table belongs to the group, and the evaluation over it is
+cheap enough to repeat.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ class PrimeFixProfile:
 
 @dataclass
 class _Scan:
-    order: int
     max_fix: int
     max_fix_witness: Permutation | None
     power_fix: dict
@@ -56,8 +63,6 @@ class _Scan:
 
 
 def _element_scan(G: PermGroup, cap: int) -> _Scan:
-    if G._scan is not None and G.order() <= cap:
-        return G._scan
     max_fix = -1
     witness = None
     power_fix: dict = {}
@@ -65,11 +70,9 @@ def _element_scan(G: PermGroup, cap: int) -> _Scan:
     prime_derangements: dict = {}
     derangement = None
     fix_sq = 0
-    count = 0
-    for g in G.elements(cap):
-        count += 1
+    for g, size in G.conjugacy_classes(cap):
         fp = g.fixed_point_count()
-        fix_sq += fp * fp
+        fix_sq += size * fp * fp
         if g.is_identity():
             continue
         if fp > max_fix:
@@ -89,8 +92,7 @@ def _element_scan(G: PermGroup, cap: int) -> _Scan:
             power_fix.setdefault(p, set()).add(fp)
             if a == 1:
                 prime_fix.setdefault(p, set()).add(fp)
-    scan = _Scan(
-        order=count,
+    return _Scan(
         max_fix=max_fix,
         max_fix_witness=witness,
         power_fix=power_fix,
@@ -99,8 +101,6 @@ def _element_scan(G: PermGroup, cap: int) -> _Scan:
         derangement=derangement,
         fix_square_sum=fix_sq,
     )
-    G._scan = scan
-    return scan
 
 
 def fixity(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> FixityResult:
@@ -128,8 +128,8 @@ def prime_order_derangement(
 ) -> Permutation | None:
     """Some fixed-point-free element of order exactly p, or None.
 
-    Found by scanning elements g and testing the power g**(order(g)/p)
-    for each prime p dividing order(g).
+    Found by scanning class representatives g and testing the power
+    g**(order(g)/p) for each prime p dividing order(g).
     """
     if G.order() % p != 0:
         raise NotDividingOrderError(f"{p} does not divide the group order")
@@ -137,10 +137,14 @@ def prime_order_derangement(
 
 
 def is_elusive(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
-    """True iff the transitive group G has no fixed-point-free element of
-    prime order.  Intransitive input is a caller error, not False."""
+    """True iff the transitive group G of degree at least 2 has no
+    fixed-point-free element of prime order.  Intransitive input is a
+    caller error, not False; on one point the trivial group has no
+    element of prime order at all, so it is not called elusive."""
     if not G.is_transitive():
         raise NotTransitiveError("elusiveness is defined for transitive groups")
+    if G.degree < 2:
+        return False
     return not _element_scan(G, cap).prime_derangements
 
 

@@ -26,12 +26,13 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 class _Level:
-    __slots__ = ("point", "own_gens", "transversal")
+    __slots__ = ("point", "own_gens", "transversal", "inverses")
 
     def __init__(self, point):
         self.point = point
         self.own_gens = []
         self.transversal = {}
+        self.inverses = {}  # orbit point b -> transversal[b].inverse()
 
 
 class StabilizerChain:
@@ -78,6 +79,7 @@ class StabilizerChain:
                     trans[c] = u * s
                     queue.append(c)
         lvl.transversal = trans
+        lvl.inverses = {b: u.inverse() for b, u in trans.items()}
 
     def _strip(self, g, start=0):
         """Reduce g by transversal representatives; return (residue, stuck level)."""
@@ -86,10 +88,10 @@ class StabilizerChain:
             b = g.images[lvl.point]
             if b == lvl.point:
                 continue
-            u = lvl.transversal.get(b)
-            if u is None:
+            u_inv = lvl.inverses.get(b)
+            if u_inv is None:
                 return g, j
-            g = g * u.inverse()
+            g = g * u_inv
         return g, len(self.levels)
 
     def _close_level(self, i):
@@ -105,7 +107,7 @@ class StabilizerChain:
             u = lvl.transversal[b]
             for s in gens:
                 c = s.images[b]
-                sg = u * s * lvl.transversal[c].inverse()
+                sg = u * s * lvl.inverses[c]
                 if sg.is_identity():
                     continue
                 h, j = self._strip(sg, i + 1)
@@ -149,21 +151,23 @@ class StabilizerChain:
         if not self.levels:
             yield ident
             return
+        reps = [[lvl.transversal[b] for b in sorted(lvl.transversal)] for lvl in self.levels]
 
         def rec(i, acc):
-            if i < 0:
-                yield acc
+            if i == 0:
+                for u in reps[0]:
+                    yield acc * u
                 return
-            for b in sorted(self.levels[i].transversal):
-                yield from rec(i - 1, acc * self.levels[i].transversal[b])
+            for u in reps[i]:
+                yield from rec(i - 1, acc * u)
 
-        yield from rec(len(self.levels) - 1, ident)
+        yield from rec(len(reps) - 1, ident)
 
 
 class PermGroup:
     """Group generated by permutations of a common degree."""
 
-    __slots__ = ("degree", "generators", "_chain", "_scan")
+    __slots__ = ("degree", "generators", "_chain", "_classes")
 
     def __init__(self, degree, generators=()):
         if degree < 1:
@@ -182,11 +186,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain = None
-        self._scan = None
-
-    @classmethod
-    def from_generators(cls, degree, generators) -> "PermGroup":
-        return cls(degree, generators)
+        self._classes = None
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -256,3 +256,38 @@ class PermGroup:
                 f"group order {n} exceeds enumeration cap {cap}", needed=n, cap=cap
             )
         return self.chain().iter_elements()
+
+    def conjugacy_classes(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+        """(representative, class size) pairs, one per conjugacy class.
+
+        One walk of the elements: each element not yet seen starts a
+        conjugation breadth-first search over the generators, so the
+        classes come in the order the walk first meets them and each
+        representative is the first element of its class in that walk.
+        The table is cached; like elements(), it refuses a group whose
+        order exceeds the cap.
+        """
+        walk = self.elements(cap)
+        if self._classes is None:
+            # x^g = g^-1 x g sends point g(i) to g(x(i)), so its image of i
+            # is g[x[g_inv[i]]]
+            gens = [(g.images, g.inverse().images) for g in self.generators]
+            seen = set()
+            classes = []
+            for e in walk:
+                if e.images in seen:
+                    continue
+                seen.add(e.images)
+                frontier = [e.images]
+                size = 1
+                while frontier:
+                    x = frontier.pop()
+                    for g, g_inv in gens:
+                        c = tuple([g[x[i]] for i in g_inv])
+                        if c not in seen:
+                            seen.add(c)
+                            frontier.append(c)
+                            size += 1
+                classes.append((e, size))
+            self._classes = classes
+        return self._classes

@@ -613,7 +613,9 @@ def check(check_id: str, a: GroupAnalysis) -> CheckResult:
 def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
     try:
         a = analyze(entry, caps)
-    except PgaError as exc:
+    except Exception as exc:
+        # any failure stays with its group, so the other groups' results survive
+        reason = str(exc) if isinstance(exc, PgaError) else f"{type(exc).__name__}: {exc}"
         order = entry.group.order()
         return [
             CheckResult(
@@ -622,7 +624,7 @@ def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
                 order,
                 cid,
                 SKIPPED,
-                {"missing": "analysis", "reason": str(exc)},
+                {"missing": "analysis", "reason": reason},
             )
             for cid in selection
         ]

@@ -20,6 +20,8 @@ from .errors import (
     RepeatedPointError,
 )
 
+_new = object.__new__
+
 
 class Permutation:
     """A bijection of {0, ..., degree-1}."""
@@ -37,10 +39,22 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection, unchecked.
+
+        For products and inverses of valid permutations, whose images
+        are bijections by construction; input from outside goes through
+        the checking constructor.
+        """
+        p = _new(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         if n < 1:
             raise InvalidPermutationError(f"degree must be at least 1, got {n}")
-        return cls(range(n))
+        return cls._trusted(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
@@ -102,12 +116,12 @@ class Permutation:
         return hash(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
+        a, img = self.images, other.images
+        if len(a) != len(img):
             raise DegreeMismatchError(
-                f"cannot compose degree {self.degree} with degree {other.degree}"
+                f"cannot compose degree {len(a)} with degree {len(img)}"
             )
-        img = other.images
-        return Permutation(tuple(img[x] for x in self.images))
+        return Permutation._trusted(tuple([img[x] for x in a]))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -125,10 +139,10 @@ class Permutation:
         inv = [0] * self.degree
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
         """Least k >= 1 with self**k equal to the identity."""

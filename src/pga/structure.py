@@ -229,12 +229,13 @@ def is_solvable(G: PermGroup) -> bool:
 def exponent(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> int:
     """Least e with g**e trivial for every g.
 
-    Abelian groups use the lcm of generator orders; otherwise the whole
-    group is scanned, subject to the enumeration cap.
+    Abelian groups use the lcm of generator orders; otherwise the lcm of
+    the orders of the conjugacy-class representatives, subject to the
+    enumeration cap.
     """
     if is_abelian(G):
         return lcm(1, *(g.order() for g in G.generators))
-    return lcm(*(g.order() for g in G.elements(cap)))
+    return lcm(*(g.order() for g, _ in G.conjugacy_classes(cap)))
 
 
 def is_cyclic(G: PermGroup) -> bool:
@@ -268,9 +269,9 @@ def abelian_invariants(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) ->
     if order == 1:
         return ()
     counts = {}
-    for g in G.elements(cap):
+    for g, size in G.conjugacy_classes(cap):
         o = g.order()
-        counts[o] = counts.get(o, 0) + 1
+        counts[o] = counts.get(o, 0) + size
     parts_by_prime = {}
     for p, e_max in factorize(order).factors:
         # count elements whose order is exactly p**v, per v
@@ -327,26 +328,6 @@ def _subgroup_le(A: PermGroup, B: PermGroup) -> bool:
     return all(B.contains(g) for g in A.generators)
 
 
-def _conjugacy_class_representatives(G: PermGroup, cap: int) -> list:
-    ident = Permutation.identity(G.degree).images
-    seen = {ident}
-    reps = []
-    for e in G.elements(cap):
-        if e.images in seen:
-            continue
-        reps.append(e)
-        frontier = [e]
-        seen.add(e.images)
-        while frontier:
-            x = frontier.pop()
-            for g in G.generators:
-                c = conjugate(x, g)
-                if c.images not in seen:
-                    seen.add(c.images)
-                    frontier.append(c)
-    return reps
-
-
 def normal_subgroups(
     G: PermGroup,
     cap: int = DEFAULT_CAPS.enumeration_cap,
@@ -370,8 +351,9 @@ def normal_subgroups(
             )
         return True
 
-    for rep in _conjugacy_class_representatives(G, cap):
-        register(normal_closure(G, [rep]))
+    for rep, _ in G.conjugacy_classes(cap):
+        if not rep.is_identity():
+            register(normal_closure(G, [rep]))
 
     # close under pairwise join; a join of normal subgroups is their product,
     # so generating from the union of generator sets is enough

@@ -120,3 +120,41 @@ def is_normal(subgroup_elements, gens):
 
 def fixed_count(img):
     return sum(1 for i, v in enumerate(img) if i == v)
+
+
+def inverse(img):
+    inv = [0] * len(img)
+    for i, v in enumerate(img):
+        inv[v] = i
+    return tuple(inv)
+
+
+def naive_classes(gens):
+    """Conjugacy classes of the group generated by gens, as a list of
+    element frozensets: each class is {g^-1 x g} over every element g."""
+    elements = naive_closure(gens)
+    pairs = [(inverse(g), g) for g in elements]
+    classes, placed = [], set()
+    for x in sorted(elements):
+        if x in placed:
+            continue
+        cls = frozenset(mul(mul(g_inv, x), g) for g_inv, g in pairs)
+        placed |= cls
+        classes.append(cls)
+    return classes
+
+
+def element_order(img):
+    ident = tuple(range(len(img)))
+    k, x = 1, img
+    while x != ident:
+        x = mul(x, img)
+        k += 1
+    return k
+
+
+def power(img, k):
+    x = tuple(range(len(img)))
+    for _ in range(k):
+        x = mul(x, img)
+    return x

@@ -139,6 +139,9 @@ class TestElusive:
         with pytest.raises(NotTransitiveError):
             is_elusive(PermGroup(3, [perm("(0 1)", 3)]))
 
+    def test_degree_one_is_not_elusive(self):
+        assert not is_elusive(group("cyclic", 1))
+
     def test_m11_is_the_only_elusive_corpus_group(self, corpus_entries):
         elusive = [e.name for e in corpus_entries if is_elusive(e.group)]
         assert elusive == ["m11_12"]

@@ -7,6 +7,7 @@ from pga.errors import CapExceededError, DegreeMismatchError, PointOutOfRangeErr
 from pga.group import PermGroup
 from pga.perm import Permutation
 
+import oracles
 from oracles import naive_closure
 
 
@@ -211,3 +212,17 @@ class TestM11Facts:
         G = corpus_by_name["m11_12"].group
         closure = naive_closure([g.images for g in G.generators])
         assert {e.images for e in G.elements()} == closure
+
+
+class TestStoredInverses:
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups())
+    def test_transversal_inverses_match_oracle(self, G):
+        ident = tuple(range(G.degree))
+        for lvl in G.chain().levels:
+            assert set(lvl.inverses) == set(lvl.transversal)
+            for b, u in lvl.transversal.items():
+                u_inv = lvl.inverses[b].images
+                assert oracles.mul(u.images, u_inv) == ident
+                assert sorted(u_inv) == list(ident)
+                assert u_inv[b] == lvl.point

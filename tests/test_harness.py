@@ -447,6 +447,12 @@ class TestAnalyze:
         with pytest.raises(NotTransitiveError):
             analyze(entry)
 
+    def test_degree_one_is_vacuous_for_elusive_checks(self):
+        a = analyze(builtin_family("cyclic", [1]))
+        assert a.elusive is False
+        for cid in ("A1", "A2", "A3", "A4"):
+            assert check(cid, a).status == VACUOUS, cid
+
     def test_caps_turn_into_skip_reasons(self):
         from pga.config import Caps
 
@@ -672,6 +678,26 @@ class TestRunAll:
             by_group.setdefault(r.group, []).append(r.status)
         assert by_group["split"] == [SKIPPED, SKIPPED]
         assert SKIPPED not in by_group["cyclic_3"]
+
+    def test_crash_in_one_analysis_keeps_the_others(self, monkeypatch):
+        import pga.harness
+
+        entries = [builtin_family("cyclic", [3]), builtin_family("symmetric", [3])]
+        real = pga.harness.analyze
+
+        def flaky(entry, caps):
+            if entry.name == "cyclic_3":
+                raise RuntimeError("boom")
+            return real(entry, caps)
+
+        monkeypatch.setattr(pga.harness, "analyze", flaky)
+        report = run_all(entries, selection=("C2_3", "A1"), jobs=1)
+        by_group = {}
+        for r in report.entries:
+            by_group.setdefault(r.group, []).append(r)
+        assert [r.status for r in by_group["cyclic_3"]] == [SKIPPED, SKIPPED]
+        assert all(r.witness["reason"] == "RuntimeError: boom" for r in by_group["cyclic_3"])
+        assert [r.status for r in by_group["symmetric_3"]] == [VACUOUS, VACUOUS]
 
     def test_jobs_do_not_change_results(self, corpus_entries):
         small = [e for e in corpus_entries if e.group.order() <= 60]

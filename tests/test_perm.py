@@ -12,6 +12,8 @@ from pga.errors import (
 )
 from pga.perm import Permutation
 
+import oracles
+
 
 def perm(text, degree):
     return Permutation.from_cycles(text, degree)
@@ -205,3 +207,28 @@ class TestProperties:
 
         if is_prime(g.order()):
             assert g.is_semiregular() == (len(g.fixed_points()) == 0)
+
+
+class TestUncheckedProducts:
+    """Products and inverses skip the bijection check; they must still be
+    exactly the oracle's products and bijections."""
+
+    @given(same_degree_perms(2))
+    def test_product_and_inverse_match_oracle(self, perms):
+        a, b = perms
+        n = a.degree
+        assert (a * b).images == oracles.mul(a.images, b.images)
+        assert sorted((a * b).images) == list(range(n))
+        inv = a.inverse().images
+        assert oracles.mul(a.images, inv) == tuple(range(n))
+        assert sorted(inv) == list(range(n))
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(InvalidPermutationError):
+            Permutation([0, 0, 1])
+
+    @given(permutations_st(), permutations_st())
+    def test_mixed_degrees_still_rejected(self, a, b):
+        if a.degree != b.degree:
+            with pytest.raises(DegreeMismatchError):
+                a * b
