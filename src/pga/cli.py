@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--out", required=True, metavar="PATH")
+    _add_cap_flags(p)
     return parser
 
 
@@ -267,8 +268,9 @@ def _cmd_fixity(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    caps = _caps_from(args)
     try:
-        entry = builtin_family(args.family, args.params)
+        entry = builtin_family(args.family, args.params, caps)
     except InvalidFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

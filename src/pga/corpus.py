@@ -174,7 +174,7 @@ def _cycle_of(points: list) -> Permutation:
     return Permutation.from_cycles("(" + " ".join(map(str, points)) + ")", degree)
 
 
-def builtin_family(family: str, params) -> CorpusEntry:
+def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntry:
     """A named group from one of the builtin families.
 
     cyclic n          rotation of n points, order n
@@ -185,9 +185,17 @@ def builtin_family(family: str, params) -> CorpusEntry:
     frobenius p q     x -> x+1 and x -> a*x mod p with a of order q | p-1,
                       degree p, order p*q; a = g**((p-1)/q) for the least
                       primitive root g
+
+    Every family refuses a degree above caps.max_degree.
     """
     params = list(params)
     name = "_".join([family] + [str(p) for p in params])
+
+    def check_degree(degree):
+        if degree > caps.max_degree:
+            raise InvalidFamilyError(
+                f"degree {degree} exceeds the configured maximum {caps.max_degree}"
+            )
 
     def entry(degree, gens):
         return CorpusEntry(
@@ -201,6 +209,7 @@ def builtin_family(family: str, params) -> CorpusEntry:
         (n,) = _family_params(family, params, 1)
         if n < 1:
             raise InvalidFamilyError("cyclic needs n >= 1")
+        check_degree(n)
         if n == 1:
             return entry(1, [])
         return entry(n, [_pad(_cycle_of(list(range(n))), n)])
@@ -208,6 +217,7 @@ def builtin_family(family: str, params) -> CorpusEntry:
         (n,) = _family_params(family, params, 1)
         if n < 3:
             raise InvalidFamilyError("dihedral needs n >= 3")
+        check_degree(n)
         rotation = _pad(_cycle_of(list(range(n))), n)
         reflection = Permutation([(n - i) % n for i in range(n)])
         return entry(n, [rotation, reflection])
@@ -215,6 +225,7 @@ def builtin_family(family: str, params) -> CorpusEntry:
         (n,) = _family_params(family, params, 1)
         if n < 1:
             raise InvalidFamilyError("symmetric needs n >= 1")
+        check_degree(n)
         if n == 1:
             return entry(1, [])
         gens = [_pad(_cycle_of([0, 1]), n)]
@@ -225,6 +236,7 @@ def builtin_family(family: str, params) -> CorpusEntry:
         (n,) = _family_params(family, params, 1)
         if n < 3:
             raise InvalidFamilyError("alternating needs n >= 3")
+        check_degree(n)
         three_cycle = _pad(_cycle_of([0, 1, 2]), n)
         if n == 3:
             return entry(3, [three_cycle])
@@ -237,9 +249,14 @@ def builtin_family(family: str, params) -> CorpusEntry:
         p, k = _family_params(family, params, 2)
         if not is_prime(p) or k < 1:
             raise InvalidFamilyError("elem_abelian needs a prime p and k >= 1")
+        # p**k >= 2**k exceeds the cap once k reaches the cap's bit length;
+        # testing k first keeps a huge k from building a huge integer
+        if k >= caps.max_degree.bit_length():
+            raise InvalidFamilyError(
+                f"degree {p}**{k} exceeds the configured maximum {caps.max_degree}"
+            )
         degree = p**k
-        if degree > DEFAULT_CAPS.max_degree:
-            raise InvalidFamilyError(f"degree p**k = {degree} is too large")
+        check_degree(degree)
         gens = []
         for i in range(k):
             step = p**i
@@ -253,6 +270,7 @@ def builtin_family(family: str, params) -> CorpusEntry:
         p, q = _family_params(family, params, 2)
         if not is_prime(p) or p < 3:
             raise InvalidFamilyError("frobenius needs an odd prime p")
+        check_degree(p)
         if q < 2 or (p - 1) % q != 0:
             raise InvalidFamilyError(f"frobenius needs q >= 2 dividing p-1 = {p - 1}")
         a = pow(smallest_primitive_root(p), (p - 1) // q, p)

@@ -9,10 +9,14 @@ deeper levels, and residues are installed as new strong generators until
 the chain is self-consistent, so the reported order is exact.
 
 A group is immutable once constructed; the chain is built lazily and
-cached, after which the value can be shared freely between threads.
+cached, after which the value can be shared freely between threads.  A
+chain not yet owned by a group can be grown in place by a new generator
+(StabilizerChain.extend), which completes only the levels that changed.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import (
     CapExceededError,
@@ -26,13 +30,16 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 class _Level:
-    __slots__ = ("point", "own_gens", "transversal", "inverses")
+    __slots__ = ("point", "own_gens", "transversal", "inverses", "checked")
 
     def __init__(self, point):
         self.point = point
         self.own_gens = []
         self.transversal = {}
         self.inverses = {}  # orbit point b -> transversal[b].inverse()
+        # generator s -> k: the Schreier generators of s with the first k
+        # orbit points (in transversal order) are known to sift
+        self.checked = {}
 
 
 class StabilizerChain:
@@ -52,7 +59,8 @@ class StabilizerChain:
         self._complete()
 
     def _insert(self, g):
-        """Attach a non-identity generator at the first level whose base point it moves."""
+        """Attach a non-identity generator at the first level whose base
+        point it moves; return that level."""
         i = 0
         while i < len(self.levels) and g.images[self.levels[i].point] == self.levels[i].point:
             i += 1
@@ -60,6 +68,24 @@ class StabilizerChain:
             moved = next(p for p in range(self.degree) if g.images[p] != p)
             self.levels.append(_Level(moved))
         self.levels[i].own_gens.append(g)
+        return i
+
+    def extend(self, g):
+        """Grow the chain in place to the group generated by its group and g.
+
+        g must not be a member.  It joins the first level whose base point
+        it moves; the groups of the deeper levels fix that level's base
+        prefix and so never contain g, and they stay complete.  Only that
+        level and the levels above it are completed again, and there only
+        the Schreier generators not yet checked are sifted.
+        """
+        # the chain is complete, so every Schreier generator so far sifts
+        for i, lvl in enumerate(self.levels):
+            lvl.checked = dict.fromkeys(self._level_gens(i), len(lvl.transversal))
+        i = self._insert(g)
+        while i >= 0:
+            stuck = self._grow_level(i)
+            i = i - 1 if stuck is None else stuck
 
     def _level_gens(self, i):
         """Generators of the i-th group on the chain (own plus all deeper)."""
@@ -80,6 +106,40 @@ class StabilizerChain:
                     queue.append(c)
         lvl.transversal = trans
         lvl.inverses = {b: u.inverse() for b, u in trans.items()}
+
+    def _grow_level(self, i):
+        """_close_level for a level whose group has grown since it was closed.
+
+        The transversal keeps its elements and only gains the new orbit
+        points, so a Schreier generator checked before is unchanged and
+        still lies in the deeper groups, which only grow.
+        """
+        lvl = self.levels[i]
+        gens = self._level_gens(i)
+        trans, invs, checked = lvl.transversal, lvl.inverses, lvl.checked
+        if not trans:
+            trans[lvl.point] = invs[lvl.point] = Permutation.identity(self.degree)
+        points = list(trans)
+        for b in points:  # grows while it is walked
+            u = trans[b]
+            for s in gens:
+                c = s.images[b]
+                if c not in trans:
+                    trans[c] = u_c = u * s
+                    invs[c] = u_c.inverse()
+                    points.append(c)
+        for s in gens:
+            for k in range(checked.get(s, 0), len(points)):
+                b = points[k]
+                sg = trans[b] * s * invs[s.images[b]]
+                if sg.is_identity():
+                    continue
+                h, _ = self._strip(sg, i + 1)
+                if not h.is_identity():
+                    checked[s] = k
+                    return self._insert(h)
+            checked[s] = len(points)
+        return None
 
     def _strip(self, g, start=0):
         """Reduce g by transversal representatives; return (residue, stuck level)."""
@@ -110,14 +170,12 @@ class StabilizerChain:
                 sg = u * s * lvl.inverses[c]
                 if sg.is_identity():
                     continue
-                h, j = self._strip(sg, i + 1)
+                h, _ = self._strip(sg, i + 1)
                 if h.is_identity():
                     continue
-                if j == len(self.levels):
-                    moved = next(p for p in range(self.degree) if h.images[p] != p)
-                    self.levels.append(_Level(moved))
-                self.levels[j].own_gens.append(h)
-                return j
+                # h fixes every base point above the level where it got
+                # stuck, so it is inserted at that level
+                return self._insert(h)
         return None
 
     def _complete(self):
@@ -187,6 +245,14 @@ class PermGroup:
         self.generators = tuple(gens)
         self._chain = None
         self._classes = None
+
+    @classmethod
+    def _from_chain(cls, chain: StabilizerChain, generators) -> "PermGroup":
+        """The group of the given generators, taking as its chain one
+        already built from exactly those generators (not copied)."""
+        G = cls(chain.degree, generators)
+        G._chain = chain
+        return G
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -264,16 +330,20 @@ class PermGroup:
         conjugation breadth-first search over the generators, so the
         classes come in the order the walk first meets them and each
         representative is the first element of its class in that walk.
-        The table is cached; like elements(), it refuses a group whose
-        order exceeds the cap.
+        The walk stops once the class sizes found sum to the order, as
+        every later element lies in a class already found.  The table is
+        cached; like elements(), it refuses a group whose order exceeds
+        the cap.
         """
         walk = self.elements(cap)
         if self._classes is None:
             # x^g = g^-1 x g sends point g(i) to g(x(i)), so its image of i
-            # is g[x[g_inv[i]]]
-            gens = [(g.images, g.inverse().images) for g in self.generators]
+            # is g[x[g_inv[i]]]; a generator is not the identity, so the
+            # degree is at least 2 and itemgetter returns a tuple
+            gens = [(g.images, itemgetter(*g.inverse().images)) for g in self.generators]
             seen = set()
             classes = []
+            left = self.order()
             for e in walk:
                 if e.images in seen:
                     continue
@@ -283,11 +353,14 @@ class PermGroup:
                 while frontier:
                     x = frontier.pop()
                     for g, g_inv in gens:
-                        c = tuple([g[x[i]] for i in g_inv])
+                        c = itemgetter(*g_inv(x))(g)
                         if c not in seen:
                             seen.add(c)
                             frontier.append(c)
                             size += 1
                 classes.append((e, size))
+                left -= size
+                if not left:
+                    break  # every later element is in a class already found
             self._classes = classes
         return self._classes

@@ -2,11 +2,19 @@
 
 Covers integer factorization, derived series and solvability, abelian
 invariants (by element-order census), normal closures, and the full
-normal-subgroup listing of a group.  The listing is computed as the
-join closure of the normal closures of single elements, one per
-conjugacy class: every normal subgroup is the join of the closures of
-its own elements, so nothing is missed, and every join of normal
-subgroups is normal, so nothing extra appears.
+normal-subgroup listing of a group.
+
+A normal subgroup is a union of conjugacy classes, so the listing keys
+each one by the set of classes it contains (indices into the group's
+class table).  Keys decide equality and containment, and the class
+sizes give orders: |A n B| is the size of the classes in both keys and
+|AB| = |A||B| / |A n B|.  The listing starts from the normal closure of
+one representative per class, grown on a single stabilizer chain, and
+closes under pairwise joins.  Every normal subgroup is the join of the
+closures of its own elements, so nothing is missed, and every join of
+normal subgroups is normal, so nothing extra appears.  A join AB is
+already listed exactly when a listed subgroup of order |AB| contains
+the classes of both, so a chain is built only for a join that is new.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .errors import (
     NotInGroupError,
     NotPrimeError,
 )
-from .group import PermGroup
+from .group import PermGroup, StabilizerChain
 from .perm import Permutation
 
 
@@ -165,11 +173,6 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
     return a.inverse() * b.inverse() * a * b
 
 
-def conjugate(h: Permutation, g: Permutation) -> Permutation:
-    """h conjugated by g, i.e. g^-1 * h * g."""
-    return g.inverse() * h * g
-
-
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup of G containing the seeds and closed under
     conjugation by G's generators."""
@@ -182,17 +185,18 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
             continue
         seen.add(s.images)
         gens.append(s)
-    H = PermGroup(G.degree, gens)
+    chain = StabilizerChain(G.degree, gens)
+    conjugators = [(g.inverse(), g) for g in G.generators]
     queue = list(gens)
     while queue:
         h = queue.pop(0)
-        for g in G.generators:
-            c = conjugate(h, g)
-            if not H.contains(c):
+        for g_inv, g in conjugators:
+            c = g_inv * h * g
+            if not chain.contains(c):
                 gens.append(c)
-                H = PermGroup(G.degree, gens)
+                chain.extend(c)
                 queue.append(c)
-    return H
+    return PermGroup._from_chain(chain, gens)
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
@@ -324,10 +328,6 @@ class NormalSubgroupInfo:
     is_minimal_normal: bool = False
 
 
-def _subgroup_le(A: PermGroup, B: PermGroup) -> bool:
-    return all(B.contains(g) for g in A.generators)
-
-
 def normal_subgroups(
     G: PermGroup,
     cap: int = DEFAULT_CAPS.enumeration_cap,
@@ -335,39 +335,53 @@ def normal_subgroups(
 ) -> list:
     """All normal subgroups of G (trivial and G itself included), as
     NormalSubgroupInfo records sorted by order."""
-    subs = [PermGroup(G.degree)]
+    classes = G.conjugacy_classes(cap)
+    sizes = [size for _, size in classes]
 
-    def register(H):
-        n = H.order()
-        for S in subs:
-            if S.order() == n and _subgroup_le(H, S):
-                return False
-        subs.append(H)
-        if len(subs) > lattice_cap:
+    def key_of(H):
+        return frozenset(i for i, (rep, _) in enumerate(classes) if H.contains(rep))
+
+    # (subgroup, class key, order) per normal subgroup, in discovery order
+    trivial = frozenset(i for i, (rep, _) in enumerate(classes) if rep.is_identity())
+    lattice = [(PermGroup(G.degree), trivial, 1)]
+    keys = {trivial}
+
+    def register(H, key):
+        if key in keys:
+            return None
+        entry = (H, key, sum(sizes[i] for i in key))
+        lattice.append(entry)
+        keys.add(key)
+        if len(lattice) > lattice_cap:
             raise LatticeCapExceededError(
                 f"more than {lattice_cap} normal subgroups",
-                needed=len(subs),
+                needed=len(lattice),
                 cap=lattice_cap,
             )
-        return True
+        return entry
 
-    for rep, _ in G.conjugacy_classes(cap):
-        if not rep.is_identity():
-            register(normal_closure(G, [rep]))
+    for i, (rep, _) in enumerate(classes):
+        if i not in trivial:
+            H = normal_closure(G, [rep])
+            register(H, key_of(H))
 
     # close under pairwise join; a join of normal subgroups is their product,
     # so generating from the union of generator sets is enough
-    frontier = list(subs)
+    frontier = list(lattice)
     while frontier:
-        A = frontier.pop(0)
-        for B in list(subs):
+        A, key_a, order_a = frontier.pop(0)
+        for B, key_b, order_b in list(lattice):
+            both = key_a | key_b
+            n = order_a * order_b // sum(sizes[i] for i in key_a & key_b)
+            if any(order == n and both <= key for _, key, order in lattice):
+                continue  # that subgroup contains A and B and has order |AB|
+            # so AB is not listed yet, and register lists it
             J = PermGroup(G.degree, A.generators + B.generators)
-            if register(J):
-                frontier.append(J)
+            frontier.append(register(J, key_of(J)))
 
-    subs.sort(key=lambda H: (H.order(), tuple(g.images for g in H.generators)))
-    infos = [_describe_subgroup(H, cap) for H in subs]
-    _mark_minimal(infos)
+    lattice.sort(key=lambda e: (e[2], tuple(g.images for g in e[0].generators)))
+    infos = [_describe_subgroup(H, cap) for H, _, _ in lattice]
+    _mark_minimal(infos, [key for _, key, _ in lattice])
     return infos
 
 
@@ -389,16 +403,13 @@ def _describe_subgroup(H: PermGroup, cap: int) -> NormalSubgroupInfo:
     )
 
 
-def _mark_minimal(infos) -> None:
-    nontrivial = [i for i in infos if i.order.value > 1]
-    for info in nontrivial:
-        info.is_minimal_normal = not any(
-            other is not info
-            and other.order.value < info.order.value
-            and info.order.value % other.order.value == 0
-            and _subgroup_le(other.subgroup, info.subgroup)
-            for other in nontrivial
-        )
+def _mark_minimal(infos, keys) -> None:
+    """A nontrivial normal subgroup is minimal when no other nontrivial
+    one's class key is a proper subset of its key; infos[0] is trivial."""
+    trivial = keys[0]
+    for info, key in zip(infos, keys):
+        if info.order.value > 1:
+            info.is_minimal_normal = not any(trivial < other < key for other in keys)
 
 
 def minimal_normal_subgroups(

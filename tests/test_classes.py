@@ -20,6 +20,7 @@ from pga.fixity import (
     prime_fix_profile,
     prime_order_derangement,
 )
+from pga.group import StabilizerChain
 
 from oracles import element_order, fixed_count, naive_classes, naive_closure, power
 
@@ -104,6 +105,30 @@ class TestClassTable:
                     seen.add(class_of[x])
                     firsts.append(x)
             assert [rep.images for rep, _ in G.conjugacy_classes()] == firsts, entry.name
+
+    def test_walk_stops_once_every_class_is_found(self, monkeypatch):
+        G = builtin_family("symmetric", [7]).group
+        walk = _walk(G)
+        oracle = naive_classes([g.images for g in G.generators])
+        class_of = {x: cls for cls in oracle for x in cls}
+        firsts = {}
+        for x in walk:
+            firsts.setdefault(class_of[x], x)
+        expected = [(x, len(class_of[x])) for x in walk if firsts[class_of[x]] == x]
+        last = walk.index(expected[-1][0])
+        assert G.order() // 5 < last < G.order() - 1  # the last class starts late
+        walked = []
+        full_walk = StabilizerChain.iter_elements
+
+        def counted(chain):
+            for e in full_walk(chain):
+                walked.append(e)
+                yield e
+
+        monkeypatch.setattr(StabilizerChain, "iter_elements", counted)
+        table = G.conjugacy_classes()
+        assert len(walked) == last + 1
+        assert [(rep.images, size) for rep, size in table] == expected
 
     def test_cached_and_capped(self):
         G = builtin_family("symmetric", [5]).group

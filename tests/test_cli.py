@@ -188,6 +188,17 @@ class TestGen:
         assert code == 2
         assert not (tmp_path / "x.grp").exists()
 
+    def test_max_degree_from_flag_and_environment(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "ea.grp"
+        code, _, _ = run(capsys, "gen", "elem_abelian", "2", "7", "--max-degree", "128", "-o", str(path))
+        assert code == 0
+        assert parse_group_file(path.read_text(), max_degree=128).declared_degree == 128
+        monkeypatch.setenv("PGA_CAPS", "max_degree=8")
+        code, _, err = run(capsys, "gen", "symmetric", "9", "-o", str(tmp_path / "s9.grp"))
+        assert code == 2
+        assert "exceeds the configured maximum 8" in err
+        assert not (tmp_path / "s9.grp").exists()
+
 
 class TestCapsEnvironment:
     def test_env_overrides_defaults_and_flags_win(self, capsys, corpus_dir, monkeypatch, tmp_path):

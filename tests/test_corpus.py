@@ -128,6 +128,21 @@ class TestBuiltinFamilies:
         with pytest.raises(InvalidFamilyError):
             builtin_family("cyclic", [3, 3])
 
+    def test_degree_checked_against_the_callers_cap(self):
+        assert builtin_family("elem_abelian", [2, 7], Caps(max_degree=128)).group.degree == 128
+        small = Caps(max_degree=8)
+        for family, params in [
+            ("cyclic", [9]),
+            ("dihedral", [9]),
+            ("symmetric", [9]),
+            ("alternating", [9]),
+            ("elem_abelian", [3, 2]),
+            ("elem_abelian", [2, 10**9]),
+            ("frobenius", [11, 5]),
+        ]:
+            with pytest.raises(InvalidFamilyError, match="exceeds the configured maximum 8"):
+                builtin_family(family, params, small)
+
 
 class TestLoadCorpus:
     def test_load_sorted_by_name(self, corpus_dir):

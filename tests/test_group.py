@@ -1,10 +1,10 @@
 from itertools import permutations as all_perms
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pga.errors import CapExceededError, DegreeMismatchError, PointOutOfRangeError
-from pga.group import PermGroup
+from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 
 import oracles
@@ -226,3 +226,48 @@ class TestStoredInverses:
                 assert oracles.mul(u.images, u_inv) == ident
                 assert sorted(u_inv) == list(ident)
                 assert u_inv[b] == lvl.point
+
+
+def grown_chain(degree, gens):
+    """A chain built on the first generator, then grown by extend with
+    each later one that is not yet a member."""
+    chain = StabilizerChain(degree, [g for g in gens[:1] if not g.is_identity()])
+    for g in gens[1:]:
+        if not chain.contains(g):
+            chain.extend(g)
+    return chain
+
+
+class TestExtend:
+    def test_element_fixing_every_base_point_appends_a_level(self):
+        chain = grown_chain(4, [Permutation.identity(4), perm("(0 1)", 4)])
+        assert chain.base == [0]
+        chain.extend(perm("(2 3)", 4))
+        assert chain.base == [0, 2]
+        assert chain.order() == 4
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda n: st.lists(st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=5)
+        )
+    )
+    # (1 2 3) meets new orbit points whose Schreier generators with the
+    # old generator (0 1) must be sifted too
+    @example([perm("(0 1)", 4), perm("(1 2 3)", 4)])
+    def test_matches_a_fresh_chain(self, gens):
+        n = gens[0].degree
+        chain = grown_chain(n, gens)
+        fresh = PermGroup(n, gens)
+        closure = naive_closure([g.images for g in gens])
+        assert chain.order() == fresh.order() == len(closure)
+        for img in all_perms(range(n)):
+            assert chain.contains(Permutation(img)) == (img in closure)
+        # level i's orbit is that of the stabilizer of the base points above it
+        base = chain.base
+        for i, lvl in enumerate(chain.levels):
+            stab = [x for x in closure if all(x[b] == b for b in base[:i])]
+            assert set(lvl.transversal) == {x[lvl.point] for x in stab}
+            for b, u in lvl.transversal.items():
+                assert u.images[lvl.point] == b
+                assert (u * lvl.inverses[b]).is_identity()

@@ -32,6 +32,15 @@ def group(family, *params):
     return builtin_family(family, list(params)).group
 
 
+def cyclic_wreath(m, k):
+    """C_m wr C_k on m*k points: an m-cycle on the first block of m points,
+    and a k-cycle of the blocks."""
+    n = m * k
+    base = Permutation([(x + 1) % m if x < m else x for x in range(n)])
+    top = Permutation([(x + m) % n for x in range(n)])
+    return PermGroup(n, [base, top])
+
+
 class TestFactorize:
     def test_twelve(self):
         assert factorize(12).factors == ((2, 2), (3, 1))
@@ -227,19 +236,25 @@ class TestNormalSubgroups:
                 assert order % info.order.value == 0, entry.name
 
     def test_matches_brute_force_lattice_below_200(self, corpus_entries):
-        for entry in corpus_entries:
-            G = entry.group
-            if G.order() > 200:
-                continue
+        # the wreath products have many normal subgroups, so most joins
+        # repeat a listed subgroup and are skipped on orders and class keys
+        cases = [(e.name, e.group) for e in corpus_entries if e.group.order() <= 200]
+        cases += [("C2wrC4", cyclic_wreath(2, 4)), ("C3wrC3", cyclic_wreath(3, 3))]
+        sizes = {}
+        for name, G in cases:
             gens = [g.images for g in G.generators]
             expected = {
                 sub for sub in all_subgroups(gens, G.degree) if is_normal(sub, gens)
             }
-            computed = {
-                frozenset(e.images for e in info.subgroup.elements())
-                for info in normal_subgroups(G)
-            }
-            assert computed == expected, entry.name
+            infos = normal_subgroups(G)
+            computed = {frozenset(e.images for e in i.subgroup.elements()): i for i in infos}
+            assert len(computed) == len(infos), name
+            assert set(computed) == expected, name
+            for sub, info in computed.items():
+                minimal = len(sub) > 1 and not any(len(o) > 1 and o < sub for o in expected)
+                assert info.is_minimal_normal == minimal, name
+            sizes[name] = len(infos)
+        assert (sizes["C2wrC4"], sizes["C3wrC3"]) == (13, 8)
 
 
 class TestMinimalNormals:
