@@ -15,15 +15,29 @@ processed image under the automorphisms found so far are skipped.  That
 is the classic descent that yields generators level by level, and it
 keeps 2-transitive inputs (where refinement never splits anything) from
 degenerating into a factorial enumeration.
+
+Refinement splits each cell by the signature of its points: for every
+cell, how many arcs of each color leave the point into the cell (the
+counts of arcs entering the point follow from these).  The counts are
+coded as integers no wider than about n * log2(n + 1) bits, whatever
+the rank (see _arc_weights and _signature); they sort as the tuples of
+counts do, so the fragments and their order are those of explicit
+counting.
+
+The points fixed along the principal branch form a base for the
+closure, and the generators found are a strong generating set for it,
+so the closure's stabilizer chain is built on that base: Schreier-Sims
+still sifts every Schreier generator, but finds nothing to add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .config import DEFAULT_CAPS
 from .errors import DegreeCapExceededError, PgaError
-from .group import PermGroup
+from .group import PermGroup, StabilizerChain
 from .perm import Permutation
 
 
@@ -73,21 +87,64 @@ def orbitals(G: PermGroup) -> OrbitalPartition:
     )
 
 
-def _signature(color, rank, x, cells):
-    """Per-cell counts of arc colors out of and into x, densely indexed."""
-    row = color[x]
-    parts = []
-    for cell in cells:
-        out = [0] * rank
-        inn = [0] * rank
-        for z in cell:
-            out[row[z]] += 1
-            inn[color[z][x]] += 1
-        parts.append((tuple(out), tuple(inn)))
-    return tuple(parts)
+def _arc_weights(color, rank):
+    """Weight rows w[x][z] that code the color of the arc (x, z).
+
+    color must number pair orbits as orbitals() does.  The orbitals out
+    of one orbit of G then carry consecutive colors [s, s + k), met first
+    in the row of the orbit's least point, and every row of the orbit
+    holds all k of them.  With B = n + 1, color c of that block weighs
+    B**(s + k - 1 - c): a cell holds at most n < B points, so the sum of
+    w[x] over a cell is an integer whose base-B digits are x's counts of
+    each block color into the cell, and integers order as those counts
+    do.  Each weight also carries h * B**m, for m the largest block size
+    and h the number of blocks after c's: of two points of different
+    orbits, the one whose block comes first has the greater counts in
+    every cell, and the h term gives it the greater sum too.
+
+    Counting arcs into x adds nothing: color[z][x] is the paired orbital
+    of color[x][z], so those counts are a fixed rearrangement of these.
+    The weights come from one table of rank entries, shared by all rows.
+    """
+    B = len(color) + 1
+    blocks = sorted({(min(row), max(row)) for row in color})
+    top = B ** max((hi - lo + 1 for lo, hi in blocks), default=0)
+    table = [0] * rank
+    for h, (lo, hi) in enumerate(reversed(blocks)):
+        for c in range(lo, hi + 1):
+            table[c] = h * top + B ** (hi - c)
+    return [[table[c] for c in row] for row in color]
 
 
-def _refine_pair(color, rank, pairs):
+def _layout(cells):
+    """The points of the cells in order, and a mask marking each cell's last."""
+    flat = [z for cell in cells for z in cell]
+    ends = [i == len(cell) - 1 for cell in cells for i in range(len(cell))]
+    return flat, ends
+
+
+def _signature(weights, x, layout):
+    """Arc color counts out of x, per cell, coded as integers.
+
+    The running sums of x's weights at the cell ends; they compare as
+    the per-cell sums do, since the first cell where two points differ
+    is the first end where their running sums differ, by the same amount.
+    """
+    flat, ends = layout
+    # via a list, the tuple is made at its final size; tuple() of the
+    # iterator would resize as it goes and fill the tuple free lists
+    return tuple(list(compress(accumulate(map(weights[x].__getitem__, flat)), ends)))
+
+
+def _split(weights, cell, layout):
+    """The points of a cell grouped by their signatures."""
+    by_sig = {}
+    for x in cell:
+        by_sig.setdefault(_signature(weights, x, layout), []).append(x)
+    return by_sig
+
+
+def _refine_pair(weights, pairs):
     """Refine matched (domain, image) cell lists to a stable partition pair.
 
     Returns the refined pair list, or None when the two sides split
@@ -97,18 +154,16 @@ def _refine_pair(color, rank, pairs):
     while True:
         p_cells = [p for p, _ in pairs]
         q_cells = [q for _, q in pairs]
+        p_layout = _layout(p_cells)
+        q_layout = _layout(q_cells)
         new_pairs = []
         changed = False
         for cp, cq in pairs:
             if len(cp) == 1:
                 new_pairs.append((cp, cq))
                 continue
-            by_sig_p = {}
-            for x in cp:
-                by_sig_p.setdefault(_signature(color, rank, x, p_cells), []).append(x)
-            by_sig_q = {}
-            for y in cq:
-                by_sig_q.setdefault(_signature(color, rank, y, q_cells), []).append(y)
+            by_sig_p = _split(weights, cp, p_layout)
+            by_sig_q = _split(weights, cq, q_layout)
             keys = sorted(by_sig_p)
             if keys != sorted(by_sig_q):
                 return None
@@ -134,7 +189,7 @@ def refine_partition(part: OrbitalPartition, cells) -> list:
     flat = [x for c in cell_tuples for x in c]
     if sorted(flat) != list(range(n)):
         raise MalformedPartitionError("cells must partition 0..degree-1")
-    refined = _refine_pair(part.color, part.rank, [(c, c) for c in cell_tuples])
+    refined = _refine_pair(_arc_weights(part.color, part.rank), [(c, c) for c in cell_tuples])
     return [p for p, _ in refined]
 
 
@@ -169,7 +224,15 @@ def _reachable(points, gens):
 
 
 def _color_automorphism_generators(color, rank, n):
-    """Generators of the full group of color-preserving permutations."""
+    """Generators of the full group of color-preserving permutations, and
+    the base of the search: the point fixed at each principal-branch level.
+
+    The generators found while that level was processed fix the earlier
+    base points and move its own, so they are a strong generating set for
+    that base.
+    """
+    weights = _arc_weights(color, rank)
+    search_base = []
 
     def extract(pairs):
         img = [0] * n
@@ -195,7 +258,7 @@ def _color_automorphism_generators(color, rank, n):
         cp, cq = pairs[t]
         x = cp[0]
         for y in cq:
-            nxt = _refine_pair(color, rank, _individualize(pairs, t, x, y))
+            nxt = _refine_pair(weights, _individualize(pairs, t, x, y))
             if nxt is None:
                 continue
             found = find_one(nxt)
@@ -210,7 +273,8 @@ def _color_automorphism_generators(color, rank, n):
             return []
         cp, cq = pairs[t]
         x = cp[0]
-        local = descend(_refine_pair(color, rank, _individualize(pairs, t, x, x)))
+        search_base.append(x)
+        local = descend(_refine_pair(weights, _individualize(pairs, t, x, x)))
         processed = {x}
         for y in cq:
             if y == x:
@@ -218,7 +282,7 @@ def _color_automorphism_generators(color, rank, n):
             if y in _reachable(processed, local):
                 processed.add(y)
                 continue
-            nxt = _refine_pair(color, rank, _individualize(pairs, t, x, y))
+            nxt = _refine_pair(weights, _individualize(pairs, t, x, y))
             found = find_one(nxt) if nxt is not None else None
             processed.add(y)
             if found is not None:
@@ -226,8 +290,8 @@ def _color_automorphism_generators(color, rank, n):
         return local
 
     unit = tuple(range(n))
-    base = _refine_pair(color, rank, [(unit, unit)])
-    return descend(base)
+    gens = descend(_refine_pair(weights, [(unit, unit)]))
+    return gens, search_base
 
 
 def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> PermGroup:
@@ -238,8 +302,10 @@ def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap)
             f"degree {n} exceeds closure degree cap {degree_cap}", needed=n, cap=degree_cap
         )
     part = orbitals(G)
-    gens = _color_automorphism_generators(part.color, part.rank, n)
-    return PermGroup(n, gens)
+    gens, search_base = _color_automorphism_generators(part.color, part.rank, n)
+    # every Schreier generator is still sifted; on the search base none
+    # leaves a residue, where a greedy base would need many
+    return PermGroup._from_chain(StabilizerChain(n, gens, base_prefix=search_base), gens)
 
 
 def is_2_closed(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> bool:

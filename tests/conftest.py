@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from pga.corpus import load_corpus
 from pga.harness import analyze
@@ -10,6 +11,11 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = ROOT / "corpus"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Property tests draw the same examples on every run, so a defect one of
+# them can catch is caught every time, not only in some runs.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

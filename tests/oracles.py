@@ -158,3 +158,50 @@ def power(img, k):
     for _ in range(k):
         x = mul(x, img)
     return x
+
+
+def count_signature(color, rank, x, cells):
+    """Per cell, the counts of each arc color out of x into the cell and
+    into x from the cell, as a (out counts, in counts) pair of tuples."""
+    parts = []
+    for cell in cells:
+        out = [0] * rank
+        inn = [0] * rank
+        for z in cell:
+            out[color[x][z]] += 1
+            inn[color[z][x]] += 1
+        parts.append((tuple(out), tuple(inn)))
+    return tuple(parts)
+
+
+def count_refine_pair(color, rank, pairs):
+    """Refine matched (domain, image) cell lists by explicit color counts.
+
+    Each round splits every cell of both sides, singletons aside, by
+    count_signature against that side's cells; fragments replace their
+    cell in order of their signatures.  Returns the stable pair list, or
+    None when the two sides split differently.
+    """
+    pairs = [(tuple(p), tuple(q)) for p, q in pairs]
+    while True:
+        p_cells = [p for p, _ in pairs]
+        q_cells = [q for _, q in pairs]
+        new_pairs = []
+        for cp, cq in pairs:
+            if len(cp) == 1:
+                new_pairs.append((cp, cq))
+                continue
+            by_p, by_q = {}, {}
+            for x in cp:
+                by_p.setdefault(count_signature(color, rank, x, p_cells), []).append(x)
+            for y in cq:
+                by_q.setdefault(count_signature(color, rank, y, q_cells), []).append(y)
+            if sorted(by_p) != sorted(by_q):
+                return None
+            for k in sorted(by_p):
+                if len(by_p[k]) != len(by_q[k]):
+                    return None
+                new_pairs.append((tuple(by_p[k]), tuple(by_q[k])))
+        if len(new_pairs) == len(pairs):
+            return pairs
+        pairs = new_pairs

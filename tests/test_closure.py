@@ -3,8 +3,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pga.cli import main
 from pga.closure import (
     MalformedPartitionError,
+    _arc_weights,
+    _individualize,
+    _refine_pair,
     is_2_closed,
     orbitals,
     refine_partition,
@@ -16,7 +20,7 @@ from pga.fixity import fixed_point_square_sum
 from pga.group import PermGroup
 from pga.perm import Permutation
 
-from oracles import brute_two_closure
+from oracles import brute_two_closure, count_refine_pair
 
 
 def perm(text, degree):
@@ -25,6 +29,24 @@ def perm(text, degree):
 
 def group(family, *params):
     return builtin_family(family, list(params)).group
+
+
+def wreath(m, inner, k, outer):
+    """K wr H on m*k points: K (image tuples on m points) acts on the
+    first block of m points, H (image tuples on k points) permutes the
+    k blocks."""
+    n = m * k
+    gens = [Permutation([g[x] if x < m else x for x in range(n)]) for g in inner]
+    gens += [Permutation([h[x // m] * m + x % m for x in range(n)]) for h in outer]
+    return PermGroup(n, gens)
+
+
+def random_groups(max_degree):
+    return st.integers(min_value=1, max_value=max_degree).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(n))).map(Permutation), max_size=3
+        ).map(lambda gens: PermGroup(n, gens))
+    )
 
 
 class TestOrbitals:
@@ -83,6 +105,43 @@ class TestRefinePartition:
             refine_partition(part, [(0, 1), (1, 2, 3)])
 
 
+class TestRefinementOracle:
+    """Integer-coded signatures against explicit per-cell color counts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(8), st.data())
+    def test_refine_partition_matches_count_oracle(self, G, data):
+        part = orbitals(G)
+        n = G.degree
+        points = data.draw(st.permutations(list(range(n))))
+        cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        cells = [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+        expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
+        assert refine_partition(part, cells) == [p for p, _ in expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(8), st.data())
+    def test_individualized_refinement_matches_count_oracle(self, G, data):
+        part = orbitals(G)
+        weights = _arc_weights(part.color, part.rank)
+        unit = tuple(range(G.degree))
+        pairs = _refine_pair(weights, [(unit, unit)])
+        assert pairs == count_refine_pair(part.color, part.rank, [(unit, unit)])
+        # individualize random point pairs, level after level, while the
+        # refinement succeeds and leaves a cell to split
+        while pairs is not None:
+            open_cells = [t for t, (cp, _) in enumerate(pairs) if len(cp) > 1]
+            if not open_cells:
+                break
+            t = data.draw(st.sampled_from(open_cells))
+            cp, cq = pairs[t]
+            x, y = data.draw(st.sampled_from(cp)), data.draw(st.sampled_from(cq))
+            individualized = _individualize(pairs, t, x, y)
+            pairs = _refine_pair(weights, individualized)
+            assert pairs == count_refine_pair(part.color, part.rank, individualized)
+
+
 class TestTwoClosure:
     def test_symmetric_group_is_closed(self):
         G = group("symmetric", 5)
@@ -113,6 +172,29 @@ class TestTwoClosure:
         H = two_closure(G)
         assert H.order() == 2
         assert H.contains(perm("(0 1)", 4))
+
+
+class TestHighRankInputs:
+    """Intransitive inputs reach rank close to n**2; the refinement weights
+    must stay as wide as the degree allows, whatever the rank."""
+
+    @pytest.mark.parametrize("n", [32, 144])
+    @pytest.mark.parametrize("swap", [False, True], ids=["trivial", "swap01"])
+    def test_closure_and_weight_width(self, n, swap):
+        G = PermGroup(n, [perm("(0 1)", n)]) if swap else PermGroup(n)
+        part = orbitals(G)
+        assert part.rank > n * (n - 2)
+        weights = _arc_weights(part.color, part.rank)
+        assert max(w for row in weights for w in row) < (n + 1) ** (n + 1)
+        H = two_closure(G, degree_cap=n)
+        assert H.order() == (2 if swap else 1)
+
+    def test_refinement_matches_count_oracle_at_degree_32(self):
+        G = PermGroup(32, [perm("(0 1)(2 3 4)", 32)])
+        part = orbitals(G)
+        cells = [tuple(range(0, 32, 2)), tuple(range(1, 32, 2))]
+        expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
+        assert refine_partition(part, cells) == [p for p, _ in expected]
 
 
 class TestOracleEquivalence:
@@ -179,3 +261,60 @@ class TestBurnsideRankIdentity:
             if G.order() > 100_000:
                 continue
             assert orbitals(G).rank * G.order() == fixed_point_square_sum(G), entry.name
+
+
+class TestPinnedSearchOutput:
+    """Closure generators as the search produced them before its
+    signatures were integer-coded and its chain moved onto the search base."""
+
+    @pytest.mark.parametrize(
+        "name, stdout, emitted",
+        [
+            (
+                "frobenius_7_3",
+                "group order: 21\npair-orbit rank: 3\nclosure order: 21\nis 2-closed: yes\n",
+                "name: frobenius_7_3_closure\ndegree: 7\ngen: (1 2 4)(3 6 5)\ngen: (0 1 2 3 4 5 6)\n",
+            ),
+            (
+                "elem_abelian_2_3",
+                "group order: 8\npair-orbit rank: 8\nclosure order: 8\nis 2-closed: yes\n",
+                "name: elem_abelian_2_3_closure\ndegree: 8\ngen: (0 1)(2 3)(4 5)(6 7)\n"
+                "gen: (0 2)(1 3)(4 6)(5 7)\ngen: (0 4)(1 5)(2 6)(3 7)\n",
+            ),
+            (
+                "m11_12",
+                "group order: 7920\npair-orbit rank: 2\nclosure order: 479001600\nis 2-closed: no\n",
+                "name: m11_12_closure\ndegree: 12\n"
+                + "".join(f"gen: ({i} {i + 1})\n" for i in range(10, -1, -1)),
+            ),
+        ],
+        ids=["frobenius_7_3", "elem_abelian_2_3", "m11_12"],
+    )
+    def test_two_closure_emit(self, capsys, corpus_dir, tmp_path, name, stdout, emitted):
+        out = tmp_path / "closure.grp"
+        assert main(["two-closure", str(corpus_dir / f"{name}.grp"), "--emit", str(out)]) == 0
+        assert capsys.readouterr().out == stdout
+        assert out.read_text() == emitted
+
+    @pytest.mark.parametrize(
+        "G, order, generators",
+        [
+            (
+                wreath(2, [(1, 0)], 4, [(1, 2, 3, 0)]),
+                64,
+                ["(6 7)", "(4 5)", "(2 3)", "(0 1)", "(0 2 4 6)(1 3 5 7)"],
+            ),
+            (
+                wreath(3, [(1, 0, 2), (1, 2, 0)], 3, [(1, 0, 2), (1, 2, 0)]),
+                1296,
+                ["(1 2)", "(4 5)", "(7 8)", "(6 7)", "(3 4)", "(3 6)(4 7)(5 8)", "(0 1)", "(0 3)(1 4)(2 5)"],
+            ),
+        ],
+        ids=["C2wrC4", "S3wrS3"],
+    )
+    def test_wreath_closure_generators(self, G, order, generators):
+        H = two_closure(G)
+        assert [g.cycle_string() for g in H.generators] == generators
+        assert H.order() == order
+        # a fresh group of the same generators builds the greedy chain
+        assert PermGroup(H.degree, H.generators).order() == order
