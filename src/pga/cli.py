@@ -121,7 +121,7 @@ def _analysis_record(a) -> dict:
         "group": a.name,
         "degree": a.degree,
         "order": str(a.order),
-        "transitive": a.transitive,
+        "transitive": True,  # analyze rejects intransitive groups
         "fixity": a.fixity.fixity if a.fixity else None,
         "elusive": a.elusive,
         "two_closed": a.two_closed,
@@ -141,7 +141,7 @@ def _print_analysis(a) -> None:
     print(f"name: {a.name}")
     print(f"degree: {a.degree} = {a.degree_factored}")
     print(f"order: {a.order} = {a.order_factored}")
-    print(f"transitive: {_yesno(a.transitive)}")
+    print("transitive: yes")  # analyze rejects intransitive groups
     if a.fixity is not None:
         w = a.fixity.witness
         fixed = "{" + ", ".join(map(str, sorted(a.fixity.witness_fixed_set))) + "}"

@@ -247,14 +247,17 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
         return entry(n, [three_cycle, big])
     if family == "elem_abelian":
         p, k = _family_params(family, params, 2)
-        if not is_prime(p) or k < 1:
+        if k < 1:
             raise InvalidFamilyError("elem_abelian needs a prime p and k >= 1")
-        # p**k >= 2**k exceeds the cap once k reaches the cap's bit length;
-        # testing k first keeps a huge k from building a huge integer
-        if k >= caps.max_degree.bit_length():
+        # p**k is at least p and at least 2**k, so testing both against the
+        # cap first keeps a huge p from a long primality test and a huge k
+        # from building a huge integer
+        if p > caps.max_degree or k >= caps.max_degree.bit_length():
             raise InvalidFamilyError(
                 f"degree {p}**{k} exceeds the configured maximum {caps.max_degree}"
             )
+        if not is_prime(p):
+            raise InvalidFamilyError("elem_abelian needs a prime p and k >= 1")
         degree = p**k
         check_degree(degree)
         gens = []
@@ -268,9 +271,9 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
         return entry(degree, gens)
     if family == "frobenius":
         p, q = _family_params(family, params, 2)
+        check_degree(p)  # before the primality test, which a huge p would stall
         if not is_prime(p) or p < 3:
             raise InvalidFamilyError("frobenius needs an odd prime p")
-        check_degree(p)
         if q < 2 or (p - 1) % q != 0:
             raise InvalidFamilyError(f"frobenius needs q >= 2 dividing p-1 = {p - 1}")
         a = pow(smallest_primitive_root(p), (p - 1) // q, p)

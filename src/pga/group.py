@@ -4,20 +4,26 @@ Order, membership and element enumeration go through a deterministic
 (non-randomized) Schreier-Sims stabilizer chain.  Base points are chosen
 greedily as the least point moved by the generator being installed; a
 caller may force a base prefix, which is how point stabilizers are cut
-out.  At each level every Schreier generator is sifted through the
-deeper levels, and residues are installed as new strong generators until
-the chain is self-consistent, so the reported order is exact.
+out.  Levels are completed from the deepest upward: a level's orbit is
+extended, its Schreier generators are sifted through the deeper levels,
+and a residue that does not sift is installed as a new strong generator
+at the level where it got stuck, from which completion resumes.  The
+reported order is exact once every level is complete.
 
-A group is immutable once constructed; the chain is built lazily and
-cached, after which the value can be shared freely between threads.  A
-chain not yet owned by a group can be grown in place by a new generator
-(StabilizerChain.extend), which completes only the levels that changed.
+Levels only grow: a transversal keeps its elements, and each level
+records which Schreier generators are known to sift, so none is sifted
+twice.  A chain is built this way from its generators, and a chain not
+yet owned by a group grows the same way by a new generator
+(StabilizerChain.extend), completing only the levels that changed.  A
+group is immutable once constructed; its chain is built lazily and
+cached, after which the value can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
+from .config import DEFAULT_CAPS
 from .errors import (
     CapExceededError,
     DegreeMismatchError,
@@ -25,9 +31,6 @@ from .errors import (
     PointOutOfRangeError,
 )
 from .perm import Permutation
-
-DEFAULT_ENUMERATION_CAP = 1_000_000
-
 
 class _Level:
     __slots__ = ("point", "own_gens", "transversal", "inverses", "checked")
@@ -56,7 +59,7 @@ class StabilizerChain:
             self.levels.append(_Level(p))
         for g in generators:
             self._insert(g)
-        self._complete()
+        self._complete(len(self.levels) - 1)
 
     def _insert(self, g):
         """Attach a non-identity generator at the first level whose base
@@ -79,10 +82,11 @@ class StabilizerChain:
         level and the levels above it are completed again, and there only
         the Schreier generators not yet checked are sifted.
         """
-        # the chain is complete, so every Schreier generator so far sifts
-        for i, lvl in enumerate(self.levels):
-            lvl.checked = dict.fromkeys(self._level_gens(i), len(lvl.transversal))
-        i = self._insert(g)
+        self._complete(self._insert(g))
+
+    def _complete(self, i):
+        """Complete levels i, i-1, ..., 0 in turn, going back to the level
+        where a residue got stuck whenever one is installed."""
         while i >= 0:
             stuck = self._grow_level(i)
             i = i - 1 if stuck is None else stuck
@@ -91,28 +95,16 @@ class StabilizerChain:
         """Generators of the i-th group on the chain (own plus all deeper)."""
         return [g for lvl in self.levels[i:] for g in lvl.own_gens]
 
-    def _rebuild_transversal(self, i):
-        lvl = self.levels[i]
-        gens = self._level_gens(i)
-        trans = {lvl.point: Permutation.identity(self.degree)}
-        queue = [lvl.point]
-        while queue:
-            b = queue.pop(0)
-            u = trans[b]
-            for s in gens:
-                c = s.images[b]
-                if c not in trans:
-                    trans[c] = u * s
-                    queue.append(c)
-        lvl.transversal = trans
-        lvl.inverses = {b: u.inverse() for b, u in trans.items()}
-
     def _grow_level(self, i):
-        """_close_level for a level whose group has grown since it was closed.
+        """Extend level i's orbit and sift its unchecked Schreier generators.
 
         The transversal keeps its elements and only gains the new orbit
         points, so a Schreier generator checked before is unchanged and
-        still lies in the deeper groups, which only grow.
+        still lies in the deeper groups, which only grow.  On the first
+        residue that does not sift, install it at the level where sifting
+        got stuck (it fixes every base point above) and return that level
+        for reprocessing; return None once every Schreier generator of the
+        level is checked.
         """
         lvl = self.levels[i]
         gens = self._level_gens(i)
@@ -134,7 +126,7 @@ class StabilizerChain:
                 sg = trans[b] * s * invs[s.images[b]]
                 if sg.is_identity():
                     continue
-                h, _ = self._strip(sg, i + 1)
+                h = self._strip(sg, i + 1)
                 if not h.is_identity():
                     checked[s] = k
                     return self._insert(h)
@@ -142,7 +134,8 @@ class StabilizerChain:
         return None
 
     def _strip(self, g, start=0):
-        """Reduce g by transversal representatives; return (residue, stuck level)."""
+        """Reduce g by transversal representatives from level start on;
+        return the residue."""
         for j in range(start, len(self.levels)):
             lvl = self.levels[j]
             b = g.images[lvl.point]
@@ -150,40 +143,9 @@ class StabilizerChain:
                 continue
             u_inv = lvl.inverses.get(b)
             if u_inv is None:
-                return g, j
+                return g
             g = g * u_inv
-        return g, len(self.levels)
-
-    def _close_level(self, i):
-        """Sift all Schreier generators of level i.
-
-        On a failure, install the residue at the level where sifting got
-        stuck and return that level for reprocessing; return None once
-        the level is clean.
-        """
-        lvl = self.levels[i]
-        gens = self._level_gens(i)
-        for b in sorted(lvl.transversal):
-            u = lvl.transversal[b]
-            for s in gens:
-                c = s.images[b]
-                sg = u * s * lvl.inverses[c]
-                if sg.is_identity():
-                    continue
-                h, _ = self._strip(sg, i + 1)
-                if h.is_identity():
-                    continue
-                # h fixes every base point above the level where it got
-                # stuck, so it is inserted at that level
-                return self._insert(h)
-        return None
-
-    def _complete(self):
-        i = len(self.levels) - 1
-        while i >= 0:
-            self._rebuild_transversal(i)
-            stuck = self._close_level(i)
-            i = i - 1 if stuck is None else stuck
+        return g
 
     @property
     def base(self):
@@ -196,8 +158,7 @@ class StabilizerChain:
         return n
 
     def contains(self, g) -> bool:
-        residue, _ = self._strip(g)
-        return residue.is_identity()
+        return self._strip(g).is_identity()
 
     def strong_generators_below(self, i):
         """Strong generators fixing the first i base points."""
@@ -259,15 +220,8 @@ class PermGroup:
             self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
-    def chain_with_base(self, base_prefix) -> StabilizerChain:
-        """A fresh chain whose base starts with the given points (not cached)."""
-        return StabilizerChain(self.degree, self.generators, base_prefix=base_prefix)
-
     def order(self) -> int:
         return self.chain().order()
-
-    def is_trivial(self) -> bool:
-        return not self.generators
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -275,9 +229,6 @@ class PermGroup:
                 f"degree {g.degree} element tested against degree {self.degree} group"
             )
         return self.chain().contains(g)
-
-    def __contains__(self, g) -> bool:
-        return self.contains(g)
 
     def orbit(self, point: int) -> frozenset:
         if not 0 <= point < self.degree:
@@ -311,10 +262,10 @@ class PermGroup:
         """Stabilizer of a point, via a chain whose base is forced to start there."""
         if not 0 <= point < self.degree:
             raise PointOutOfRangeError(f"point {point} out of range")
-        chain = self.chain_with_base((point,))
+        chain = StabilizerChain(self.degree, self.generators, base_prefix=(point,))
         return PermGroup(self.degree, chain.strong_generators_below(1))
 
-    def elements(self, cap: int = DEFAULT_ENUMERATION_CAP):
+    def elements(self, cap: int = DEFAULT_CAPS.enumeration_cap):
         """Iterate all elements; refuses to start if the order exceeds the cap."""
         n = self.order()
         if n > cap:
@@ -323,7 +274,7 @@ class PermGroup:
             )
         return self.chain().iter_elements()
 
-    def conjugacy_classes(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration_cap) -> list:
         """(representative, class size) pairs, one per conjugacy class.
 
         One walk of the elements: each element not yet seen starts a

@@ -92,7 +92,6 @@ class GroupAnalysis:
     primes_group: frozenset
     primes_stab: frozenset
     smallest_prime: int
-    transitive: bool
     solvable: bool
     fixity: FixityResult | None
     elusive: bool | None
@@ -169,7 +168,6 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
         primes_group=frozenset(order_factored.primes),
         primes_stab=frozenset(stab_order_factored.primes),
         smallest_prime=order_factored.factors[0][0] if order_factored.factors else 1,
-        transitive=True,
         solvable=is_solvable(G),
         fixity=fix,
         elusive=elusive,
@@ -499,8 +497,6 @@ def _check_C2_10(a: GroupAnalysis) -> CheckResult:
     """A transitive 2-closed group of fixity 4 with a nontrivial normal
     p-subgroup has a fixed-point-free element.  The verdict uses the
     any-order reading; the prime-order result rides in the witness."""
-    if not a.transitive:
-        return _done(a, "C2_10", VACUOUS)
     if a.two_closed is None:
         return _skip(a, "C2_10", "two_closed")
     if not a.two_closed:

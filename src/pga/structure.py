@@ -57,89 +57,28 @@ class FactoredInteger:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
-# witnesses proving Miller-Rabin deterministic for every n below 3.3e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """Some nontrivial factor of an odd composite n (Brent's cycle variant,
-    deterministically seeded so results are reproducible)."""
-    from math import gcd
-
-    for c in range(1, n):
-        y, m = 2, 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise AssertionError(f"no factor found for {n}")  # unreachable for composite n
+    return n > 1 and factorize(n).factors == ((n, 1),)
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Exact factorization for values up to 2**63: trial division by small
-    primes, then recursive splitting of the remainder."""
+    """Exact factorization by trial division up to the square root of what
+    is left.  The integers factored here (group and element orders,
+    degrees, p - 1 for a prime degree p) have no prime factor above the
+    degree, so the divisor never passes the degree."""
     if n < 1:
         raise InvalidPermutationError(f"cannot factor {n}")
     value = n
     counts: dict = {}
-    for d in range(2, 1000):
-        if d * d > n:
-            break
+    d = 2
+    while d * d <= n:
         while n % d == 0:
             counts[d] = counts.get(d, 0) + 1
             n //= d
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return FactoredInteger(value, tuple(sorted(counts.items())))
+        d += 1
+    if n > 1:
+        counts[n] = 1  # a prime above every divisor tried
+    return FactoredInteger(value, tuple(counts.items()))
 
 
 def p_valuation(n: int, p: int) -> int:

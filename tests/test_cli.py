@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 from pga.cli import main
 from pga.corpus import parse_group_file, read_report
@@ -112,6 +114,21 @@ class TestVerify:
         records = [json.loads(ln) for ln in lines[1:]]
         assert len(records) == 16
         assert {r["group"] for r in records} == {"cyclic_6"}
+
+    def test_corpus_report_is_pinned(self, capsys, corpus_dir, monkeypatch):
+        # sha256 of the whole-corpus machine-records report with its
+        # elapsed_ms fields removed: a change to chains, element walks or
+        # checks must leave every status, witness and order in it as it is
+        monkeypatch.delenv("PGA_CAPS", raising=False)
+        code, out, _ = run(
+            capsys, "verify", str(corpus_dir), "--jobs", "1", "--format", "machine-records"
+        )
+        assert code == 0
+        assert out.count('"elapsed_ms":') == 560
+        report = re.sub(r',"elapsed_ms":\d+', "", out)
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "01e3a0cd89e6728c2e01367b727e99146d6b27743bfa48c5765c1a07bbf6e03a"
+        )
 
 
 class TestTwoClosureCommand:

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from pga import corpus
 from pga.config import Caps
 from pga.corpus import (
     Report,
@@ -142,6 +143,16 @@ class TestBuiltinFamilies:
         ]:
             with pytest.raises(InvalidFamilyError, match="exceeds the configured maximum 8"):
                 builtin_family(family, params, small)
+
+    def test_huge_prime_refused_before_the_primality_test(self, monkeypatch):
+        # trial division of the prime 2**61 - 1 takes about 1.5e9 divisions
+        def no_primality_test(n):
+            pytest.fail(f"primality of {n} tested before the degree check")
+
+        monkeypatch.setattr(corpus, "is_prime", no_primality_test)
+        for family in ("frobenius", "elem_abelian"):
+            with pytest.raises(InvalidFamilyError, match="exceeds the configured maximum"):
+                builtin_family(family, [2**61 - 1, 2])
 
 
 class TestLoadCorpus:

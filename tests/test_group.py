@@ -24,6 +24,11 @@ def random_groups(draw, max_degree=7, max_gens=3):
     return PermGroup(n, gens)
 
 
+generator_lists = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=5)
+)
+
+
 def perm(text, degree):
     return Permutation.from_cycles(text, degree)
 
@@ -247,27 +252,53 @@ class TestExtend:
         assert chain.order() == 4
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=6).flatmap(
-            lambda n: st.lists(st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=5)
-        )
-    )
+    @given(generator_lists)
     # (1 2 3) meets new orbit points whose Schreier generators with the
     # old generator (0 1) must be sifted too
     @example([perm("(0 1)", 4), perm("(1 2 3)", 4)])
     def test_matches_a_fresh_chain(self, gens):
         n = gens[0].degree
-        chain = grown_chain(n, gens)
-        fresh = PermGroup(n, gens)
+        grown = grown_chain(n, gens)
+        fresh = PermGroup(n, gens).chain()
         closure = naive_closure([g.images for g in gens])
-        assert chain.order() == fresh.order() == len(closure)
-        for img in all_perms(range(n)):
-            assert chain.contains(Permutation(img)) == (img in closure)
-        # level i's orbit is that of the stabilizer of the base points above it
-        base = chain.base
-        for i, lvl in enumerate(chain.levels):
-            stab = [x for x in closure if all(x[b] == b for b in base[:i])]
-            assert set(lvl.transversal) == {x[lvl.point] for x in stab}
-            for b, u in lvl.transversal.items():
-                assert u.images[lvl.point] == b
-                assert (u * lvl.inverses[b]).is_identity()
+        assert grown.order() == fresh.order() == len(closure)
+        for chain in (grown, fresh):
+            for img in all_perms(range(n)):
+                assert chain.contains(Permutation(img)) == (img in closure)
+            # level i's orbit is that of the stabilizer of the base points above it
+            base = chain.base
+            for i, lvl in enumerate(chain.levels):
+                stab = [x for x in closure if all(x[b] == b for b in base[:i])]
+                assert set(lvl.transversal) == {x[lvl.point] for x in stab}
+                for b, u in lvl.transversal.items():
+                    assert u.images[lvl.point] == b
+                    assert (u * lvl.inverses[b]).is_identity()
+
+
+def assert_every_schreier_generator_checked(chain):
+    """A complete chain records, at every level, each generator of that
+    level's group as checked on the whole orbit, so extend sifts none of
+    those Schreier generators again."""
+    for i, lvl in enumerate(chain.levels):
+        for s in chain.strong_generators_below(i):
+            assert lvl.checked.get(s) == len(lvl.transversal), (i, s)
+
+
+class TestCheckedRecord:
+    @settings(max_examples=120, deadline=None)
+    @given(generator_lists)
+    def test_after_every_build_and_extend(self, gens):
+        n = gens[0].degree
+        assert_every_schreier_generator_checked(PermGroup(n, gens).chain())
+        movers = [g for g in gens if not g.is_identity()]
+        assert_every_schreier_generator_checked(StabilizerChain(n, movers, base_prefix=(n - 1,)))
+        chain = StabilizerChain(n, [])
+        for g in gens:
+            if not chain.contains(g):
+                chain.extend(g)
+                assert_every_schreier_generator_checked(chain)
+
+    def test_corpus_chains(self, corpus_entries):
+        for entry in corpus_entries:
+            G = entry.group
+            assert_every_schreier_generator_checked(StabilizerChain(G.degree, G.generators))

@@ -87,7 +87,6 @@ def make_analysis(
         primes_group=frozenset(fac_order.primes),
         primes_stab=frozenset(primes_stab),
         smallest_prime=fac_order.factors[0][0] if fac_order.factors else 1,
-        transitive=True,
         solvable=solvable,
         fixity=fix,
         elusive=elusive,
@@ -215,8 +214,6 @@ def hyp_C2_9(a):
 
 
 def hyp_C2_10(a):
-    if not a.transitive:
-        return False
     if a.two_closed is None:
         return None
     if not a.two_closed:
@@ -414,7 +411,6 @@ INDEPENDENT_CONCLS = {
 class TestAnalyze:
     def test_sym4(self, analysis_of):
         a = analysis_of("symmetric_4")
-        assert a.transitive
         assert a.fixity.fixity == 2
         assert a.elusive is False
         assert a.solvable is True

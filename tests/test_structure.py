@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,9 @@ from pga.structure import (
 )
 
 from oracles import all_subgroups, is_normal
+
+
+SMALL_PRIMES = [p for p in range(2, 151) if all(p % d for d in range(2, p))]
 
 
 def perm(text, degree):
@@ -56,29 +61,41 @@ class TestFactorize:
     def test_one(self):
         assert factorize(1).factors == ()
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=1, max_value=2**63 - 1))
-    def test_round_trip(self, n):
+    @staticmethod
+    def assert_round_trip(n, expected):
         f = factorize(n)
-        product = 1
-        for p, e in f.factors:
-            assert is_prime(p)
-            assert e >= 1
-            product *= p**e
-        assert product == n
-        assert list(f.primes) == sorted(f.primes)
+        assert f.value == n
+        assert f.factors == tuple(sorted(expected.items()))
+        assert all(is_prime(p) for p in f.primes)
 
-    def test_round_trip_bulk_63_bit(self):
-        import random
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(SMALL_PRIMES), st.integers(1, 12), max_size=8))
+    def test_round_trip_prime_power_products(self, expected):
+        n = 1
+        for p, e in expected.items():
+            n *= p**e
+        self.assert_round_trip(n, expected)
 
-        rng = random.Random(0xF1D0)
-        for _ in range(10_000):
-            n = rng.randrange(1, 2**63)
-            f = factorize(n)
-            product = 1
-            for p, e in f.factors:
-                product *= p**e
-            assert product == n
+    def test_round_trip_factorials(self):
+        # Legendre: n! holds p to the power sum of n // p**i over i >= 1
+        for n in range(1, 145):
+            expected = {}
+            for p in SMALL_PRIMES:
+                q, e = p, 0
+                while q <= n:
+                    e += n // q
+                    q *= p
+                if e:
+                    expected[p] = e
+            self.assert_round_trip(factorial(n), expected)
+
+    def test_is_prime_matches_a_sieve(self):
+        sieve = [True] * 10_000
+        sieve[0] = sieve[1] = False
+        for p in range(2, 100):
+            if sieve[p]:
+                sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+        assert [n for n in range(-3, 10_000) if is_prime(n)] == [n for n, s in enumerate(sieve) if s]
 
 
 class TestPValuation:
