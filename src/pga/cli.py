@@ -154,7 +154,7 @@ def _print_analysis(a) -> None:
     if a.normal_lattice is not None:
         orders = ", ".join(str(i.order.value) for i in a.normal_lattice)
         print(f"normal subgroup orders: {orders}")
-        minimal = ", ".join(str(i.order.value) for i in a.minimal_normals)
+        minimal = ", ".join(str(i.order.value) for i in a.normal_lattice if i.is_minimal_normal)
         print(f"minimal normal orders: {minimal or '-'}")
     else:
         print(f"normal subgroup orders: skipped ({a.skip_reasons.get('normal_lattice', '')})")

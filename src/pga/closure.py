@@ -56,7 +56,6 @@ class OrbitalPartition:
     degree: int
     color: tuple  # n x n matrix, color[x][y] is the orbit id of (x, y)
     rank: int
-    diagonal_colors: frozenset
 
 
 def orbitals(G: PermGroup) -> OrbitalPartition:
@@ -78,13 +77,7 @@ def orbitals(G: PermGroup) -> OrbitalPartition:
                         color[u][v] = rank
                         queue.append((u, v))
             rank += 1
-    matrix = tuple(tuple(row) for row in color)
-    return OrbitalPartition(
-        degree=n,
-        color=matrix,
-        rank=rank,
-        diagonal_colors=frozenset(matrix[i][i] for i in range(n)),
-    )
+    return OrbitalPartition(degree=n, color=tuple(tuple(row) for row in color), rank=rank)
 
 
 def _arc_weights(color, rank):

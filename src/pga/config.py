@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,7 @@ class Caps:
         return replace(self, **updates) if updates else self
 
     def as_dict(self) -> dict:
-        return {
-            "enumeration_cap": self.enumeration_cap,
-            "lattice_cap": self.lattice_cap,
-            "closure_degree_cap": self.closure_degree_cap,
-            "max_degree": self.max_degree,
-        }
+        return asdict(self)
 
 
 DEFAULT_CAPS = Caps()

@@ -29,10 +29,6 @@ class NotPrimeError(PgaError, ValueError):
     """An argument required to be prime is not."""
 
 
-class NotDividingOrderError(PgaError, ValueError):
-    """A prime does not divide the group order."""
-
-
 class NotAbelianError(PgaError, ValueError):
     """Operation defined only for abelian groups."""
 

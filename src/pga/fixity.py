@@ -1,4 +1,5 @@
-"""Fixity, fixed-point profiles, derangements, and elusiveness.
+"""Fixity, the fixed-point profile of prime-power-order elements,
+derangements, and elusiveness.
 
 Every quantity here is a class function: conjugate elements have the
 same order and the same number of fixed points, and the power of a
@@ -19,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
-from .errors import (
-    CapExceededError,
-    NotDividingOrderError,
-    NotTransitiveError,
-    TrivialGroupError,
-)
+from .errors import NotTransitiveError, TrivialGroupError
 from .group import PermGroup
 from .perm import Permutation
 from .structure import factorize
@@ -41,14 +37,10 @@ class FixityResult:
 
 @dataclass(frozen=True)
 class PrimeFixProfile:
-    """Fixed-point counts of prime-power-order elements, bucketed by prime.
-
-    power_fix_counts[p] collects |Fix(x)| over nontrivial x of order p**a;
-    prime_fix_counts[p] is the sub-bucket for order exactly p.
-    """
+    """Fixed-point counts of prime-power-order elements, bucketed by prime:
+    power_fix_counts[p] collects |Fix(x)| over nontrivial x of order p**a."""
 
     power_fix_counts: dict
-    prime_fix_counts: dict
 
 
 @dataclass
@@ -56,7 +48,6 @@ class _Scan:
     max_fix: int
     max_fix_witness: Permutation | None
     power_fix: dict
-    prime_fix: dict
     prime_derangements: dict
     derangement: Permutation | None
     fix_square_sum: int
@@ -66,7 +57,6 @@ def _element_scan(G: PermGroup, cap: int) -> _Scan:
     max_fix = -1
     witness = None
     power_fix: dict = {}
-    prime_fix: dict = {}
     prime_derangements: dict = {}
     derangement = None
     fix_sq = 0
@@ -88,15 +78,11 @@ def _element_scan(G: PermGroup, cap: int) -> _Scan:
                 if h.fixed_point_count() == 0:
                     prime_derangements[p] = h
         if len(m_factors) == 1:
-            p, a = m_factors[0]
-            power_fix.setdefault(p, set()).add(fp)
-            if a == 1:
-                prime_fix.setdefault(p, set()).add(fp)
+            power_fix.setdefault(m_factors[0][0], set()).add(fp)
     return _Scan(
         max_fix=max_fix,
         max_fix_witness=witness,
         power_fix=power_fix,
-        prime_fix=prime_fix,
         prime_derangements=prime_derangements,
         derangement=derangement,
         fix_square_sum=fix_sq,
@@ -119,21 +105,7 @@ def prime_fix_profile(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> 
     scan = _element_scan(G, cap)
     return PrimeFixProfile(
         power_fix_counts={p: frozenset(v) for p, v in sorted(scan.power_fix.items())},
-        prime_fix_counts={p: frozenset(v) for p, v in sorted(scan.prime_fix.items())},
     )
-
-
-def prime_order_derangement(
-    G: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration_cap
-) -> Permutation | None:
-    """Some fixed-point-free element of order exactly p, or None.
-
-    Found by scanning class representatives g and testing the power
-    g**(order(g)/p) for each prime p dividing order(g).
-    """
-    if G.order() % p != 0:
-        raise NotDividingOrderError(f"{p} does not divide the group order")
-    return _element_scan(G, cap).prime_derangements.get(p)
 
 
 def is_elusive(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
@@ -146,27 +118,6 @@ def is_elusive(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
     if G.degree < 2:
         return False
     return not _element_scan(G, cap).prime_derangements
-
-
-def is_regular(G: PermGroup) -> bool:
-    return G.is_transitive() and G.order() == G.degree
-
-
-def is_frobenius(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
-    """Transitive, not regular, and no non-identity element fixes 2 points."""
-    if not G.is_transitive():
-        raise NotTransitiveError("Frobenius classification needs a transitive group")
-    if is_regular(G):
-        return False
-    return fixity(G, cap).fixity == 1
-
-
-def is_semiregular_subgroup(H: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
-    """True iff every point stabilizer is trivial (all orbits of full length)."""
-    n = H.order()
-    if n > cap:
-        raise CapExceededError(f"order {n} exceeds cap {cap}", needed=n, cap=cap)
-    return all(len(orbit) == n for orbit in H.orbits())
 
 
 def fixed_point_square_sum(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> int:

@@ -82,7 +82,6 @@ class GroupAnalysis:
     reason recorded in skip_reasons under the field name.
     """
 
-    entry: CorpusEntry
     name: str
     degree: int
     order: int
@@ -91,14 +90,12 @@ class GroupAnalysis:
     stab_order_factored: FactoredInteger
     primes_group: frozenset
     primes_stab: frozenset
-    smallest_prime: int
     solvable: bool
     fixity: FixityResult | None
     elusive: bool | None
     two_closed: bool | None
     prime_profile: PrimeFixProfile | None
     normal_lattice: list | None
-    minimal_normals: list | None
     derangement: Permutation | None
     prime_derangement: Permutation | None
     skip_reasons: dict
@@ -150,15 +147,13 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
     except CapExceededError as exc:
         skip_reasons["two_closed"] = str(exc)
 
-    lattice = minimal = None
+    lattice = None
     try:
         lattice = normal_subgroups(G, caps.enumeration_cap, caps.lattice_cap)
-        minimal = [i for i in lattice if i.is_minimal_normal]
     except CapExceededError as exc:
         skip_reasons["normal_lattice"] = str(exc)
 
     return GroupAnalysis(
-        entry=entry,
         name=entry.name,
         degree=degree,
         order=order,
@@ -167,14 +162,12 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
         stab_order_factored=stab_order_factored,
         primes_group=frozenset(order_factored.primes),
         primes_stab=frozenset(stab_order_factored.primes),
-        smallest_prime=order_factored.factors[0][0] if order_factored.factors else 1,
         solvable=is_solvable(G),
         fixity=fix,
         elusive=elusive,
         two_closed=two_closed,
         prime_profile=profile,
         normal_lattice=lattice,
-        minimal_normals=minimal,
         derangement=derang,
         prime_derangement=prime_derang,
         skip_reasons=skip_reasons,
@@ -612,7 +605,10 @@ def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
     except Exception as exc:
         # any failure stays with its group, so the other groups' results survive
         reason = str(exc) if isinstance(exc, PgaError) else f"{type(exc).__name__}: {exc}"
-        order = entry.group.order()
+        try:
+            order = entry.group.order()
+        except Exception:
+            order = 0  # the order failed too; no group has order 0
         return [
             CheckResult(
                 entry.name,

@@ -177,10 +177,6 @@ class Permutation:
         lengths.extend([1] * (self.degree - sum(lengths)))
         return tuple(sorted(lengths))
 
-    def is_semiregular(self) -> bool:
-        """True iff all cycle lengths (fixed points included) are equal."""
-        return len(set(self.cycle_type())) == 1
-
     def cycle_string(self) -> str:
         cycs = self.cycles()
         if not cycs:

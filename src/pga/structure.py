@@ -2,7 +2,10 @@
 
 Covers integer factorization, derived series and solvability, abelian
 invariants (by element-order census), normal closures, and the full
-normal-subgroup listing of a group.
+normal-subgroup listing of a group.  Each listed subgroup carries the
+facts the checks read: its order, whether it is abelian, cyclic (read
+off its abelian invariants), a p-group or semiregular, and whether it is
+a minimal normal subgroup.
 
 A normal subgroup is a union of conjugacy classes, so the listing keys
 each one by the set of classes it contains (indices into the group's
@@ -20,7 +23,6 @@ the classes of both, so a chain is built only for a join that is new.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -169,36 +171,6 @@ def is_solvable(G: PermGroup) -> bool:
         H = D
 
 
-def exponent(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> int:
-    """Least e with g**e trivial for every g.
-
-    Abelian groups use the lcm of generator orders; otherwise the lcm of
-    the orders of the conjugacy-class representatives, subject to the
-    enumeration cap.
-    """
-    if is_abelian(G):
-        return lcm(1, *(g.order() for g in G.generators))
-    return lcm(*(g.order() for g, _ in G.conjugacy_classes(cap)))
-
-
-def is_cyclic(G: PermGroup) -> bool:
-    """True iff G is abelian with exponent equal to its order."""
-    if not is_abelian(G):
-        return False
-    return exponent(G) == G.order()
-
-
-def is_elementary_abelian(G: PermGroup):
-    """(p, k) when G is abelian of order p**k and exponent p, else None."""
-    if not is_abelian(G):
-        return None
-    fac = factorize(G.order())
-    if len(fac.factors) != 1:
-        return None
-    p, k = fac.factors[0]
-    return (p, k) if exponent(G) == p else None
-
-
 def abelian_invariants(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> tuple:
     """Invariant factors d_1 | d_2 | ... of an abelian group.
 
@@ -260,10 +232,8 @@ class NormalSubgroupInfo:
     is_cyclic: bool
     is_p_group_for: int | None
     smallest_prime: int | None  # None only for the trivial subgroup
-    is_elementary_abelian_of: tuple | None
     abelian_invariants: tuple | None
     is_semiregular: bool
-    orbit_lengths: tuple
     is_minimal_normal: bool = False
 
 
@@ -327,18 +297,16 @@ def normal_subgroups(
 def _describe_subgroup(H: PermGroup, cap: int) -> NormalSubgroupInfo:
     fac = factorize(H.order())
     abelian = is_abelian(H)
-    orbit_lengths = tuple(sorted(len(o) for o in H.orbits()))
+    invariants = abelian_invariants(H, cap) if abelian else None
     return NormalSubgroupInfo(
         subgroup=H,
         order=fac,
         is_abelian=abelian,
-        is_cyclic=is_cyclic(H),
+        is_cyclic=abelian and len(invariants) <= 1,
         is_p_group_for=fac.factors[0][0] if len(fac.factors) == 1 else None,
         smallest_prime=fac.factors[0][0] if fac.factors else None,
-        is_elementary_abelian_of=is_elementary_abelian(H),
-        abelian_invariants=abelian_invariants(H, cap) if abelian else None,
-        is_semiregular=all(l == fac.value for l in orbit_lengths),
-        orbit_lengths=orbit_lengths,
+        abelian_invariants=invariants,
+        is_semiregular=all(len(o) == fac.value for o in H.orbits()),
     )
 
 
@@ -349,12 +317,3 @@ def _mark_minimal(infos, keys) -> None:
     for info, key in zip(infos, keys):
         if info.order.value > 1:
             info.is_minimal_normal = not any(trivial < other < key for other in keys)
-
-
-def minimal_normal_subgroups(
-    G: PermGroup,
-    cap: int = DEFAULT_CAPS.enumeration_cap,
-    lattice_cap: int = DEFAULT_CAPS.lattice_cap,
-) -> list:
-    """Nontrivial normal subgroups containing no smaller nontrivial one."""
-    return [i for i in normal_subgroups(G, cap, lattice_cap) if i.is_minimal_normal]

@@ -12,7 +12,7 @@ from itertools import permutations as all_perms
 from pga.cli import main as cli_main
 from pga.closure import orbitals, two_closure
 from pga.corpus import load_corpus, read_report
-from pga.fixity import fixity, fixed_point_square_sum, is_regular, prime_order_derangement
+from pga.fixity import first_prime_derangement, fixity, fixed_point_square_sum, is_elusive
 from pga.perm import Permutation
 
 from oracles import brute_two_closure, naive_closure
@@ -154,8 +154,8 @@ def test_criterion_6_m11_facts_from_scratch(corpus_dir):
     assert G.order() == 7920
     assert G.is_transitive()
     assert G.point_stabilizer(0).order() == 660
-    for p in (2, 3, 5, 11):
-        assert prime_order_derangement(G, p) is None
+    assert is_elusive(G)
+    assert first_prime_derangement(G) is None
     f = fixity(G).fixity
     assert f >= 3
     assert f == M11_FIXITY
@@ -165,7 +165,8 @@ def test_criterion_6_m11_facts_from_scratch(corpus_dir):
 def test_criterion_7_definition_equivalences(corpus_by_name, corpus_entries):
     started = time.perf_counter()
     for entry in corpus_entries:
-        assert (fixity(entry.group).fixity == 0) == is_regular(entry.group), entry.name
+        G = entry.group  # transitive, so regular iff |G| = n
+        assert (fixity(G).fixity == 0) == (G.order() == G.degree), entry.name
     for name in ("frobenius_5_4", "frobenius_7_3", "dihedral_5"):
         assert fixity(corpus_by_name[name].group).fixity == 1, name
     _report(7, "fixity 0 iff regular on every group; fixity 1 on the Frobenius builtins", started, 60)

@@ -17,8 +17,8 @@ from pga.fixity import (
     first_prime_derangement,
     fixed_point_square_sum,
     fixity,
+    is_elusive,
     prime_fix_profile,
-    prime_order_derangement,
 )
 from pga.group import StabilizerChain
 
@@ -35,7 +35,7 @@ def brute_scan(walk):
     """Every fixity quantity by looking at each element in walk order."""
     ident = tuple(range(len(walk[0])))
     out = {"max_fix": -1, "witness": None, "derangement": None, "square_sum": 0}
-    power_fix, prime_fix, prime_derangements = {}, {}, {}
+    power_fix, prime_derangements = {}, {}
     for x in walk:
         fp = fixed_count(x)
         out["square_sum"] += fp * fp
@@ -54,9 +54,7 @@ def brute_scan(walk):
                     prime_derangements[p] = h
         if len(primes) == 1:
             power_fix.setdefault(primes[0], set()).add(fp)
-            if m == primes[0]:
-                prime_fix.setdefault(m, set()).add(fp)
-    out["power_fix"], out["prime_fix"] = power_fix, prime_fix
+    out["power_fix"] = power_fix
     out["prime_derangements"] = prime_derangements
     return out
 
@@ -148,10 +146,7 @@ class TestFixityOnRepresentatives:
             assert result.witness.images == want["witness"], entry.name
             profile = prime_fix_profile(G)
             assert profile.power_fix_counts == want["power_fix"], entry.name
-            assert profile.prime_fix_counts == want["prime_fix"], entry.name
-            for p in _primes(G.order()):
-                got = _images(prime_order_derangement(G, p))
-                assert got == want["prime_derangements"].get(p), (entry.name, p)
+            assert is_elusive(G) == (G.degree > 1 and not want["prime_derangements"]), entry.name
             first = min(want["prime_derangements"].items(), default=(None, None))[1]
             assert _images(first_prime_derangement(G)) == first, entry.name
             assert _images(any_derangement(G)) == want["derangement"], entry.name

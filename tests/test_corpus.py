@@ -19,7 +19,7 @@ from pga.corpus import (
     write_report,
 )
 from pga.errors import GroupFileError, InvalidFamilyError
-from pga.fixity import fixity, is_frobenius
+from pga.fixity import fixity
 from pga.harness import CheckResult
 from pga.perm import Permutation
 
@@ -102,8 +102,9 @@ class TestBuiltinFamilies:
     def test_frobenius_5_4(self):
         G = builtin_family("frobenius", [5, 4]).group
         assert G.degree == 5
+        # Frobenius: transitive, not regular, and fixity 1
+        assert G.is_transitive() and G.order() != G.degree
         assert fixity(G).fixity == 1
-        assert is_frobenius(G)
 
     def test_frobenius_7_2_multiplier_is_negation(self):
         G = builtin_family("frobenius", [7, 2]).group

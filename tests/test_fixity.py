@@ -1,24 +1,17 @@
 import pytest
 
 from pga.corpus import builtin_family
-from pga.errors import (
-    CapExceededError,
-    NotDividingOrderError,
-    NotTransitiveError,
-    TrivialGroupError,
-)
+from pga.errors import CapExceededError, NotTransitiveError, TrivialGroupError
 from pga.fixity import (
     any_derangement,
+    first_prime_derangement,
     fixity,
     is_elusive,
-    is_frobenius,
-    is_regular,
-    is_semiregular_subgroup,
     prime_fix_profile,
-    prime_order_derangement,
 )
 from pga.group import PermGroup
 from pga.perm import Permutation
+from pga.structure import normal_subgroups
 
 from oracles import fixed_count, naive_closure
 
@@ -70,19 +63,15 @@ class TestPrimeFixProfile:
         profile = prime_fix_profile(group("symmetric", 4))
         assert profile.power_fix_counts[2] == {0, 2}
         assert profile.power_fix_counts[3] == {1}
-        assert profile.prime_fix_counts[3] == {1}
 
     def test_regular_cyclic6(self):
         profile = prime_fix_profile(group("cyclic", 6))
         assert profile.power_fix_counts == {2: {0}, 3: {0}}
 
     def test_m11(self, corpus_by_name):
+        # involutions fix 4 points; the derangements of 2-power order have order 4 or 8
         profile = prime_fix_profile(corpus_by_name["m11_12"].group)
-        assert set(profile.power_fix_counts) == {2, 3, 5, 11}
-        assert profile.prime_fix_counts[2] == {4}
-        assert profile.prime_fix_counts[3] == {3}
-        assert profile.prime_fix_counts[5] == {2}
-        assert profile.prime_fix_counts[11] == {1}
+        assert profile.power_fix_counts == {2: {0, 4}, 3: {3}, 5: {2}, 11: {1}}
 
     def test_cauchy_every_prime_has_elements(self, corpus_entries):
         from pga.structure import factorize
@@ -90,39 +79,31 @@ class TestPrimeFixProfile:
         for entry in corpus_entries:
             profile = prime_fix_profile(entry.group)
             for p in factorize(entry.group.order()).primes:
-                assert profile.prime_fix_counts.get(p), entry.name
+                assert profile.power_fix_counts.get(p), entry.name
 
 
 class TestPrimeOrderDerangement:
     def test_sym3_order3(self):
-        g = prime_order_derangement(group("symmetric", 3), 3)
+        g = first_prime_derangement(group("symmetric", 3))
         assert g is not None
         assert g.order() == 3
         assert not g.fixed_points()
 
     def test_sym3_order2_absent(self):
-        assert prime_order_derangement(group("symmetric", 3), 2) is None
+        # every involution of S3 fixes a point
+        assert prime_fix_profile(group("symmetric", 3)).power_fix_counts[2] == {1}
 
     def test_m11_all_primes_absent(self, corpus_by_name):
         G = corpus_by_name["m11_12"].group
-        for p in (2, 3, 5, 11):
-            assert prime_order_derangement(G, p) is None
-
-    def test_prime_must_divide_order(self):
-        with pytest.raises(NotDividingOrderError):
-            prime_order_derangement(group("symmetric", 3), 5)
+        assert is_elusive(G)
+        assert first_prime_derangement(G) is None
 
     def test_returned_element_is_semiregular(self, corpus_entries):
-        from pga.structure import factorize
-
         for entry in corpus_entries:
-            G = entry.group
-            for p in factorize(G.order()).primes:
-                g = prime_order_derangement(G, p)
-                if g is not None:
-                    assert g.order() == p, entry.name
-                    assert not g.fixed_points(), entry.name
-                    assert g.is_semiregular(), entry.name
+            g = first_prime_derangement(entry.group)
+            if g is not None:
+                p = g.order()
+                assert g.cycle_type() == (p,) * (entry.group.degree // p), entry.name
 
 
 class TestElusive:
@@ -148,34 +129,30 @@ class TestElusive:
 
 
 class TestRegularAndFrobenius:
-    def test_regular(self):
-        assert is_regular(group("cyclic", 4))
-        assert not is_regular(group("symmetric", 3))
-        assert is_regular(PermGroup(1))
-
     def test_fixity_zero_iff_regular(self, corpus_entries):
-        for entry in corpus_entries:
-            assert (fixity(entry.group).fixity == 0) == is_regular(entry.group), entry.name
-
-    def test_frobenius(self):
-        assert is_frobenius(group("dihedral", 5))
-        assert is_frobenius(group("frobenius", 7, 3))
-        assert not is_frobenius(group("symmetric", 4))
-        assert not is_frobenius(group("cyclic", 4))
-
-    def test_fixity_one_iff_frobenius(self, corpus_entries):
+        # every corpus group is transitive, so it is regular iff |G| = n
         for entry in corpus_entries:
             G = entry.group
-            expected = not is_regular(G) and fixity(G).fixity == 1
-            assert is_frobenius(G) == expected, entry.name
+            assert (fixity(G).fixity == 0) == (G.order() == G.degree), entry.name
+
+    def test_frobenius(self):
+        # Frobenius: transitive, not regular, and fixity 1
+        for G in (group("dihedral", 5), group("frobenius", 7, 3)):
+            assert G.order() != G.degree and fixity(G).fixity == 1
+        assert fixity(group("symmetric", 4)).fixity == 2
+        assert fixity(group("cyclic", 4)).fixity == 0
 
 
 class TestSemiregularSubgroup:
     def test_cases(self):
-        assert is_semiregular_subgroup(PermGroup(4, [perm("(0 1)(2 3)", 4)]))
-        assert not is_semiregular_subgroup(PermGroup(3, [perm("(0 1)", 3)]))
-        assert is_semiregular_subgroup(group("elem_abelian", 2, 2))
-        assert is_semiregular_subgroup(PermGroup(2))
+        # a subgroup's semiregularity is read off its own normal-subgroup record
+        def semiregular(H):
+            return normal_subgroups(H)[-1].is_semiregular
+
+        assert semiregular(PermGroup(4, [perm("(0 1)(2 3)", 4)]))
+        assert not semiregular(PermGroup(3, [perm("(0 1)", 3)]))
+        assert semiregular(group("elem_abelian", 2, 2))
+        assert semiregular(PermGroup(2))
 
 
 class TestAnyDerangement:

@@ -33,7 +33,6 @@ def make_info(
     is_cyclic=False,
     is_semiregular=False,
     invariants=None,
-    elementary=None,
 ):
     fac = factorize(order)
     return NormalSubgroupInfo(
@@ -43,10 +42,8 @@ def make_info(
         is_cyclic=is_cyclic,
         is_p_group_for=fac.factors[0][0] if len(fac.factors) == 1 else None,
         smallest_prime=fac.factors[0][0] if fac.factors else None,
-        is_elementary_abelian_of=elementary,
         abelian_invariants=tuple(invariants) if invariants else None,
         is_semiregular=is_semiregular,
-        orbit_lengths=(1,),
     )
 
 
@@ -63,7 +60,6 @@ def make_analysis(
     prime_derangement=None,
     missing=(),
 ):
-    entry = CorpusEntry("synthetic", "synthetic", PermGroup(degree), degree)
     stab_order = order // degree if order % degree == 0 else 1
     fac_order = factorize(order)
     fac_stab = factorize(stab_order)
@@ -74,10 +70,8 @@ def make_analysis(
     fix = FixityResult(fixity_value, None, frozenset())
     profile = PrimeFixProfile(
         power_fix_counts={p: frozenset({0}) for p in fac_order.primes},
-        prime_fix_counts={p: frozenset({0}) for p in fac_order.primes},
     )
     a = GroupAnalysis(
-        entry=entry,
         name="synthetic",
         degree=degree,
         order=order,
@@ -86,14 +80,12 @@ def make_analysis(
         stab_order_factored=fac_stab,
         primes_group=frozenset(fac_order.primes),
         primes_stab=frozenset(primes_stab),
-        smallest_prime=fac_order.factors[0][0] if fac_order.factors else 1,
         solvable=solvable,
         fixity=fix,
         elusive=elusive,
         two_closed=two_closed,
         prime_profile=profile,
         normal_lattice=list(lattice),
-        minimal_normals=[],
         derangement=derangement,
         prime_derangement=prime_derangement,
         skip_reasons={},
@@ -500,7 +492,7 @@ class TestCheckSemantics:
 
     def test_l2_7_all_clauses_hold_on_small_synthetic(self):
         a = make_analysis(degree=4, order=12, elusive=True, fixity_value=3,
-                          lattice=[make_info(4, is_abelian=True, invariants=(2, 2), elementary=(2, 2))])
+                          lattice=[make_info(4, is_abelian=True, invariants=(2, 2))])
         assert check("L2_7", a).status == VERIFIED
 
     def test_c2_9_squarefree_abelian_normal_is_violation(self):
@@ -512,7 +504,7 @@ class TestCheckSemantics:
 
     def test_c2_9_fixity3_type_match(self):
         a = make_analysis(elusive=True, fixity_value=3,
-                          lattice=[make_info(9, is_abelian=True, invariants=(3, 3), elementary=(3, 2))])
+                          lattice=[make_info(9, is_abelian=True, invariants=(3, 3))])
         assert check("C2_9", a).status == VERIFIED
 
     def test_c2_9_fixity4_types(self):
@@ -524,7 +516,7 @@ class TestCheckSemantics:
         assert check("C2_9", bad).status == VIOLATED
 
     def test_c2_10_verdict_and_witness(self):
-        lattice = [make_info(4, is_abelian=True, invariants=(2, 2), elementary=(2, 2))]
+        lattice = [make_info(4, is_abelian=True, invariants=(2, 2))]
         a = make_analysis(elusive=False, two_closed=True, fixity_value=4, lattice=lattice)
         result = check("C2_10", a)
         assert result.status == VERIFIED
@@ -565,16 +557,12 @@ def lattice_infos():
             if order % (p * p) == 0:
                 options.append((p, order // p))
             invariants = options[inv_choice % len(options)]
-        elementary = None
-        if abelian and len(fac.factors) == 1 and invariants == tuple([fac.factors[0][0]] * fac.factors[0][1]):
-            elementary = fac.factors[0]
         return make_info(
             order,
             is_abelian=abelian,
             is_cyclic=abelian and cyclic_bit,
             is_semiregular=semiregular,
             invariants=invariants,
-            elementary=elementary,
         )
 
     return st.tuples(
@@ -602,7 +590,7 @@ def synthetic_analyses(draw):
         profile[p] = frozenset(
             draw(st.sets(st.sampled_from([0, p, 2 * p, 3, 4, 1]), min_size=1, max_size=3))
         )
-    a.prime_profile = PrimeFixProfile(power_fix_counts=profile, prime_fix_counts=profile)
+    a.prime_profile = PrimeFixProfile(power_fix_counts=profile)
     missing = draw(
         st.sets(
             st.sampled_from(["fixity", "elusive", "two_closed", "normal_lattice", "prime_profile"]),
@@ -694,6 +682,26 @@ class TestRunAll:
         assert [r.status for r in by_group["cyclic_3"]] == [SKIPPED, SKIPPED]
         assert all(r.witness["reason"] == "RuntimeError: boom" for r in by_group["cyclic_3"])
         assert [r.status for r in by_group["symmetric_3"]] == [VACUOUS, VACUOUS]
+
+    def test_crash_in_chain_building_keeps_the_others(self, monkeypatch):
+        # the fallback record needs the order, whose chain build fails again
+        bad, good = builtin_family("cyclic", [3]), builtin_family("symmetric", [3])
+        real = PermGroup.chain
+
+        def chain(G):
+            if G is bad.group:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(G)
+
+        monkeypatch.setattr(PermGroup, "chain", chain)
+        report = run_all([bad, good], selection=("C2_3", "A1"), jobs=1)
+        by_group = {}
+        for r in report.entries:
+            by_group.setdefault(r.group, []).append(r)
+        assert [(r.status, r.order) for r in by_group["cyclic_3"]] == [(SKIPPED, 0)] * 2
+        reason = "RecursionError: maximum recursion depth exceeded"
+        assert all(r.witness["reason"] == reason for r in by_group["cyclic_3"])
+        assert [(r.status, r.order) for r in by_group["symmetric_3"]] == [(VACUOUS, 6)] * 2
 
     def test_jobs_do_not_change_results(self, corpus_entries):
         small = [e for e in corpus_entries if e.group.order() <= 60]

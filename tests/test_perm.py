@@ -121,17 +121,6 @@ class TestCycleType:
         assert Permutation.identity(3).cycle_type() == (1, 1, 1)
 
 
-class TestSemiregular:
-    def test_double_transposition(self):
-        assert perm("(0 1)(2 3)", 4).is_semiregular()
-
-    def test_transposition_with_fixed_point(self):
-        assert not perm("(0 1)", 3).is_semiregular()
-
-    def test_identity(self):
-        assert Permutation.identity(4).is_semiregular()
-
-
 class TestParsing:
     def test_four_cycle(self):
         assert perm("(0 1 2 3)", 4).images == (1, 2, 3, 0)
@@ -202,11 +191,13 @@ class TestProperties:
 
     @given(permutations_st(max_degree=8))
     def test_prime_order_semiregular_iff_derangement(self, g):
-        # for prime-order elements: semiregular means no fixed points at all
+        # for prime-order elements: semiregular (every cycle of length p)
+        # means no fixed points at all
         from pga.structure import is_prime
 
-        if is_prime(g.order()):
-            assert g.is_semiregular() == (len(g.fixed_points()) == 0)
+        p = g.order()
+        if is_prime(p):
+            assert (g.cycle_type() == (p,) * (g.degree // p)) == (len(g.fixed_points()) == 0)
 
 
 class TestUncheckedProducts:

@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,20 +10,16 @@ from pga.perm import Permutation
 from pga.structure import (
     abelian_invariants,
     derived_subgroup,
-    exponent,
     factorize,
     is_abelian,
-    is_cyclic,
-    is_elementary_abelian,
     is_prime,
     is_solvable,
-    minimal_normal_subgroups,
     normal_closure,
     normal_subgroups,
     p_valuation,
 )
 
-from oracles import all_subgroups, is_normal
+from oracles import all_subgroups, element_order, is_normal
 
 
 SMALL_PRIMES = [p for p in range(2, 151) if all(p % d for d in range(2, p))]
@@ -153,30 +149,24 @@ class TestAbelian:
         assert is_abelian(PermGroup(2))
 
 
-class TestExponent:
-    def test_klein(self):
-        assert exponent(group("elem_abelian", 2, 2)) == 2
-
-    def test_cyclic(self):
-        assert exponent(group("cyclic", 4)) == 4
-
-    def test_nonabelian(self):
-        assert exponent(group("symmetric", 3)) == 6
-
-
 class TestCyclic:
     def test_cases(self):
-        assert is_cyclic(group("cyclic", 6))
-        assert not is_cyclic(group("elem_abelian", 2, 2))
-        assert is_cyclic(PermGroup(2))
+        # the whole group is the last record of its own normal-subgroup listing
+        def cyclic(G):
+            return normal_subgroups(G)[-1].is_cyclic
+
+        assert cyclic(group("cyclic", 6))
+        assert not cyclic(group("elem_abelian", 2, 2))
+        assert cyclic(PermGroup(2))
 
 
 class TestElementaryAbelian:
     def test_cases(self):
-        assert is_elementary_abelian(group("elem_abelian", 2, 2)) == (2, 2)
+        # elementary abelian of order p**k means invariants (p,) * k
+        assert abelian_invariants(group("elem_abelian", 2, 2)) == (2, 2)
         G = PermGroup(6, [perm("(0 1 2)", 6), perm("(3 4 5)", 6)])
-        assert is_elementary_abelian(G) == (3, 2)
-        assert is_elementary_abelian(group("cyclic", 4)) is None
+        assert abelian_invariants(G) == (3, 3)
+        assert abelian_invariants(group("cyclic", 4)) == (4,)
 
 
 class TestAbelianInvariants:
@@ -270,22 +260,28 @@ class TestNormalSubgroups:
             for sub, info in computed.items():
                 minimal = len(sub) > 1 and not any(len(o) > 1 and o < sub for o in expected)
                 assert info.is_minimal_normal == minimal, name
+                cyclic = any(element_order(x) == len(sub) for x in sub)
+                assert info.is_cyclic == cyclic, name
             sizes[name] = len(infos)
         assert (sizes["C2wrC4"], sizes["C3wrC3"]) == (13, 8)
 
 
+def minimal_normals(G):
+    return [i for i in normal_subgroups(G) if i.is_minimal_normal]
+
+
 class TestMinimalNormals:
     def test_sym4(self):
-        minimals = minimal_normal_subgroups(group("symmetric", 4))
+        minimals = minimal_normals(group("symmetric", 4))
         assert [i.order.value for i in minimals] == [4]
-        assert minimals[0].is_elementary_abelian_of == (2, 2)
+        assert minimals[0].abelian_invariants == (2, 2)
 
     def test_alt5_is_simple(self):
-        minimals = minimal_normal_subgroups(group("alternating", 5))
+        minimals = minimal_normals(group("alternating", 5))
         assert [i.order.value for i in minimals] == [60]
 
     def test_cyclic6(self):
-        minimals = minimal_normal_subgroups(group("cyclic", 6))
+        minimals = minimal_normals(group("cyclic", 6))
         assert sorted(i.order.value for i in minimals) == [2, 3]
 
     def test_solvable_minimals_elementary_abelian(self, corpus_entries):
@@ -293,8 +289,11 @@ class TestMinimalNormals:
             G = entry.group
             if not is_solvable(G):
                 continue
-            for info in minimal_normal_subgroups(G):
-                assert info.is_elementary_abelian_of is not None, entry.name
+            for info in minimal_normals(G):
+                # elementary abelian: a p-group with invariants (p,) * k
+                p = info.is_p_group_for
+                assert p is not None, entry.name
+                assert info.abelian_invariants == (p,) * info.order.valuation(p), entry.name
 
 
 class TestSubgroupInfo:
@@ -303,13 +302,11 @@ class TestSubgroupInfo:
             for info in normal_subgroups(entry.group):
                 if info.is_cyclic:
                     assert info.is_abelian
-                if info.is_elementary_abelian_of:
-                    p, k = info.is_elementary_abelian_of
-                    assert info.order.value == p**k
-                    assert info.abelian_invariants == tuple([p] * k)
+                    assert len(info.abelian_invariants) <= 1
+                if info.is_abelian:
+                    assert prod(info.abelian_invariants) == info.order.value
                 if info.order.value > 1:
                     assert info.smallest_prime == info.order.factors[0][0]
-                assert sum(info.orbit_lengths) == entry.group.degree
 
     def test_semiregular_flag(self):
         infos = normal_subgroups(group("symmetric", 4))

@@ -1,0 +1,85 @@
+"""Every public name of the package has a reader.
+
+The scan parses src/pga, scripts/ and perfbench/ and collects each name
+used as a variable, attribute, import or string constant (perfbench
+looks layer functions up by name with getattr).  Every public top-level
+function, public class and public method defined in src/pga must be
+used somewhere outside its own definition.  Matching is by name only:
+a use of any object of the same name counts, so the scan can miss dead
+code.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pga"
+SCANNED = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+
+# names that only tests read, each kept for the test that needs it
+ALLOWED = {
+    "fixed_point_square_sum": "the Burnside rank identity of the acceptance tests",
+    "refine_partition": "the refinement-oracle tests of the 2-closure search",
+    "read_report": "the report round-trip tests",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def public_definitions():
+    """Names of the package's public top-level functions and classes and
+    of the public methods of its top-level classes."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def _used_names(node, inside, out):
+    """Add to out each name node uses, except inside a definition of that
+    same name; inside holds the names of the enclosing definitions."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name.rpartition(".")[2]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    else:
+        name = None
+    if name is not None and name not in inside:
+        out.add(name)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    for child in ast.iter_child_nodes(node):
+        _used_names(child, inside, out)
+
+
+def used_names():
+    out = set()
+    for directory in SCANNED:
+        for path in sorted(directory.glob("*.py")):
+            _used_names(_parse(path), frozenset(), out)
+    return out
+
+
+def test_every_public_name_has_a_reader():
+    used = used_names()
+    unread = sorted(set(public_definitions()) - used - set(ALLOWED))
+    assert unread == [], f"public names nothing in src/pga, scripts or perfbench reads: {unread}"
+
+
+def test_allowlisted_names_still_exist():
+    assert set(ALLOWED) <= set(public_definitions())
