@@ -24,6 +24,14 @@ the rank (see _arc_weights and _signature); they sort as the tuples of
 counts do, so the fragments and their order are those of explicit
 counting.
 
+The domain side of every refinement in a search is a partition of the
+principal branch: a branch individualizes the first point of the first
+non-singleton domain cell, as the principal branch does, and only the
+images differ.  So one memo per search holds the domain fragments of
+each refinement round, and later branches split only the image side,
+matching each image signature against the signature of one point of
+the domain fragment it must pair with.
+
 The points fixed along the principal branch form a base for the
 closure, and the generators found are a strong generating set for it,
 so the closure's stabilizer chain is built on that base: Schreier-Sims
@@ -137,35 +145,50 @@ def _split(weights, cell, layout):
     return by_sig
 
 
-def _refine_pair(weights, pairs):
+def _refine_pair(weights, pairs, memo):
     """Refine matched (domain, image) cell lists to a stable partition pair.
 
     Returns the refined pair list, or None when the two sides split
     incompatibly, which proves no automorphism respects the pairing.
+
+    The domain side of a round depends on the domain cells alone, so
+    memo maps the domain cells of each round met to the fragments of
+    every cell, in signature order; a memo shared by the refinements of
+    one search splits each domain partition once.  The image side is
+    split every time, and each of its keys must be the signature of one
+    point of the matching domain fragment.
     """
     pairs = list(pairs)
     while True:
-        p_cells = [p for p, _ in pairs]
-        q_cells = [q for _, q in pairs]
+        p_cells = tuple(p for p, _ in pairs)
+        q_layout = _layout([q for _, q in pairs])
         p_layout = _layout(p_cells)
-        q_layout = _layout(q_cells)
+        fragments = memo.get(p_cells)
+        if fragments is None:
+            fragments = []
+            for cp in p_cells:
+                if len(cp) == 1:
+                    fragments.append((cp,))
+                    continue
+                by_sig = _split(weights, cp, p_layout)
+                fragments.append(tuple(tuple(by_sig[k]) for k in sorted(by_sig)))
+            memo[p_cells] = fragments
         new_pairs = []
         changed = False
-        for cp, cq in pairs:
+        for (cp, cq), frags in zip(pairs, fragments):
             if len(cp) == 1:
                 new_pairs.append((cp, cq))
                 continue
-            by_sig_p = _split(weights, cp, p_layout)
             by_sig_q = _split(weights, cq, q_layout)
-            keys = sorted(by_sig_p)
-            if keys != sorted(by_sig_q):
+            if len(by_sig_q) != len(frags):
                 return None
-            if any(len(by_sig_p[k]) != len(by_sig_q[k]) for k in keys):
-                return None
-            if len(keys) > 1:
+            for f in frags:
+                fq = by_sig_q.get(_signature(weights, f[0], p_layout))
+                if fq is None or len(fq) != len(f):
+                    return None
+                new_pairs.append((f, tuple(fq)))
+            if len(frags) > 1:
                 changed = True
-            for k in keys:
-                new_pairs.append((tuple(by_sig_p[k]), tuple(by_sig_q[k])))
         pairs = new_pairs
         if not changed:
             return pairs
@@ -182,7 +205,7 @@ def refine_partition(part: OrbitalPartition, cells) -> list:
     flat = [x for c in cell_tuples for x in c]
     if sorted(flat) != list(range(n)):
         raise MalformedPartitionError("cells must partition 0..degree-1")
-    refined = _refine_pair(_arc_weights(part.color, part.rank), [(c, c) for c in cell_tuples])
+    refined = _refine_pair(_arc_weights(part.color, part.rank), [(c, c) for c in cell_tuples], {})
     return [p for p, _ in refined]
 
 
@@ -225,6 +248,10 @@ def _color_automorphism_generators(color, rank, n):
     that base.
     """
     weights = _arc_weights(color, rank)
+    # every domain side refined is one of the principal branch's, as
+    # find_one individualizes the first point of the first non-singleton
+    # domain cell, the point descend fixes at that level
+    memo = {}
     search_base = []
 
     def extract(pairs):
@@ -251,7 +278,7 @@ def _color_automorphism_generators(color, rank, n):
         cp, cq = pairs[t]
         x = cp[0]
         for y in cq:
-            nxt = _refine_pair(weights, _individualize(pairs, t, x, y))
+            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo)
             if nxt is None:
                 continue
             found = find_one(nxt)
@@ -267,7 +294,7 @@ def _color_automorphism_generators(color, rank, n):
         cp, cq = pairs[t]
         x = cp[0]
         search_base.append(x)
-        local = descend(_refine_pair(weights, _individualize(pairs, t, x, x)))
+        local = descend(_refine_pair(weights, _individualize(pairs, t, x, x), memo))
         processed = {x}
         for y in cq:
             if y == x:
@@ -275,7 +302,7 @@ def _color_automorphism_generators(color, rank, n):
             if y in _reachable(processed, local):
                 processed.add(y)
                 continue
-            nxt = _refine_pair(weights, _individualize(pairs, t, x, y))
+            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo)
             found = find_one(nxt) if nxt is not None else None
             processed.add(y)
             if found is not None:
@@ -283,7 +310,7 @@ def _color_automorphism_generators(color, rank, n):
         return local
 
     unit = tuple(range(n))
-    gens = descend(_refine_pair(weights, [(unit, unit)]))
+    gens = descend(_refine_pair(weights, [(unit, unit)], memo))
     return gens, search_base
 
 

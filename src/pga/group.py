@@ -11,9 +11,15 @@ at the level where it got stuck, from which completion resumes.  The
 reported order is exact once every level is complete.
 
 Levels only grow: a transversal keeps its elements, and each level
-records which Schreier generators are known to sift, so none is sifted
-twice.  A chain is built this way from its generators, and a chain not
-yet owned by a group grows the same way by a new generator
+records which generators its orbit has been walked with and which
+Schreier generators are known to sift, so an orbit point meets an old
+generator once and no Schreier generator is sifted twice.  The Schreier
+generator u_b s u_s(b)^-1 of orbit point b and generator s is sifted as
+u_b s from its own level, whose first strip step forms it, which saves
+one product; and a strip stops with the identity as soon as the running
+element equals the level's transversal element, which saves the last.
+A chain is built this way from its generators, and a chain not yet
+owned by a group grows the same way by a new generator
 (StabilizerChain.extend), completing only the levels that changed.  A
 group is immutable once constructed; its chain is built lazily and
 cached, after which the value can be shared freely between threads.
@@ -40,8 +46,9 @@ class _Level:
         self.own_gens = []
         self.transversal = {}
         self.inverses = {}  # orbit point b -> transversal[b].inverse()
-        # generator s -> k: the Schreier generators of s with the first k
-        # orbit points (in transversal order) are known to sift
+        # generator s -> k: the orbit has been walked with s, and the
+        # Schreier generators of s with the first k orbit points (in
+        # transversal order) are known to sift
         self.checked = {}
 
 
@@ -100,33 +107,41 @@ class StabilizerChain:
 
         The transversal keeps its elements and only gains the new orbit
         points, so a Schreier generator checked before is unchanged and
-        still lies in the deeper groups, which only grow.  On the first
-        residue that does not sift, install it at the level where sifting
-        got stuck (it fixes every base point above) and return that level
-        for reprocessing; return None once every Schreier generator of the
-        level is checked.
+        still lies in the deeper groups, which only grow.  The orbit is
+        closed under every generator it was walked with (the keys of
+        checked), so the walk follows only generators added since from
+        the old points, and every generator from the new ones.  On the
+        first residue that does not sift, install it at the level where
+        sifting got stuck (it fixes every base point above) and return
+        that level for reprocessing; return None once every Schreier
+        generator of the level is checked.
         """
         lvl = self.levels[i]
         gens = self._level_gens(i)
         trans, invs, checked = lvl.transversal, lvl.inverses, lvl.checked
+        fresh = [s for s in gens if s not in checked]
+        points = list(trans)
+        old = len(points)
         if not trans:
             trans[lvl.point] = invs[lvl.point] = Permutation.identity(self.degree)
-        points = list(trans)
-        for b in points:  # grows while it is walked
+            points.append(lvl.point)
+        for k, b in enumerate(points):  # grows while it is walked
             u = trans[b]
-            for s in gens:
+            for s in fresh if k < old else gens:
                 c = s.images[b]
                 if c not in trans:
                     trans[c] = u_c = u * s
                     invs[c] = u_c.inverse()
                     points.append(c)
+        for s in fresh:
+            checked[s] = 0
         for s in gens:
-            for k in range(checked.get(s, 0), len(points)):
+            for k in range(checked[s], len(points)):
                 b = points[k]
-                sg = trans[b] * s * invs[s.images[b]]
-                if sg.is_identity():
-                    continue
-                h = self._strip(sg, i + 1)
+                # u_b s maps the base point to s(b), so its first strip
+                # step at this level forms the Schreier generator
+                # u_b s u_s(b)^-1, and the rest strips that below
+                h = self._strip(trans[b] * s, i)
                 if not h.is_identity():
                     checked[s] = k
                     return self._insert(h)
@@ -135,16 +150,20 @@ class StabilizerChain:
 
     def _strip(self, g, start=0):
         """Reduce g by transversal representatives from level start on;
-        return the residue."""
+        return the residue.  Once the running element is the level's
+        representative itself, the residue is the identity, and the
+        product that would show it is skipped."""
         for j in range(start, len(self.levels)):
             lvl = self.levels[j]
             b = g.images[lvl.point]
             if b == lvl.point:
                 continue
-            u_inv = lvl.inverses.get(b)
-            if u_inv is None:
+            u = lvl.transversal.get(b)
+            if u is None:
                 return g
-            g = g * u_inv
+            if u.images == g.images:
+                return lvl.transversal[lvl.point]  # the identity
+            g = g * lvl.inverses[b]
         return g
 
     @property

@@ -11,6 +11,7 @@ depend on the size of the point set.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     CycleParseError,
@@ -121,7 +122,10 @@ class Permutation:
             raise DegreeMismatchError(
                 f"cannot compose degree {len(a)} with degree {len(img)}"
             )
-        return Permutation._trusted(tuple([img[x] for x in a]))
+        if len(a) == 1:
+            # itemgetter of a single index returns the item, not a tuple
+            return other
+        return Permutation._trusted(itemgetter(*a)(img))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:

@@ -129,6 +129,22 @@ def inverse(img):
     return tuple(inv)
 
 
+def strip(levels, g, start=0):
+    """Sift the image tuple g through chain levels, given as (base point,
+    {orbit point: transversal image tuple}) pairs, from level start on:
+    at each level multiply by the inverse of the representative of g's
+    image of the base point.  Returns the residue, left as it is at the
+    first level whose orbit lacks that image."""
+    for point, trans in levels[start:]:
+        b = g[point]
+        if b == point:
+            continue
+        if b not in trans:
+            return g
+        g = mul(g, inverse(trans[b]))
+    return g
+
+
 def naive_classes(gens):
     """Conjugacy classes of the group generated by gens, as a list of
     element frozensets: each class is {g^-1 x g} over every element g."""

@@ -25,6 +25,25 @@ class TestAnalyze:
         assert "fixity: 0" in out
         assert "elusive: no" in out
 
+    def test_cyclic_1(self, capsys, tmp_path):
+        path = tmp_path / "c1.grp"
+        assert run(capsys, "gen", "cyclic", "1", "-o", str(path))[0] == 0
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 3
+        assert out == (
+            "name: cyclic_1\ndegree: 1 = 1\norder: 1 = 1\ntransitive: yes\n"
+            "fixity: skipped (fixity is undefined for the trivial group)\n"
+            "elusive: no\n2-closed: yes\nsolvable: yes\n"
+            "normal subgroup orders: 1\nminimal normal orders: -\n"
+        )
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "machine-records")
+        assert code == 3
+        assert out == (
+            '{"group":"cyclic_1","degree":1,"order":"1","transitive":true,"fixity":null,'
+            '"elusive":false,"two_closed":true,"solvable":true,"normal_orders":["1"],'
+            '"skipped":["fixity"]}\n'
+        )
+
     def test_broken_file_exits_2_with_line(self, capsys, tmp_path):
         bad = tmp_path / "broken.grp"
         bad.write_text("name: x\ndegree: 3\ngen: (0 1 9)\n")

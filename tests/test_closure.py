@@ -127,7 +127,7 @@ class TestRefinementOracle:
         part = orbitals(G)
         weights = _arc_weights(part.color, part.rank)
         unit = tuple(range(G.degree))
-        pairs = _refine_pair(weights, [(unit, unit)])
+        pairs = _refine_pair(weights, [(unit, unit)], {})
         assert pairs == count_refine_pair(part.color, part.rank, [(unit, unit)])
         # individualize random point pairs, level after level, while the
         # refinement succeeds and leaves a cell to split
@@ -139,8 +139,38 @@ class TestRefinementOracle:
             cp, cq = pairs[t]
             x, y = data.draw(st.sampled_from(cp)), data.draw(st.sampled_from(cq))
             individualized = _individualize(pairs, t, x, y)
-            pairs = _refine_pair(weights, individualized)
+            pairs = _refine_pair(weights, individualized, {})
             assert pairs == count_refine_pair(part.color, part.rank, individualized)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(8), st.data())
+    def test_shared_memo_matches_count_oracle_and_fresh_memo(self, G, data):
+        """Refinements along several branches from one start share a
+        memo, as those of one search do; the branches mostly individualize
+        the first point of the first open domain cell, as the search does,
+        so domain partitions repeat."""
+        part = orbitals(G)
+        weights = _arc_weights(part.color, part.rank)
+        unit = tuple(range(G.degree))
+        memo = {}
+        start = _refine_pair(weights, [(unit, unit)], memo)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            pairs = start
+            while pairs is not None:
+                open_cells = [t for t, (cp, _) in enumerate(pairs) if len(cp) > 1]
+                if not open_cells:
+                    break
+                if data.draw(st.booleans()):
+                    t = open_cells[0]
+                    x = pairs[t][0][0]
+                else:
+                    t = data.draw(st.sampled_from(open_cells))
+                    x = data.draw(st.sampled_from(pairs[t][0]))
+                y = data.draw(st.sampled_from(pairs[t][1]))
+                individualized = _individualize(pairs, t, x, y)
+                pairs = _refine_pair(weights, individualized, memo)
+                assert pairs == _refine_pair(weights, individualized, {})
+                assert pairs == count_refine_pair(part.color, part.rank, individualized)
 
 
 class TestTwoClosure:

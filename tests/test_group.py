@@ -233,6 +233,27 @@ class TestStoredInverses:
                 assert u_inv[b] == lvl.point
 
 
+class TestStrip:
+    @settings(max_examples=100, deadline=None)
+    @given(random_groups(max_degree=6), st.data())
+    def test_residue_matches_oracle_strip(self, G, data):
+        """Members (products of the generators, transversal elements) and
+        arbitrary permutations, from every start level."""
+        n = G.degree
+        chain = G.chain()
+        levels = [(lvl.point, {b: u.images for b, u in lvl.transversal.items()}) for lvl in chain.levels]
+        word = data.draw(st.lists(st.sampled_from((*G.generators, Permutation.identity(n))), max_size=6))
+        member = Permutation.identity(n)
+        for g in word:
+            member = member * g
+        elements = [member, *data.draw(st.lists(st.permutations(list(range(n))).map(Permutation), max_size=3))]
+        elements += [u for lvl in chain.levels for u in lvl.transversal.values()]
+        for g in elements:
+            for start in range(len(levels) + 1):
+                assert chain._strip(g, start).images == oracles.strip(levels, g.images, start)
+        assert chain._strip(member).is_identity()
+
+
 def grown_chain(degree, gens):
     """A chain built on the first generator, then grown by extend with
     each later one that is not yet a member."""

@@ -214,6 +214,14 @@ class TestUncheckedProducts:
         assert oracles.mul(a.images, inv) == tuple(range(n))
         assert sorted(inv) == list(range(n))
 
+    def test_degree_one(self):
+        # the product takes its images with operator.itemgetter, which
+        # returns the item itself, not a 1-tuple, for a single index
+        e = Permutation.identity(1)
+        assert (e * e).images == (0,)
+        assert (e**5).images == (0,)
+        assert e.inverse().images == (0,)
+
     def test_public_constructor_still_checks(self):
         with pytest.raises(InvalidPermutationError):
             Permutation([0, 0, 1])
