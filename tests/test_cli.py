@@ -134,20 +134,38 @@ class TestVerify:
         assert len(records) == 16
         assert {r["group"] for r in records} == {"cyclic_6"}
 
-    def test_corpus_report_is_pinned(self, capsys, corpus_dir, monkeypatch):
-        # sha256 of the whole-corpus machine-records report with its
-        # elapsed_ms fields removed: a change to chains, element walks or
-        # checks must leave every status, witness and order in it as it is
-        monkeypatch.delenv("PGA_CAPS", raising=False)
+    @staticmethod
+    def _report_digest(capsys, corpus_dir, *cap_flags):
+        """sha256 of the whole-corpus machine-records report with its
+        elapsed_ms fields removed, and the report's status counts."""
         code, out, _ = run(
-            capsys, "verify", str(corpus_dir), "--jobs", "1", "--format", "machine-records"
+            capsys, "verify", str(corpus_dir), "--jobs", "1", "--format", "machine-records",
+            *cap_flags,
         )
         assert code == 0
         assert out.count('"elapsed_ms":') == 560
         report = re.sub(r',"elapsed_ms":\d+', "", out)
-        assert hashlib.sha256(report.encode()).hexdigest() == (
-            "01e3a0cd89e6728c2e01367b727e99146d6b27743bfa48c5765c1a07bbf6e03a"
+        statuses = [json.loads(line)["status"] for line in report.splitlines()[1:]]
+        counts = {s: statuses.count(s) for s in sorted(set(statuses))}
+        return hashlib.sha256(report.encode()).hexdigest(), counts
+
+    def test_corpus_report_is_pinned(self, capsys, corpus_dir, monkeypatch):
+        # a change to chains, element walks or checks must leave every
+        # status, witness and order in the report as it is
+        monkeypatch.delenv("PGA_CAPS", raising=False)
+        digest, _ = self._report_digest(capsys, corpus_dir)
+        assert digest == "01e3a0cd89e6728c2e01367b727e99146d6b27743bfa48c5765c1a07bbf6e03a"
+
+    def test_capped_corpus_report_is_pinned(self, capsys, corpus_dir, monkeypatch):
+        # caps low enough that every check skips on some groups, which
+        # pins each skip witness (missing field and reason) as well
+        monkeypatch.delenv("PGA_CAPS", raising=False)
+        digest, counts = self._report_digest(
+            capsys, corpus_dir,
+            "--enumeration-cap", "5000", "--closure-cap", "8", "--lattice-cap", "5",
         )
+        assert counts == {"skipped": 75, "vacuous": 480, "verified": 5}
+        assert digest == "9b3759d3a6f4837fccee0f6780308b841adcc6d92e11d410254b8f1578d9ddb3"
 
 
 class TestTwoClosureCommand:
