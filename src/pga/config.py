@@ -20,6 +20,11 @@ class Caps:
     closure_degree_cap: int = 32
     max_degree: int = 64
 
+    def __post_init__(self):
+        for key, value in self.as_dict().items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"cap {key} must be an integer of at least 1, got {value!r}")
+
     def with_overrides(self, **kwargs) -> "Caps":
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **updates) if updates else self
@@ -45,10 +50,7 @@ def parse_caps_overrides(text: str, base: Caps = DEFAULT_CAPS) -> Caps:
         if not sep or key not in _CAP_KEYS:
             raise ValueError(f"bad cap override {chunk!r}")
         try:
-            n = int(value.strip())
+            overrides[key] = int(value.strip())
         except ValueError:
             raise ValueError(f"bad cap value in {chunk!r}") from None
-        if n < 1:
-            raise ValueError(f"cap must be at least 1: {chunk!r}")
-        overrides[key] = n
     return base.with_overrides(**overrides)

@@ -263,17 +263,6 @@ class PermGroup:
                     queue.append(b)
         return frozenset(seen)
 
-    def orbits(self) -> list:
-        """Orbit partition of the point set, blocks sorted by least element."""
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            a = min(remaining)
-            orb = self.orbit(a)
-            out.append(orb)
-            remaining -= orb
-        return out
-
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 

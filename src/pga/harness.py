@@ -9,6 +9,15 @@ on synthetic records.  Statuses form a closed set:
     violated   hypotheses held, conclusion failed; a witness is attached
     skipped    a field the check needs was unavailable (resource caps)
 
+A check states its hypotheses in order, then its conclusion.  It reads
+each field it needs through _need, which ends the check as skipped, with
+the field and its skip reason as witness, when the field is None; and it
+states each hypothesis through _assume, which ends the check as vacuous
+when the hypothesis fails.  So a hypothesis decided before a missing
+field is read still makes the check vacuous.  A check that reaches its
+conclusion returns (status, witness); check() alone turns that, or the
+early ending, into a CheckResult.
+
 Bounds are evaluated in exact rational arithmetic; no floating point.
 Check ids are stable opaque labels used in reports and on the command
 line.
@@ -174,13 +183,23 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
     )
 
 
-def _skip(a: GroupAnalysis, cid: str, field: str) -> CheckResult:
-    reason = a.skip_reasons.get(field, f"{field} unavailable")
-    return CheckResult(a.name, a.degree, a.order, cid, SKIPPED, {"missing": field, "reason": reason})
+class _Ended(Exception):
+    """A check ended before its conclusion; args are (status, witness)."""
 
 
-def _done(a: GroupAnalysis, cid: str, status: str, witness=None) -> CheckResult:
-    return CheckResult(a.name, a.degree, a.order, cid, status, witness)
+def _need(a: GroupAnalysis, field: str):
+    """The field's value; the check is skipped when it is unavailable."""
+    value = getattr(a, field)
+    if value is None:
+        reason = a.skip_reasons.get(field, f"{field} unavailable")
+        raise _Ended(SKIPPED, {"missing": field, "reason": reason})
+    return value
+
+
+def _assume(hypothesis) -> None:
+    """The check is vacuous unless the hypothesis holds."""
+    if not hypothesis:
+        raise _Ended(VACUOUS, None)
 
 
 def _nontrivial(lattice):
@@ -195,229 +214,146 @@ def _abelian_normals(lattice):
     return [i for i in _nontrivial(lattice) if i.is_abelian]
 
 
-def _check_L2_1a(a: GroupAnalysis) -> CheckResult:
+def _check_L2_1a(a: GroupAnalysis):
     """Primes above the fixity that divide the stabilizer order divide it
     to the full multiplicity of the group order (fixity at least 2)."""
-    if a.fixity is None:
-        return _skip(a, "L2_1a", "fixity")
-    f = a.fixity.fixity
+    f = _need(a, "fixity").fixity
     large = [p for p in sorted(a.primes_stab) if p > f]
-    if f < 2 or not large:
-        return _done(a, "L2_1a", VACUOUS)
+    _assume(f >= 2 and large)
     for p in large:
         v_stab = a.stab_order_factored.valuation(p)
         v_group = a.order_factored.valuation(p)
         if v_stab != v_group:
-            return _done(
-                a,
-                "L2_1a",
-                VIOLATED,
-                {"prime": p, "stabilizer_valuation": v_stab, "group_valuation": v_group},
-            )
-    return _done(a, "L2_1a", VERIFIED)
+            return VIOLATED, {
+                "prime": p, "stabilizer_valuation": v_stab, "group_valuation": v_group
+            }
+    return VERIFIED, None
 
 
-def _check_L2_1b(a: GroupAnalysis) -> CheckResult:
+def _check_L2_1b(a: GroupAnalysis):
     """With fixity at least 2, a prime with a nontrivial normal p-subgroup
     and p above the fixity cannot divide the stabilizer order."""
-    if a.fixity is None:
-        return _skip(a, "L2_1b", "fixity")
-    f = a.fixity.fixity
-    if f < 2:
-        return _done(a, "L2_1b", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "L2_1b", "normal_lattice")
-    cands = [i for i in _p_subgroups(a.normal_lattice) if i.is_p_group_for > f]
-    if not cands:
-        return _done(a, "L2_1b", VACUOUS)
+    f = _need(a, "fixity").fixity
+    _assume(f >= 2)
+    cands = [i for i in _p_subgroups(_need(a, "normal_lattice")) if i.is_p_group_for > f]
+    _assume(cands)
     for info in cands:
         p = info.is_p_group_for
         if p in a.primes_stab:
-            return _done(a, "L2_1b", VIOLATED, {"prime": p, "subgroup_order": info.order.value})
-    return _done(a, "L2_1b", VERIFIED)
+            return VIOLATED, {"prime": p, "subgroup_order": info.order.value}
+    return VERIFIED, None
 
 
-def _check_C2_2(a: GroupAnalysis) -> CheckResult:
+def _check_C2_2(a: GroupAnalysis):
     """Elusive with a nontrivial normal p-subgroup forces p at most the fixity."""
-    if a.elusive is None:
-        return _skip(a, "C2_2", "elusive")
-    if not a.elusive:
-        return _done(a, "C2_2", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "C2_2", "normal_lattice")
-    cands = _p_subgroups(a.normal_lattice)
-    if not cands:
-        return _done(a, "C2_2", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "C2_2", "fixity")
-    f = a.fixity.fixity
+    _assume(_need(a, "elusive"))
+    cands = _p_subgroups(_need(a, "normal_lattice"))
+    _assume(cands)
+    f = _need(a, "fixity").fixity
     for info in cands:
-        if info.is_p_group_for > f:
-            return _done(
-                a, "C2_2", VIOLATED, {"prime": info.is_p_group_for, "subgroup_order": info.order.value, "fixity": f}
-            )
-    return _done(a, "C2_2", VERIFIED)
+        p = info.is_p_group_for
+        if p > f:
+            return VIOLATED, {"prime": p, "subgroup_order": info.order.value, "fixity": f}
+    return VERIFIED, None
 
 
-def _check_C2_3(a: GroupAnalysis) -> CheckResult:
+def _check_C2_3(a: GroupAnalysis):
     """Elusive groups have fixity at least 3."""
-    if a.elusive is None:
-        return _skip(a, "C2_3", "elusive")
-    if not a.elusive:
-        return _done(a, "C2_3", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "C2_3", "fixity")
-    f = a.fixity.fixity
-    if f >= 3:
-        return _done(a, "C2_3", VERIFIED)
-    return _done(a, "C2_3", VIOLATED, {"fixity": f})
+    _assume(_need(a, "elusive"))
+    f = _need(a, "fixity").fixity
+    if f < 3:
+        return VIOLATED, {"fixity": f}
+    return VERIFIED, None
 
 
-def _requires_elusive_composite_degree(a: GroupAnalysis, cid: str):
-    """Shared hypothesis: elusive, at least two primes divide the degree,
-    fixity at least 3.  Returns a CheckResult to emit early, or None."""
-    if a.elusive is None:
-        return _skip(a, cid, "elusive")
-    if not a.elusive:
-        return _done(a, cid, VACUOUS)
-    if len(a.degree_factored.factors) < 2:
-        return _done(a, cid, VACUOUS)
-    if a.fixity is None:
-        return _skip(a, cid, "fixity")
-    if a.fixity.fixity < 3:
-        return _done(a, cid, VACUOUS)
-    return None
+def _lemma_2_4_fixity(a: GroupAnalysis) -> int:
+    """Assume Lemma 2.4's hypotheses (elusive, at least two primes divide
+    the degree, fixity at least 3) and return the fixity."""
+    _assume(_need(a, "elusive") and len(a.degree_factored.factors) >= 2)
+    f = _need(a, "fixity").fixity
+    _assume(f >= 3)
+    return f
 
 
-def _check_L2_4i(a: GroupAnalysis) -> CheckResult:
+def _check_L2_4i(a: GroupAnalysis):
     """Every prime dividing the degree is at most the fixity."""
-    early = _requires_elusive_composite_degree(a, "L2_4i")
-    if early is not None:
-        return early
-    f = a.fixity.fixity
+    f = _lemma_2_4_fixity(a)
     for p in a.degree_factored.primes:
         if p > f:
-            return _done(a, "L2_4i", VIOLATED, {"prime": p, "fixity": f})
-    return _done(a, "L2_4i", VERIFIED)
+            return VIOLATED, {"prime": p, "fixity": f}
+    return VERIFIED, None
 
 
-def _check_L2_4ii(a: GroupAnalysis) -> CheckResult:
+def _check_L2_4ii(a: GroupAnalysis):
     """For p dividing the degree, nontrivial p-power-order elements fix
     either no points or a positive multiple of p within the fixity."""
-    early = _requires_elusive_composite_degree(a, "L2_4ii")
-    if early is not None:
-        return early
-    if a.prime_profile is None:
-        return _skip(a, "L2_4ii", "prime_profile")
-    f = a.fixity.fixity
+    f = _lemma_2_4_fixity(a)
+    counts_by_prime = _need(a, "prime_profile").power_fix_counts
     for p in a.degree_factored.primes:
-        for count in sorted(a.prime_profile.power_fix_counts.get(p, ())):
-            if count == 0:
-                continue
-            if count % p != 0 or not p <= count <= f:
-                return _done(a, "L2_4ii", VIOLATED, {"prime": p, "fix_count": count, "fixity": f})
-    return _done(a, "L2_4ii", VERIFIED)
+        for count in sorted(counts_by_prime.get(p, ())):
+            if count != 0 and (count % p != 0 or not p <= count <= f):
+                return VIOLATED, {"prime": p, "fix_count": count, "fixity": f}
+    return VERIFIED, None
 
 
-def _check_C2_5(a: GroupAnalysis) -> CheckResult:
+def _check_C2_5(a: GroupAnalysis):
     """Elusive on an odd-size point set forces fixity at least 5."""
-    if a.elusive is None:
-        return _skip(a, "C2_5", "elusive")
-    if not a.elusive or a.degree % 2 == 0:
-        return _done(a, "C2_5", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "C2_5", "fixity")
-    f = a.fixity.fixity
-    if f >= 5:
-        return _done(a, "C2_5", VERIFIED)
-    return _done(a, "C2_5", VIOLATED, {"fixity": f, "degree": a.degree})
+    _assume(_need(a, "elusive") and a.degree % 2 == 1)
+    f = _need(a, "fixity").fixity
+    if f < 5:
+        return VIOLATED, {"fixity": f, "degree": a.degree}
+    return VERIFIED, None
 
 
-def _check_L2_6(a: GroupAnalysis) -> CheckResult:
+def _check_L2_6(a: GroupAnalysis):
     """The degree is bounded by fixity times the smallest (|H|-1)/(p_H-1)
     over nontrivial normal subgroups H, in exact rationals."""
-    if a.elusive is None:
-        return _skip(a, "L2_6", "elusive")
-    if not a.elusive:
-        return _done(a, "L2_6", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "L2_6", "normal_lattice")
-    nontrivial = _nontrivial(a.normal_lattice)
-    if not nontrivial:
-        return _done(a, "L2_6", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "L2_6", "fixity")
-    f = a.fixity.fixity
-    best = min(Fraction(i.order.value - 1, i.smallest_prime - 1) for i in nontrivial)
-    bound = f * best
-    if Fraction(a.degree) <= bound:
-        return _done(a, "L2_6", VERIFIED)
-    return _done(a, "L2_6", VIOLATED, {"degree": a.degree, "bound": str(bound)})
+    _assume(_need(a, "elusive"))
+    nontrivial = _nontrivial(_need(a, "normal_lattice"))
+    _assume(nontrivial)
+    f = _need(a, "fixity").fixity
+    bound = f * min(Fraction(i.order.value - 1, i.smallest_prime - 1) for i in nontrivial)
+    if Fraction(a.degree) > bound:
+        return VIOLATED, {"degree": a.degree, "bound": str(bound)}
+    return VERIFIED, None
 
 
-def _check_L2_7(a: GroupAnalysis) -> CheckResult:
+def _check_L2_7(a: GroupAnalysis):
     """A nontrivial normal abelian subgroup N with least prime p has order
     at most p*f, and the degree is at most f(pf-1)/(p-1) <= f(2f-1)."""
-    if a.elusive is None:
-        return _skip(a, "L2_7", "elusive")
-    if not a.elusive:
-        return _done(a, "L2_7", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "L2_7", "normal_lattice")
-    abelians = _abelian_normals(a.normal_lattice)
-    if not abelians:
-        return _done(a, "L2_7", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "L2_7", "fixity")
-    f = a.fixity.fixity
+    _assume(_need(a, "elusive"))
+    abelians = _abelian_normals(_need(a, "normal_lattice"))
+    _assume(abelians)
+    f = _need(a, "fixity").fixity
     for info in abelians:
         p = info.smallest_prime
         if info.order.value > p * f:
-            return _done(
-                a,
-                "L2_7",
-                VIOLATED,
-                {"clause": 1, "subgroup_order": info.order.value, "bound": p * f},
-            )
+            return VIOLATED, {"clause": 1, "subgroup_order": info.order.value, "bound": p * f}
         degree_bound = Fraction(f * (p * f - 1), p - 1)
         if Fraction(a.degree) > degree_bound:
-            return _done(
-                a,
-                "L2_7",
-                VIOLATED,
-                {"clause": 2, "degree": a.degree, "bound": str(degree_bound)},
-            )
-        if degree_bound > f * (2 * f - 1):
-            return _done(
-                a,
-                "L2_7",
-                VIOLATED,
-                {"clause": 3, "bound": str(degree_bound), "outer_bound": f * (2 * f - 1)},
-            )
-    return _done(a, "L2_7", VERIFIED)
+            return VIOLATED, {"clause": 2, "degree": a.degree, "bound": str(degree_bound)}
+        outer = f * (2 * f - 1)
+        if degree_bound > outer:
+            return VIOLATED, {"clause": 3, "bound": str(degree_bound), "outer_bound": outer}
+    return VERIFIED, None
 
 
-def _check_C2_8(a: GroupAnalysis) -> CheckResult:
+def _check_C2_8(a: GroupAnalysis):
     """A 2-closed elusive solvable group has fixity at least 6."""
-    if a.elusive is None:
-        return _skip(a, "C2_8", "elusive")
-    if not a.elusive:
-        return _done(a, "C2_8", VACUOUS)
-    if a.two_closed is None:
-        return _skip(a, "C2_8", "two_closed")
-    if not a.two_closed or not a.solvable:
-        return _done(a, "C2_8", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "C2_8", "fixity")
-    f = a.fixity.fixity
-    if f >= 6:
-        return _done(a, "C2_8", VERIFIED)
-    return _done(a, "C2_8", VIOLATED, {"fixity": f})
+    _assume(_need(a, "elusive"))
+    _assume(_need(a, "two_closed") and a.solvable)
+    f = _need(a, "fixity").fixity
+    if f < 6:
+        return VIOLATED, {"fixity": f}
+    return VERIFIED, None
 
 
-def _z2_candidates(factors) -> list:
-    """Invariant-factor patterns allowed for an abelian normal subgroup with
-    least prime 2 when the fixity is 4: (Z_2)^2, Z_2 x (Z_p)^2, (Z_2)^2 x Z_p."""
+def _fixity_4_types(factors) -> list:
+    """Invariant-factor patterns allowed for an abelian normal subgroup of
+    the given order factorization when the fixity is 4: (Z_3)^2, and with
+    least prime 2, (Z_2)^2, Z_2 x (Z_p)^2 and (Z_2)^2 x Z_p."""
+    if factors[0][0] == 3:
+        return [(3, 3)]
     if factors == ((2, 2),):
         return [(2, 2)]
     if len(factors) == 2 and factors[0] == (2, 1) and factors[1][1] == 2:
@@ -429,165 +365,82 @@ def _z2_candidates(factors) -> list:
     return []
 
 
-def _check_C2_9(a: GroupAnalysis) -> CheckResult:
+def _check_C2_9(a: GroupAnalysis):
     """Constraints on a nontrivial normal abelian subgroup of an elusive
     group: never squarefree order, least prime power bound, and exact
     isomorphism types when the fixity is 3 or 4."""
-    if a.elusive is None:
-        return _skip(a, "C2_9", "elusive")
-    if not a.elusive:
-        return _done(a, "C2_9", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "C2_9", "normal_lattice")
-    abelians = _abelian_normals(a.normal_lattice)
-    if not abelians:
-        return _done(a, "C2_9", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "C2_9", "fixity")
-    f = a.fixity.fixity
+    _assume(_need(a, "elusive"))
+    abelians = _abelian_normals(_need(a, "normal_lattice"))
+    _assume(abelians)
+    f = _need(a, "fixity").fixity
     for info in abelians:
-        factors = info.order.factors
+        order, factors = info.order.value, info.order.factors
         p1 = factors[0][0]
         total = sum(e for _, e in factors)
         if all(e == 1 for _, e in factors):
-            return _done(
-                a, "C2_9", VIOLATED, {"clause": 1, "subgroup_order": info.order.value}
-            )
+            return VIOLATED, {"clause": 1, "subgroup_order": order}
         if p1 ** (total - 1) > f:
-            return _done(
-                a,
-                "C2_9",
-                VIOLATED,
-                {"clause": 2, "subgroup_order": info.order.value, "fixity": f},
-            )
+            return VIOLATED, {"clause": 2, "subgroup_order": order, "fixity": f}
         invariants = tuple(info.abelian_invariants or ())
-        if f == 3:
-            if p1 not in (2, 3) or invariants != (p1, p1):
-                return _done(
-                    a,
-                    "C2_9",
-                    VIOLATED,
-                    {"clause": 3, "subgroup_order": info.order.value, "invariants": list(invariants)},
-                )
-        if f == 4:
-            if p1 == 3:
-                ok = invariants == (3, 3)
-            elif p1 == 2:
-                ok = invariants in _z2_candidates(factors)
-            else:
-                ok = False
-            if not ok:
-                return _done(
-                    a,
-                    "C2_9",
-                    VIOLATED,
-                    {"clause": 4, "subgroup_order": info.order.value, "invariants": list(invariants)},
-                )
-    return _done(a, "C2_9", VERIFIED)
+        if f == 3 and (p1 not in (2, 3) or invariants != (p1, p1)):
+            return VIOLATED, {"clause": 3, "subgroup_order": order, "invariants": list(invariants)}
+        if f == 4 and invariants not in _fixity_4_types(factors):
+            return VIOLATED, {"clause": 4, "subgroup_order": order, "invariants": list(invariants)}
+    return VERIFIED, None
 
 
-def _check_C2_10(a: GroupAnalysis) -> CheckResult:
+def _check_C2_10(a: GroupAnalysis):
     """A transitive 2-closed group of fixity 4 with a nontrivial normal
     p-subgroup has a fixed-point-free element.  The verdict uses the
     any-order reading; the prime-order result rides in the witness."""
-    if a.two_closed is None:
-        return _skip(a, "C2_10", "two_closed")
-    if not a.two_closed:
-        return _done(a, "C2_10", VACUOUS)
-    if a.fixity is None:
-        return _skip(a, "C2_10", "fixity")
-    if a.fixity.fixity != 4:
-        return _done(a, "C2_10", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "C2_10", "normal_lattice")
-    if not _p_subgroups(a.normal_lattice):
-        return _done(a, "C2_10", VACUOUS)
+    _assume(_need(a, "two_closed"))
+    _assume(_need(a, "fixity").fixity == 4)
+    _assume(_p_subgroups(_need(a, "normal_lattice")))
     witness = {
         "any_order": a.derangement.cycle_string() if a.derangement else None,
         "prime_order": a.prime_derangement.cycle_string() if a.prime_derangement else None,
     }
-    if a.derangement is not None:
-        return _done(a, "C2_10", VERIFIED, witness)
-    return _done(a, "C2_10", VIOLATED, witness)
+    return (VERIFIED if a.derangement is not None else VIOLATED), witness
 
 
-def _check_A1(a: GroupAnalysis) -> CheckResult:
+def _check_A1(a: GroupAnalysis):
     """In an elusive group the stabilizer order has the same prime divisors
     as the group order."""
-    if a.elusive is None:
-        return _skip(a, "A1", "elusive")
-    if not a.elusive:
-        return _done(a, "A1", VACUOUS)
-    if a.primes_group == a.primes_stab:
-        return _done(a, "A1", VERIFIED)
-    return _done(
-        a,
-        "A1",
-        VIOLATED,
-        {
-            "group_primes": sorted(a.primes_group),
-            "stabilizer_primes": sorted(a.primes_stab),
-        },
-    )
+    _assume(_need(a, "elusive"))
+    if a.primes_group != a.primes_stab:
+        return VIOLATED, {
+            "group_primes": sorted(a.primes_group), "stabilizer_primes": sorted(a.primes_stab)
+        }
+    return VERIFIED, None
 
 
-def _check_A2(a: GroupAnalysis) -> CheckResult:
+def _check_A2(a: GroupAnalysis):
     """An elusive group never acts on a prime-power number of points."""
-    if a.elusive is None:
-        return _skip(a, "A2", "elusive")
-    if not a.elusive:
-        return _done(a, "A2", VACUOUS)
+    _assume(_need(a, "elusive"))
     if len(a.degree_factored.factors) == 1:
-        return _done(a, "A2", VIOLATED, {"degree": a.degree})
-    return _done(a, "A2", VERIFIED)
+        return VIOLATED, {"degree": a.degree}
+    return VERIFIED, None
 
 
-def _check_A3(a: GroupAnalysis) -> CheckResult:
+def _check_A3(a: GroupAnalysis):
     """An elusive group has no nontrivial cyclic normal subgroup."""
-    if a.elusive is None:
-        return _skip(a, "A3", "elusive")
-    if not a.elusive:
-        return _done(a, "A3", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "A3", "normal_lattice")
-    for info in _nontrivial(a.normal_lattice):
+    _assume(_need(a, "elusive"))
+    for info in _nontrivial(_need(a, "normal_lattice")):
         if info.is_cyclic:
-            return _done(a, "A3", VIOLATED, {"subgroup_order": info.order.value})
-    return _done(a, "A3", VERIFIED)
+            return VIOLATED, {"subgroup_order": info.order.value}
+    return VERIFIED, None
 
 
-def _check_A4(a: GroupAnalysis) -> CheckResult:
+def _check_A4(a: GroupAnalysis):
     """An elusive group has no nontrivial semiregular normal subgroup."""
-    if a.elusive is None:
-        return _skip(a, "A4", "elusive")
-    if not a.elusive:
-        return _done(a, "A4", VACUOUS)
-    if a.normal_lattice is None:
-        return _skip(a, "A4", "normal_lattice")
-    for info in _nontrivial(a.normal_lattice):
+    _assume(_need(a, "elusive"))
+    for info in _nontrivial(_need(a, "normal_lattice")):
         if info.is_semiregular:
-            return _done(a, "A4", VIOLATED, {"subgroup_order": info.order.value})
-    return _done(a, "A4", VERIFIED)
+            return VIOLATED, {"subgroup_order": info.order.value}
+    return VERIFIED, None
 
 
-_CHECKS = {
-    "L2_1a": _check_L2_1a,
-    "L2_1b": _check_L2_1b,
-    "C2_2": _check_C2_2,
-    "C2_3": _check_C2_3,
-    "L2_4i": _check_L2_4i,
-    "L2_4ii": _check_L2_4ii,
-    "C2_5": _check_C2_5,
-    "L2_6": _check_L2_6,
-    "L2_7": _check_L2_7,
-    "C2_8": _check_C2_8,
-    "C2_9": _check_C2_9,
-    "C2_10": _check_C2_10,
-    "A1": _check_A1,
-    "A2": _check_A2,
-    "A3": _check_A3,
-    "A4": _check_A4,
-}
+_CHECKS = {cid: globals()[f"_check_{cid}"] for cid in CHECK_IDS}
 
 
 def check(check_id: str, a: GroupAnalysis) -> CheckResult:
@@ -596,7 +449,11 @@ def check(check_id: str, a: GroupAnalysis) -> CheckResult:
         fn = _CHECKS[check_id]
     except KeyError:
         raise UnknownCheckError(f"unknown check id {check_id!r}") from None
-    return fn(a)
+    try:
+        status, witness = fn(a)
+    except _Ended as ended:
+        status, witness = ended.args
+    return CheckResult(a.name, a.degree, a.order, check_id, status, witness)
 
 
 def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:

@@ -88,7 +88,7 @@ class Permutation:
                 raise CycleParseError(f"cycle ({body.strip()}) needs at least two points")
             points = []
             for part in parts:
-                if not part.isdigit():
+                if not (part.isascii() and part.isdigit()):  # str.isdigit also takes "²"
                     raise CycleParseError(f"bad point {part!r}")
                 p = int(part)
                 if p >= degree:

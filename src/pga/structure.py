@@ -5,7 +5,10 @@ invariants (by element-order census), normal closures, and the full
 normal-subgroup listing of a group.  Each listed subgroup carries the
 facts the checks read: its order, whether it is abelian, cyclic (read
 off its abelian invariants), a p-group or semiregular, and whether it is
-a minimal normal subgroup.
+a minimal normal subgroup.  The abelian invariants and semiregularity
+are read off G's class table, through the classes in the subgroup's key
+(below): element orders and fixed-point counts are class functions, so
+no subgroup's elements are walked again.
 
 A normal subgroup is a union of conjugacy classes, so the listing keys
 each one by the set of classes it contains (indices into the group's
@@ -83,19 +86,6 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(value, tuple(counts.items()))
 
 
-def p_valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if n < 1:
-        raise InvalidPermutationError(f"valuation undefined for {n}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def smallest_primitive_root(p: int) -> int:
     """Least generator of the multiplicative group mod a prime p."""
     if not is_prime(p):
@@ -171,11 +161,14 @@ def is_solvable(G: PermGroup) -> bool:
         H = D
 
 
-def abelian_invariants(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> tuple:
-    """Invariant factors d_1 | d_2 | ... of an abelian group.
+def abelian_invariants(G: PermGroup, classes) -> tuple:
+    """Invariant factors d_1 | d_2 | ... of an abelian group G.
 
-    Recovered from the element-order census: for each prime p, the count
-    of elements of order dividing p**i determines the partition of the
+    classes lists (representative, class size) pairs whose classes
+    partition G's elements, conjugacy classes of G itself or of any group
+    G is normal in, since element order is a class function.  Recovered
+    from the element-order census: for each prime p, the count of
+    elements of order dividing p**i determines the partition of the
     p-part, and the per-prime parts are then aligned largest-with-largest.
     """
     if not is_abelian(G):
@@ -184,20 +177,14 @@ def abelian_invariants(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) ->
     if order == 1:
         return ()
     counts = {}
-    for g, size in G.conjugacy_classes(cap):
+    for g, size in classes:
         o = g.order()
         counts[o] = counts.get(o, 0) + size
     parts_by_prime = {}
     for p, e_max in factorize(order).factors:
-        # count elements whose order is exactly p**v, per v
-        by_valuation = {}
-        for o, c in counts.items():
-            v = p_valuation(o, p)
-            if p**v == o:
-                by_valuation[v] = by_valuation.get(v, 0) + c
         log_counts = [0]  # log_p of #elements of order dividing p**i
         for i in range(1, e_max + 1):
-            n_i = sum(c for v, c in by_valuation.items() if v <= i)
+            n_i = sum(c for o, c in counts.items() if p**i % o == 0)
             s = 0
             while p**s < n_i:
                 s += 1
@@ -289,15 +276,18 @@ def normal_subgroups(
             frontier.append(register(J, key_of(J)))
 
     lattice.sort(key=lambda e: (e[2], tuple(g.images for g in e[0].generators)))
-    infos = [_describe_subgroup(H, cap) for H, _, _ in lattice]
+    infos = [_describe_subgroup(H, [classes[i] for i in sorted(key)]) for H, key, _ in lattice]
     _mark_minimal(infos, [key for _, key, _ in lattice])
     return infos
 
 
-def _describe_subgroup(H: PermGroup, cap: int) -> NormalSubgroupInfo:
+def _describe_subgroup(H: PermGroup, classes) -> NormalSubgroupInfo:
+    """The facts of a normal subgroup H, read off the classes of G that
+    make it up: fixed-point counts and element orders are class functions,
+    so H is semiregular when no non-identity representative fixes a point."""
     fac = factorize(H.order())
     abelian = is_abelian(H)
-    invariants = abelian_invariants(H, cap) if abelian else None
+    invariants = abelian_invariants(H, classes) if abelian else None
     return NormalSubgroupInfo(
         subgroup=H,
         order=fac,
@@ -306,7 +296,7 @@ def _describe_subgroup(H: PermGroup, cap: int) -> NormalSubgroupInfo:
         is_p_group_for=fac.factors[0][0] if len(fac.factors) == 1 else None,
         smallest_prime=fac.factors[0][0] if fac.factors else None,
         abelian_invariants=invariants,
-        is_semiregular=all(len(o) == fac.value for o in H.orbits()),
+        is_semiregular=all(g.fixed_point_count() == 0 for g, _ in classes if not g.is_identity()),
     )
 
 

@@ -2,7 +2,10 @@ import hashlib
 import json
 import re
 
+import pytest
+
 from pga.cli import main
+from pga.config import Caps
 from pga.corpus import parse_group_file, read_report
 
 
@@ -266,6 +269,30 @@ class TestCapsEnvironment:
         assert code == 0
 
     def test_bad_env_value_rejected(self, capsys, corpus_dir, monkeypatch):
-        monkeypatch.setenv("PGA_CAPS", "enumeration_cap=zero")
-        code, _, err = run(capsys, "analyze", str(corpus_dir / "cyclic_6.grp"))
-        assert code == 2
+        for env in ("enumeration_cap=zero", "lattice_cap=0"):
+            monkeypatch.setenv("PGA_CAPS", env)
+            code, _, err = run(capsys, "analyze", str(corpus_dir / "cyclic_6.grp"))
+            assert code == 2, env
+
+
+class TestCapValues:
+    @pytest.mark.parametrize("field", sorted(Caps().as_dict()))
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "8", True])
+    def test_caps_reject_anything_but_a_positive_int(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Caps(**{field: value})
+
+    @pytest.mark.parametrize("flag", ["--enumeration-cap", "--lattice-cap", "--closure-cap", "--max-degree"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_flag_below_one_exits_2(self, capsys, corpus_dir, tmp_path, monkeypatch, flag, value):
+        monkeypatch.delenv("PGA_CAPS", raising=False)
+        out_path = tmp_path / "c4.grp"
+        for argv in (
+            ["analyze", str(corpus_dir / "symmetric_4.grp")],
+            ["verify", str(corpus_dir), "--jobs", "1"],
+            ["gen", "cyclic", "4", "-o", str(out_path)],
+        ):
+            code, out, err = run(capsys, *argv, flag, value)
+            assert (code, out) == (2, ""), argv
+            assert "must be an integer of at least 1" in err, argv
+        assert not out_path.exists()

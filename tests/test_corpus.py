@@ -39,6 +39,14 @@ class TestParseGroupFile:
             parse_group_file("name: bad\ndegree: 3\ngen: (0 1 4)\n")
         assert err.value.line == 3
 
+    def test_non_ascii_digit_point_names_line(self):
+        # "²" and "٣" pass str.isdigit, and int() rejects or converts them
+        for point in ("\u00b2", "\u0663"):
+            with pytest.raises(GroupFileError) as err:
+                parse_group_file(f"name: bad\ndegree: 4\n\ngen: (0 {point})\n", source="bad.grp")
+            assert (err.value.line, err.value.source) == (4, "bad.grp")
+            assert "bad point" in str(err.value)
+
     def test_no_generators_is_trivial(self):
         entry = parse_group_file("name: t\ndegree: 3\n")
         assert entry.group.order() == 1

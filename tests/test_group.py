@@ -67,12 +67,10 @@ class TestOrbits:
     def test_product_of_transpositions(self):
         G = PermGroup(4, [perm("(0 1)(2 3)", 4)])
         assert G.orbit(0) == {0, 1}
-        assert G.orbits() == [frozenset({0, 1}), frozenset({2, 3})]
 
     def test_trivial(self):
         G = PermGroup(3)
         assert G.orbit(2) == {2}
-        assert G.orbits() == [frozenset({0}), frozenset({1}), frozenset({2})]
 
     def test_point_out_of_range(self):
         with pytest.raises(PointOutOfRangeError):

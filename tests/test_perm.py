@@ -137,7 +137,7 @@ class TestParsing:
             perm("(0 1 4)", 3)
 
     def test_malformed(self):
-        for bad in ["", "(0", "0 1)", "(0)", "(x y)", "(0 1) junk"]:
+        for bad in ["", "(0", "0 1)", "(0)", "(x y)", "(0 1) junk", "(0 \u00b2)", "(0 \u0663)"]:
             with pytest.raises(CycleParseError):
                 perm(bad, 4)
 

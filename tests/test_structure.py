@@ -1,10 +1,10 @@
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pga.corpus import builtin_family
-from pga.errors import NotAbelianError, NotInGroupError, NotPrimeError
+from pga.errors import NotAbelianError, NotInGroupError
 from pga.group import PermGroup
 from pga.perm import Permutation
 from pga.structure import (
@@ -16,10 +16,9 @@ from pga.structure import (
     is_solvable,
     normal_closure,
     normal_subgroups,
-    p_valuation,
 )
 
-from oracles import all_subgroups, element_order, is_normal
+from oracles import all_subgroups, element_order, fixed_count, is_normal
 
 
 SMALL_PRIMES = [p for p in range(2, 151) if all(p % d for d in range(2, p))]
@@ -27,6 +26,11 @@ SMALL_PRIMES = [p for p in range(2, 151) if all(p % d for d in range(2, p))]
 
 def perm(text, degree):
     return Permutation.from_cycles(text, degree)
+
+
+def own_invariants(G):
+    """Abelian invariants of G from its own class table."""
+    return abelian_invariants(G, G.conjugacy_classes())
 
 
 def group(family, *params):
@@ -94,17 +98,6 @@ class TestFactorize:
         assert [n for n in range(-3, 10_000) if is_prime(n)] == [n for n, s in enumerate(sieve) if s]
 
 
-class TestPValuation:
-    def test_cases(self):
-        assert p_valuation(24, 2) == 3
-        assert p_valuation(24, 5) == 0
-        assert p_valuation(7920, 3) == 2
-
-    def test_rejects_composite(self):
-        with pytest.raises(NotPrimeError):
-            p_valuation(24, 4)
-
-
 class TestDerivedSeries:
     def test_sym3_derived_is_alt3(self):
         assert derived_subgroup(group("symmetric", 3)).order() == 3
@@ -163,18 +156,18 @@ class TestCyclic:
 class TestElementaryAbelian:
     def test_cases(self):
         # elementary abelian of order p**k means invariants (p,) * k
-        assert abelian_invariants(group("elem_abelian", 2, 2)) == (2, 2)
+        assert own_invariants(group("elem_abelian", 2, 2)) == (2, 2)
         G = PermGroup(6, [perm("(0 1 2)", 6), perm("(3 4 5)", 6)])
-        assert abelian_invariants(G) == (3, 3)
-        assert abelian_invariants(group("cyclic", 4)) == (4,)
+        assert own_invariants(G) == (3, 3)
+        assert own_invariants(group("cyclic", 4)) == (4,)
 
 
 class TestAbelianInvariants:
     def test_klein(self):
-        assert abelian_invariants(group("elem_abelian", 2, 2)) == (2, 2)
+        assert own_invariants(group("elem_abelian", 2, 2)) == (2, 2)
 
     def test_cyclic6(self):
-        assert abelian_invariants(group("cyclic", 6)) == (6,)
+        assert own_invariants(group("cyclic", 6)) == (6,)
 
     def test_z2_times_z4_regular(self):
         # regular action of Z2 x Z4 on 8 points: 3 involutions + identity
@@ -184,18 +177,18 @@ class TestAbelianInvariants:
         assert G.order() == 8
         involutions = [g for g in G.elements() if g.order() == 2]
         assert len(involutions) == 3
-        assert abelian_invariants(G) == (2, 4)
+        assert own_invariants(G) == (2, 4)
 
     def test_rejects_nonabelian(self):
         with pytest.raises(NotAbelianError):
-            abelian_invariants(group("symmetric", 3))
+            own_invariants(group("symmetric", 3))
 
     def test_product_and_divisibility(self, corpus_entries):
         for entry in corpus_entries:
             G = entry.group
             if not is_abelian(G):
                 continue
-            inv = abelian_invariants(G)
+            inv = own_invariants(G)
             product = 1
             for d in inv:
                 product *= d
@@ -260,8 +253,21 @@ class TestNormalSubgroups:
             for sub, info in computed.items():
                 minimal = len(sub) > 1 and not any(len(o) > 1 and o < sub for o in expected)
                 assert info.is_minimal_normal == minimal, name
-                cyclic = any(element_order(x) == len(sub) for x in sub)
+                orders = [element_order(x) for x in sub]
+                cyclic = len(sub) in orders
                 assert info.is_cyclic == cyclic, name
+                semiregular = all(fixed_count(x) == 0 for x, o in zip(sub, orders) if o > 1)
+                assert info.is_semiregular == semiregular, name
+                if info.is_abelian:
+                    # m -> #{x : x^m = 1} determines a finite abelian group,
+                    # and on Z_d1 x ... x Z_dk it is the product of gcd(m, d_i)
+                    inv = info.abelian_invariants
+                    assert prod(inv) == len(sub), name
+                    assert all(b % a == 0 for a, b in zip(inv, inv[1:])), name
+                    for m in range(1, len(sub) + 1):
+                        if len(sub) % m == 0:
+                            solutions = sum(1 for o in orders if m % o == 0)
+                            assert solutions == prod(gcd(m, d) for d in inv), name
             sizes[name] = len(infos)
         assert (sizes["C2wrC4"], sizes["C3wrC3"]) == (13, 8)
 
