@@ -2,7 +2,9 @@
 
 Subcommands: analyze, verify, two-closure, fixity, gen.  Exit codes:
 0 success (verify: no violated results), 1 violated results, 2 parse or
-parameter errors, 3 resource caps hit (verify: only with --strict).
+parameter errors and files that cannot be read or written, 3 resource
+caps hit (verify: only with --strict).  Commands raise; only main turns
+an error into its one "error: ..." line and exit code.
 
 The environment variable PGA_CAPS may override caps as comma-separated
 key=value pairs (e.g. "enumeration_cap=10000,lattice_cap=128"); explicit
@@ -30,7 +32,7 @@ from .corpus import (
     serialize_entry,
     write_report,
 )
-from .errors import CapExceededError, InvalidFamilyError, PgaError
+from .errors import CapExceededError, PgaError
 from .fixity import fixity
 from .harness import CHECK_IDS, SKIPPED, VIOLATED, analyze, run_all, summarize
 
@@ -103,12 +105,7 @@ def _load_entry(path, caps) -> CorpusEntry:
 
 def _cmd_analyze(args) -> int:
     caps = _caps_from(args)
-    try:
-        entry = _load_entry(args.file, caps)
-        a = analyze(entry, caps)
-    except (OSError, PgaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    a = analyze(_load_entry(args.file, caps), caps)
     if args.format == "machine-records":
         print(json.dumps(_analysis_record(a), separators=(",", ":")))
     else:
@@ -166,11 +163,7 @@ def _print_analysis(a) -> None:
 
 def _cmd_verify(args) -> int:
     caps = _caps_from(args)
-    try:
-        entries = load_corpus(args.dir, caps)
-    except (OSError, PgaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entries = load_corpus(args.dir, caps)
     if not entries:
         print("warning: corpus directory has no .grp files", file=sys.stderr)
         report = Report(metadata=report_metadata(__version__, caps, []), entries=[])
@@ -180,11 +173,7 @@ def _cmd_verify(args) -> int:
         selection = CHECK_IDS
     else:
         selection = tuple(s.strip() for s in args.check.split(",") if s.strip())
-    try:
-        report = run_all(entries, selection, caps, jobs=max(1, args.jobs))
-    except PgaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_all(entries, selection, caps, jobs=max(1, args.jobs))
     _emit_report(report, args)
     counts = summarize(report)
     if args.format == "text":
@@ -217,17 +206,9 @@ def _print_summary(counts, n_groups) -> None:
 
 def _cmd_two_closure(args) -> int:
     caps = _caps_from(args)
-    try:
-        entry = _load_entry(args.file, caps)
-    except (OSError, PgaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entry = _load_entry(args.file, caps)
     G = entry.group
-    try:
-        closure = two_closure(G, caps.closure_degree_cap)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
+    closure = two_closure(G, caps.closure_degree_cap)
     part = orbitals(G)
     order = G.order()
     closure_order = closure.order()
@@ -248,19 +229,7 @@ def _cmd_two_closure(args) -> int:
 
 def _cmd_fixity(args) -> int:
     caps = _caps_from(args)
-    try:
-        entry = _load_entry(args.file, caps)
-    except (OSError, PgaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = fixity(entry.group, caps.enumeration_cap)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
-    except PgaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = fixity(_load_entry(args.file, caps).group, caps.enumeration_cap)
     fixed = "{" + ", ".join(map(str, sorted(result.witness_fixed_set))) + "}"
     print(f"fixity: {result.fixity}")
     print(f"witness: {result.witness.cycle_string()}  fixes {fixed}")
@@ -268,12 +237,7 @@ def _cmd_fixity(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    caps = _caps_from(args)
-    try:
-        entry = builtin_family(args.family, args.params, caps)
-    except InvalidFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entry = builtin_family(args.family, args.params, _caps_from(args))
     Path(args.out).write_text(serialize_entry(entry))
     return EXIT_OK
 
@@ -291,9 +255,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (OSError, ValueError, PgaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CAPPED if isinstance(exc, CapExceededError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -295,18 +295,19 @@ def _color_automorphism_generators(color, rank, n):
         x = cp[0]
         search_base.append(x)
         local = descend(_refine_pair(weights, _individualize(pairs, t, x, x), memo))
-        processed = {x}
+        # images of x tried so far and all they reach under local; the
+        # set stays closed under local, so a new generator only extends it
+        reached = _reachable({x}, local)
         for y in cq:
-            if y == x:
-                continue
-            if y in _reachable(processed, local):
-                processed.add(y)
+            if y in reached:
                 continue
             nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo)
             found = find_one(nxt) if nxt is not None else None
-            processed.add(y)
             if found is not None:
-                local.append(found)
+                local.append(found)  # maps x to y, so y is reached now
+                reached = _reachable(reached, local)
+            else:
+                reached |= _reachable({y}, local)
         return local
 
     unit = tuple(range(n))
@@ -318,9 +319,7 @@ def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap)
     """The full group of permutations preserving every pair orbit of G."""
     n = G.degree
     if n > degree_cap:
-        raise DegreeCapExceededError(
-            f"degree {n} exceeds closure degree cap {degree_cap}", needed=n, cap=degree_cap
-        )
+        raise DegreeCapExceededError(f"degree {n} exceeds closure degree cap {degree_cap}")
     part = orbitals(G)
     gens, search_base = _color_automorphism_generators(part.color, part.rank, n)
     # every Schreier generator is still sifted; on the search base none

@@ -7,9 +7,10 @@ Group file (.grp), UTF-8, line oriented::
     gen: <cycles>         (zero or more)
     img: <d ints>         (zero or more; image-list form)
 
-Comment lines starting with '#' and blank lines are ignored.  A file
-with no gen:/img: lines describes the trivial group.  Comments of the
-special form ``# expect: <key> <value>`` are kept as validation
+Every integer (the degree, img images, cycle points) is a run of ASCII
+digits.  Comment lines starting with '#' and blank lines are ignored.
+A file with no gen:/img: lines describes the trivial group.  Comments
+of the special form ``# expect: <key> <value>`` are kept as validation
 expectations; validating loads recompute those facts from scratch and
 refuse the file on a mismatch.
 
@@ -32,7 +33,7 @@ from .errors import (
     PgaError,
 )
 from .group import PermGroup
-from .perm import Permutation
+from .perm import Permutation, _ascii_int
 from .structure import is_prime, smallest_primitive_root
 
 TOOL_NAME = "pga"
@@ -84,10 +85,9 @@ def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFA
                 raise GroupFileError("duplicate degree line", line=lineno, source=source)
             if name is None or saw_body:
                 raise GroupFileError("degree must come second", line=lineno, source=source)
-            try:
-                degree = int(value)
-            except ValueError:
-                raise GroupFileError(f"bad degree {value!r}", line=lineno, source=source) from None
+            degree = _ascii_int(value)
+            if degree is None:
+                raise GroupFileError(f"bad degree {value!r}", line=lineno, source=source)
             if degree < 1:
                 raise GroupFileError(f"degree must be at least 1, got {degree}", line=lineno, source=source)
             if degree > max_degree:
@@ -115,10 +115,13 @@ def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFA
                     line=lineno,
                     source=source,
                 )
+            images = [_ascii_int(p) for p in parts]
+            if None in images:
+                bad = parts[images.index(None)]
+                raise GroupFileError(f"bad image {bad!r}", line=lineno, source=source)
             try:
-                images = [int(p) for p in parts]
                 gens.append(Permutation(images))
-            except (ValueError, PgaError) as exc:
+            except PgaError as exc:
                 raise GroupFileError(str(exc), line=lineno, source=source) from exc
         else:
             raise GroupFileError(f"unknown key {key!r}", line=lineno, source=source)

@@ -52,11 +52,6 @@ class CapExceededError(PgaError):
     silently truncating the computation.
     """
 
-    def __init__(self, message, *, needed=None, cap=None):
-        super().__init__(message)
-        self.needed = needed
-        self.cap = cap
-
 
 class LatticeCapExceededError(CapExceededError):
     """The normal-subgroup listing grew past the configured cap."""

@@ -98,10 +98,6 @@ class StabilizerChain:
             stuck = self._grow_level(i)
             i = i - 1 if stuck is None else stuck
 
-    def _level_gens(self, i):
-        """Generators of the i-th group on the chain (own plus all deeper)."""
-        return [g for lvl in self.levels[i:] for g in lvl.own_gens]
-
     def _grow_level(self, i):
         """Extend level i's orbit and sift its unchecked Schreier generators.
 
@@ -117,7 +113,7 @@ class StabilizerChain:
         generator of the level is checked.
         """
         lvl = self.levels[i]
-        gens = self._level_gens(i)
+        gens = self.strong_generators_below(i)
         trans, invs, checked = lvl.transversal, lvl.inverses, lvl.checked
         fresh = [s for s in gens if s not in checked]
         points = list(trans)
@@ -180,8 +176,9 @@ class StabilizerChain:
         return self._strip(g).is_identity()
 
     def strong_generators_below(self, i):
-        """Strong generators fixing the first i base points."""
-        return self._level_gens(i)
+        """Strong generators fixing the first i base points: the generators
+        of the i-th group on the chain (own plus all deeper)."""
+        return [g for lvl in self.levels[i:] for g in lvl.own_gens]
 
     def iter_elements(self):
         """Yield every group element exactly once (transversal products)."""
@@ -277,9 +274,7 @@ class PermGroup:
         """Iterate all elements; refuses to start if the order exceeds the cap."""
         n = self.order()
         if n > cap:
-            raise CapExceededError(
-                f"group order {n} exceeds enumeration cap {cap}", needed=n, cap=cap
-            )
+            raise CapExceededError(f"group order {n} exceeds enumeration cap {cap}")
         return self.chain().iter_elements()
 
     def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration_cap) -> list:

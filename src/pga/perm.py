@@ -24,6 +24,12 @@ from .errors import (
 _new = object.__new__
 
 
+def _ascii_int(text: str):
+    """The value of a run of ASCII digits, else None (str.isdigit takes
+    "²", and int() takes "٣", "1_0" and "+1")."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 class Permutation:
     """A bijection of {0, ..., degree-1}."""
 
@@ -88,9 +94,9 @@ class Permutation:
                 raise CycleParseError(f"cycle ({body.strip()}) needs at least two points")
             points = []
             for part in parts:
-                if not (part.isascii() and part.isdigit()):  # str.isdigit also takes "²"
+                p = _ascii_int(part)
+                if p is None:
                     raise CycleParseError(f"bad point {part!r}")
-                p = int(part)
                 if p >= degree:
                     raise PointOutOfRangeError(
                         f"point {p} out of range for degree {degree}"

@@ -249,11 +249,7 @@ def normal_subgroups(
         lattice.append(entry)
         keys.add(key)
         if len(lattice) > lattice_cap:
-            raise LatticeCapExceededError(
-                f"more than {lattice_cap} normal subgroups",
-                needed=len(lattice),
-                cap=lattice_cap,
-            )
+            raise LatticeCapExceededError(f"more than {lattice_cap} normal subgroups")
         return entry
 
     for i, (rep, _) in enumerate(classes):

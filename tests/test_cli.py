@@ -257,6 +257,26 @@ class TestGen:
         assert not (tmp_path / "s9.grp").exists()
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["verify", "two-closure", "gen"])
+    def test_exits_2_with_one_error_line(self, capsys, corpus_dir, tmp_path, command):
+        # a file in a missing directory cannot be written, whoever runs
+        # the test; this is a file error, not a violation (exit 1)
+        missing = str(tmp_path / "missing" / "out")
+        single = tmp_path / "one"
+        single.mkdir()
+        (single / "c6.grp").write_text((corpus_dir / "cyclic_6.grp").read_text())
+        argv = {
+            "verify": ["verify", str(single), "--jobs", "1", "--out", missing],
+            "two-closure": ["two-closure", str(single / "c6.grp"), "--emit", missing],
+            "gen": ["gen", "cyclic", "4", "-o", missing],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and missing in err
+
+
 class TestCapsEnvironment:
     def test_env_overrides_defaults_and_flags_win(self, capsys, corpus_dir, monkeypatch, tmp_path):
         monkeypatch.setenv("PGA_CAPS", "enumeration_cap=10")

@@ -47,6 +47,24 @@ class TestParseGroupFile:
             assert (err.value.line, err.value.source) == (4, "bad.grp")
             assert "bad point" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("degree: \u0663", "bad degree '\u0663'"),
+            ("degree: 1_0", "bad degree '1_0'"),
+            ("degree: +3", "bad degree '+3'"),
+            ("degree: 3\nimg: \u0661 \u0662 \u0660", "bad image '\u0661'"),
+            ("degree: 3\nimg: 1 2 0_0", "bad image '0_0'"),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, body, message):
+        # int() takes all of these; the last line holds the bad integer
+        text = f"name: bad\n{body}\n"
+        with pytest.raises(GroupFileError) as err:
+            parse_group_file(text, source="bad.grp")
+        assert (err.value.line, err.value.source) == (text.count("\n"), "bad.grp")
+        assert message in str(err.value)
+
     def test_no_generators_is_trivial(self):
         entry = parse_group_file("name: t\ndegree: 3\n")
         assert entry.group.order() == 1
