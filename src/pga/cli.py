@@ -24,11 +24,9 @@ from .closure import orbitals, two_closure
 from .config import DEFAULT_CAPS, parse_caps_overrides
 from .corpus import (
     CorpusEntry,
-    Report,
     builtin_family,
     load_corpus,
     parse_group_file,
-    report_metadata,
     serialize_entry,
     write_report,
 )
@@ -164,19 +162,16 @@ def _print_analysis(a) -> None:
 def _cmd_verify(args) -> int:
     caps = _caps_from(args)
     entries = load_corpus(args.dir, caps)
-    if not entries:
-        print("warning: corpus directory has no .grp files", file=sys.stderr)
-        report = Report(metadata=report_metadata(__version__, caps, []), entries=[])
-        _emit_report(report, args)
-        return EXIT_OK
     if args.check.strip() == "all":
         selection = CHECK_IDS
     else:
         selection = tuple(s.strip() for s in args.check.split(",") if s.strip())
     report = run_all(entries, selection, caps, jobs=max(1, args.jobs))
+    if not entries:
+        print("warning: corpus directory has no .grp files", file=sys.stderr)
     _emit_report(report, args)
     counts = summarize(report)
-    if args.format == "text":
+    if args.format == "text" and entries:
         _print_summary(counts, len(entries))
     violated = sum(c[VIOLATED] for c in counts.values())
     skipped = sum(c[SKIPPED] for c in counts.values())

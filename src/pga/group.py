@@ -23,6 +23,13 @@ owned by a group grows the same way by a new generator
 (StabilizerChain.extend), completing only the levels that changed.  A
 group is immutable once constructed; its chain is built lazily and
 cached, after which the value can be shared freely between threads.
+
+The conjugacy classes come from one walk of the elements and a
+conjugation search from each element not yet met.  Up to degree 256 the
+search carries an element as the bytes of its images, so a conjugate is
+two bytes.translate calls and the set of elements met holds short byte
+strings with cached hashes; above degree 256, where a point no longer
+fits in a byte, it carries image tuples.
 """
 
 from __future__ import annotations
@@ -281,33 +288,48 @@ class PermGroup:
         """(representative, class size) pairs, one per conjugacy class.
 
         One walk of the elements: each element not yet seen starts a
-        conjugation breadth-first search over the generators, so the
-        classes come in the order the walk first meets them and each
-        representative is the first element of its class in that walk.
-        The walk stops once the class sizes found sum to the order, as
-        every later element lies in a class already found.  The table is
-        cached; like elements(), it refuses a group whose order exceeds
-        the cap.
+        conjugation search over the generators, so the classes come in
+        the order the walk first meets them and each representative is
+        the first element of its class in that walk.  The walk stops once
+        the class sizes found sum to the order, as every later element
+        lies in a class already found; the searches still conjugate every
+        element by every generator.  They run on byte strings up to
+        degree 256 and on image tuples above it, with the same table
+        either way.  The table is cached; like elements(), it refuses a
+        group whose order exceeds the cap.
         """
         walk = self.elements(cap)
         if self._classes is None:
             # x^g = g^-1 x g sends point g(i) to g(x(i)), so its image of i
-            # is g[x[g_inv[i]]]; a generator is not the identity, so the
-            # degree is at least 2 and itemgetter returns a tuple
-            gens = [(g.images, itemgetter(*g.inverse().images)) for g in self.generators]
+            # is g[x[g_inv[i]]].  Up to degree 256 an element is the bytes
+            # of its images: g_inv.translate(x + tail) reads x at g_inv[i],
+            # tail pads x to the 256-entry table translate needs, and
+            # .translate(g) maps each image through g.  Above degree 256 it
+            # is its image tuple, conjugated by itemgetter; a generator is
+            # not the identity, so the degree is at least 2 and itemgetter
+            # returns a tuple.
+            small = self.degree <= 256
+            if small:
+                tail = bytes(range(self.degree, 256))
+                gens = [(bytes(g.images) + tail, bytes(g.inverse().images)) for g in self.generators]
+                encode = bytes
+            else:
+                gens = [(g.images, itemgetter(*g.inverse().images)) for g in self.generators]
+                encode = tuple
             seen = set()
             classes = []
             left = self.order()
             for e in walk:
-                if e.images in seen:
+                x = encode(e.images)
+                if x in seen:
                     continue
-                seen.add(e.images)
-                frontier = [e.images]
+                seen.add(x)
+                frontier = [x]
                 size = 1
                 while frontier:
                     x = frontier.pop()
                     for g, g_inv in gens:
-                        c = itemgetter(*g_inv(x))(g)
+                        c = g_inv.translate(x + tail).translate(g) if small else itemgetter(*g_inv(x))(g)
                         if c not in seen:
                             seen.add(c)
                             frontier.append(c)

@@ -5,12 +5,18 @@ The table is checked against oracles.naive_classes (every class as
 representatives against a scan of all elements on raw image tuples.
 Witnesses are compared exactly: the scan walks the elements in the
 order of the group's element walk, whose set is checked against the
-naive closure first.
+naive closure first.  Besides the small corpus groups, the oracle
+checks a group moving few points at degrees 256 and 257, on either side
+of the switch from byte strings to image tuples in the class search, and
+the two heaviest corpus tables are checked against the class sizes of
+S_n and A_n in closed form.
 """
+
+from math import factorial, prod
 
 import pytest
 
-from pga.corpus import builtin_family
+from pga.corpus import CorpusEntry, builtin_family
 from pga.errors import CapExceededError
 from pga.fixity import (
     any_derangement,
@@ -20,7 +26,8 @@ from pga.fixity import (
     is_elusive,
     prime_fix_profile,
 )
-from pga.group import StabilizerChain
+from pga.group import PermGroup, StabilizerChain
+from pga.perm import Permutation
 
 from oracles import element_order, fixed_count, naive_classes, naive_closure, power
 
@@ -66,6 +73,42 @@ def small_groups(corpus_entries):
     return groups
 
 
+def _s4_times_c3(degree, c3_points):
+    """S4 on points 0-3 times a 3-cycle on c3_points, fixing every other point."""
+    cycles = ["(0 1 2 3)", "(0 1)", "({} {} {})".format(*c3_points)]
+    return PermGroup(degree, [Permutation.from_cycles(c, degree) for c in cycles])
+
+
+@pytest.fixture(scope="module")
+def class_table_groups(small_groups):
+    """The small corpus groups, and S4 x C3 at degree 256 (byte strings,
+    point 255 moved) and at degree 257 (image tuples)."""
+    wide = [
+        CorpusEntry(f"s4xc3_{n}", "<test>", _s4_times_c3(n, (n - 3, n - 2, n - 1)), n)
+        for n in (256, 257)
+    ]
+    return small_groups + wide
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_order(parts):
+    """z_lambda = prod over part sizes i of i^m_i m_i!, m_i parts of size i."""
+    return prod(i ** parts.count(i) * factorial(parts.count(i)) for i in set(parts))
+
+
+def _cycle_type(g):
+    return tuple(sorted(g.cycle_type(), reverse=True))
+
+
 def _images(g):
     return None if g is None else g.images
 
@@ -78,8 +121,8 @@ def _walk(G):
 
 
 class TestClassTable:
-    def test_partitions_the_group_like_the_oracle(self, small_groups):
-        for entry in small_groups:
+    def test_partitions_the_group_like_the_oracle(self, class_table_groups):
+        for entry in class_table_groups:
             G = entry.group
             table = G.conjugacy_classes()
             oracle = naive_classes([g.images for g in G.generators])
@@ -92,8 +135,8 @@ class TestClassTable:
             assert [size for _, size in table] == [len(c) for c in met], entry.name
             assert sum(size for _, size in table) == G.order(), entry.name
 
-    def test_representative_is_first_in_walk(self, small_groups):
-        for entry in small_groups:
+    def test_representative_is_first_in_walk(self, class_table_groups):
+        for entry in class_table_groups:
             G = entry.group
             oracle = naive_classes([g.images for g in G.generators])
             class_of = {x: i for i, cls in enumerate(oracle) for x in cls}
@@ -127,6 +170,32 @@ class TestClassTable:
         table = G.conjugacy_classes()
         assert len(walked) == last + 1
         assert [(rep.images, size) for rep, size in table] == expected
+
+    def test_same_table_padded_to_200_and_300_points(self):
+        tables = [_s4_times_c3(n, (4, 5, 6)).conjugacy_classes() for n in (200, 300)]
+        small, wide = ([(rep.cycle_string(), size) for rep, size in t] for t in tables)
+        assert len(small) == 15
+        assert small == wide
+
+    def test_symmetric_8_has_one_class_per_partition(self, corpus_by_name):
+        table = corpus_by_name["symmetric_8"].group.conjugacy_classes()
+        sizes = {_cycle_type(rep): size for rep, size in table}
+        assert len(sizes) == len(table)
+        assert sizes == {p: factorial(8) // _centralizer_order(p) for p in _partitions(8)}
+
+    def test_alternating_8_splits_classes_of_distinct_odd_cycles(self, corpus_by_name):
+        table = corpus_by_name["alternating_8"].group.conjugacy_classes()
+        sizes = {}
+        for rep, size in table:
+            sizes.setdefault(_cycle_type(rep), []).append(size)
+        want = {}
+        for p in _partitions(8):
+            if sum(1 for k in p if k % 2 == 0) % 2:
+                continue  # an odd permutation
+            s_n_size = factorial(8) // _centralizer_order(p)
+            splits = len(set(p)) == len(p) and all(k % 2 for k in p)
+            want[p] = [s_n_size // 2] * 2 if splits else [s_n_size]
+        assert sizes == want
 
     def test_cached_and_capped(self):
         G = builtin_family("symmetric", [5]).group

@@ -115,6 +115,12 @@ class TestVerify:
         assert code == 2
         assert "BOGUS" in err
 
+    def test_unknown_check_on_empty_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path), "--check", "BOGUS")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown check ids ['BOGUS']\n"
+
     def test_strict_with_forced_skips_exits_3(self, capsys, corpus_dir, tmp_path):
         code, _, _ = run(
             capsys, "verify", str(corpus_dir), "--jobs", "1", "--strict",
