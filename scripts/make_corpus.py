@@ -3,7 +3,7 @@
 
 The corpus spans cyclic, dihedral, symmetric, alternating, regular
 elementary-abelian and Frobenius groups across degrees 3..12; the
-degree-12 Mathieu group file is produced separately by make_m11.py.
+degree-12 Mathieu group file is not generated and is left unchanged.
 """
 
 import sys

@@ -152,19 +152,19 @@ def _refine_pair(weights, pairs, memo):
     incompatibly, which proves no automorphism respects the pairing.
 
     The domain side of a round depends on the domain cells alone, so
-    memo maps the domain cells of each round met to the fragments of
-    every cell, in signature order; a memo shared by the refinements of
-    one search splits each domain partition once.  The image side is
-    split every time, and each of its keys must be the signature of one
-    point of the matching domain fragment.
+    memo maps the domain cells of each round met to their layout and
+    the fragments of each cell in signature order; a memo shared by the
+    refinements of one search lays out and splits each domain partition
+    once.  The image side is laid out and split every time, and each of
+    its keys must be the signature of a point of the matching fragment.
     """
     pairs = list(pairs)
     while True:
         p_cells = tuple(p for p, _ in pairs)
         q_layout = _layout([q for _, q in pairs])
-        p_layout = _layout(p_cells)
-        fragments = memo.get(p_cells)
+        p_layout, fragments = memo.get(p_cells, (None, None))
         if fragments is None:
+            p_layout = _layout(p_cells)
             fragments = []
             for cp in p_cells:
                 if len(cp) == 1:
@@ -172,7 +172,7 @@ def _refine_pair(weights, pairs, memo):
                     continue
                 by_sig = _split(weights, cp, p_layout)
                 fragments.append(tuple(tuple(by_sig[k]) for k in sorted(by_sig)))
-            memo[p_cells] = fragments
+            memo[p_cells] = p_layout, fragments
         new_pairs = []
         changed = False
         for (cp, cq), frags in zip(pairs, fragments):

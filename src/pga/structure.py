@@ -21,10 +21,31 @@ closures of its own elements, so nothing is missed, and every join of
 normal subgroups is normal, so nothing extra appears.  A join AB is
 already listed exactly when a listed subgroup of order |AB| contains
 the classes of both, so a chain is built only for a join that is new.
+
+Most closures of single elements are subgroups already listed, and a
+closure's chain is built only when a certificate fails to show that.
+For a representative y, let M be the smallest listed subgroup whose key
+holds y's class, or G itself when none does; M is normal and contains
+y, so the closure N(y) lies in M and |N(y)| divides |M|.  Seeded
+products z <- z * y^g, each g uniform in G, lie in N(y), and as N(y) is
+normal so does z's whole class.  Once the classes met, with y's and the
+identity's, sum to more than |M| / 2, so does |N(y)|, and the only
+divisor of |M| above |M| / 2 is |M| itself: N(y) = M.  A
+class is recognised only by a cycle type that no other class of G has,
+which is exact as z lies in G; classes that share a type (the split
+classes of A8, M11's 8A/8B and 11A/11B) are not counted.  A certified
+M that is listed is skipped, as register would drop it; a certified G
+is listed with G's own generators, and is the only subgroup of its
+order, so the sorted listing is unchanged.  The products are drawn from
+a fixed seed, and a certificate gives up after a fixed budget or a run
+of products that meet no new class, or at once when M's recognisable
+classes cannot pass |M| / 2; then the closure is built.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
@@ -37,6 +58,12 @@ from .errors import (
 )
 from .group import PermGroup, StabilizerChain
 from .perm import Permutation
+
+# a closure's certificate draws at most this many products, and gives up
+# after this many in a row that meet no new class
+_CERTIFICATE_SAMPLES = 60
+_CERTIFICATE_PATIENCE = 8
+_CERTIFICATE_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -252,10 +279,21 @@ def normal_subgroups(
             raise LatticeCapExceededError(f"more than {lattice_cap} normal subgroups")
         return entry
 
+    class_of_type = _classes_by_cycle_type(classes)
+    everything = frozenset(range(len(classes)))
+    rng = random.Random(_CERTIFICATE_SEED)
     for i, (rep, _) in enumerate(classes):
-        if i not in trivial:
-            H = normal_closure(G, [rep])
-            register(H, key_of(H))
+        if i in trivial:
+            continue
+        # the smallest listed subgroup holding rep's class, else G itself
+        M = min((e for e in lattice if i in e[1]), key=lambda e: e[2], default=None)
+        key = everything if M is None else M[1]
+        if _closure_certified(G, rep, i, key, sizes, class_of_type, rng):
+            if M is None:
+                register(G, everything)
+            continue  # a listed M would be dropped by register
+        H = normal_closure(G, [rep])
+        register(H, key_of(H))
 
     # close under pairwise join; a join of normal subgroups is their product,
     # so generating from the union of generator sets is enough
@@ -275,6 +313,48 @@ def normal_subgroups(
     infos = [_describe_subgroup(H, [classes[i] for i in sorted(key)]) for H, key, _ in lattice]
     _mark_minimal(infos, [key for _, key, _ in lattice])
     return infos
+
+
+def _classes_by_cycle_type(classes) -> dict:
+    """Cycle type -> class index, for the types that only one class has."""
+    types = [rep.cycle_type() for rep, _ in classes]
+    counts = Counter(types)
+    return {t: i for i, t in enumerate(types) if counts[t] == 1}
+
+
+def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
+    """True when seeded products prove that the normal closure of y, the
+    representative of class i, is the normal subgroup M of G with the
+    given class key (the module docstring has the argument); False proves
+    nothing.  Products are drawn only when the classes of M that can be
+    recognised, with y's, sum to more than |M| / 2."""
+    order = sum(sizes[k] for k in key)
+    known = set(class_of_type.values())
+    if 2 * sum(sizes[k] for k in key if k == i or k in known) <= order:
+        return False
+    levels = [(list(lvl.transversal), lvl.transversal, lvl.inverses) for lvl in reversed(G.chain().levels)]
+    met = {i, class_of_type[(1,) * G.degree]}  # y's class and the identity's
+    total = sum(sizes[k] for k in met)
+    z = y
+    idle = 0
+    for _ in range(_CERTIFICATE_SAMPLES):
+        if 2 * total > order:
+            return True
+        c = y
+        for points, trans, invs in levels:  # y^g for g = u_last ... u_0
+            b = rng.choice(points)
+            c = invs[b] * c * trans[b]
+        z = z * c
+        k = class_of_type.get(z.cycle_type())
+        if k is None or k in met:
+            idle += 1
+            if idle == _CERTIFICATE_PATIENCE:
+                return False
+        else:
+            met.add(k)
+            total += sizes[k]
+            idle = 0
+    return 2 * total > order
 
 
 def _describe_subgroup(H: PermGroup, classes) -> NormalSubgroupInfo:

@@ -3,6 +3,7 @@ from math import factorial, gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pga.structure as structure
 from pga.corpus import builtin_family
 from pga.errors import NotAbelianError, NotInGroupError
 from pga.group import PermGroup
@@ -270,6 +271,69 @@ class TestNormalSubgroups:
                             assert solutions == prod(gcd(m, d) for d in inv), name
             sizes[name] = len(infos)
         assert (sizes["C2wrC4"], sizes["C3wrC3"]) == (13, 8)
+
+
+def lattice_facts(G):
+    """Every fact of G's listed normal subgroups, in listing order; the
+    generators of G's own entry are left out, as the certificate lists G
+    with G's generators where a built closure lists its own."""
+    return [
+        (
+            i.order.value,
+            i.is_abelian,
+            i.is_cyclic,
+            i.is_p_group_for,
+            i.smallest_prime,
+            i.abelian_invariants,
+            i.is_semiregular,
+            i.is_minimal_normal,
+            None if i.order.value == G.order() else [g.images for g in i.subgroup.generators],
+        )
+        for i in normal_subgroups(G)
+    ]
+
+
+class TestClosureCertificate:
+    """The certificate that skips closures already listed, against answers
+    that do not come from it: closed forms, and the lattice built with a
+    chain for every closure."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_symmetric_closed_form(self, corpus_by_name, n):
+        # A_n is the only proper nontrivial normal subgroup of S_n, n >= 5
+        infos = normal_subgroups(corpus_by_name[f"symmetric_{n}"].group)
+        assert [i.order.value for i in infos] == [1, factorial(n) // 2, factorial(n)]
+        assert [i.is_minimal_normal for i in infos] == [False, True, False]
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_alternating_closed_form(self, corpus_by_name, n):
+        infos = normal_subgroups(corpus_by_name[f"alternating_{n}"].group)
+        assert [i.order.value for i in infos] == [1, factorial(n) // 2]
+        assert [i.is_minimal_normal for i in infos] == [False, True]
+
+    def test_m11_is_simple(self, corpus_by_name):
+        infos = normal_subgroups(corpus_by_name["m11_12"].group)
+        assert [i.order.value for i in infos] == [1, 7920]
+        assert [i.is_minimal_normal for i in infos] == [False, True]
+
+    def test_refused_certificate_lists_the_same_lattice(self, corpus_entries, monkeypatch):
+        certified = {e.name: lattice_facts(e.group) for e in corpus_entries}
+        monkeypatch.setattr(structure, "_closure_certified", lambda *args: False)
+        for e in corpus_entries:
+            assert lattice_facts(e.group) == certified[e.name], e.name
+
+    def test_certificate_spares_most_closures(self, corpus_by_name, monkeypatch):
+        # S8 has 21 nontrivial classes and 2 nontrivial normal subgroups;
+        # a certificate that never succeeds would build all 21 closures
+        built = []
+
+        def counting(G, seeds):
+            built.append(seeds)
+            return normal_closure(G, seeds)
+
+        monkeypatch.setattr(structure, "normal_closure", counting)
+        normal_subgroups(corpus_by_name["symmetric_8"].group)
+        assert 1 <= len(built) <= 2
 
 
 def minimal_normals(G):
