@@ -16,21 +16,32 @@ is the classic descent that yields generators level by level, and it
 keeps 2-transitive inputs (where refinement never splits anything) from
 degenerating into a factorial enumeration.
 
-Refinement splits each cell by the signature of its points: for every
-cell, how many arcs of each color leave the point into the cell (the
-counts of arcs entering the point follow from these).  The counts are
-coded as integers no wider than about n * log2(n + 1) bits, whatever
-the rank (see _arc_weights and _signature); they sort as the tuples of
-counts do, so the fragments and their order are those of explicit
-counting.
+Refinement splits each cell by the signature of its points: for each
+new cell of the round, how many arcs of each color leave the point into
+the cell (the counts of arcs entering the point follow from these).  A
+first round counts into every cell, and the first round after a point
+is individualized into that singleton alone.  Each later round counts
+into the fragments the previous round split off, all but the last of
+each split cell: two points of a cell already had equal counts into
+every older cell, and their count into a last fragment is their count
+into its parent less those into its other fragments.  So the first
+cell where two points' full counts differ is a new one, and the cells
+split into the same fragments, in the same order, as by counting into
+every cell; an image cell whose counts matched its domain cell's in
+the previous round matches them in full exactly when it matches them
+on the new cells.  The counts are coded as integers no wider than
+about n * log2(n + 1) bits, whatever the rank (see _arc_weights and
+_signature); they sort as the tuples of counts do, so the fragments
+and their order are those of explicit counting.
 
 The domain side of every refinement in a search is a partition of the
 principal branch: a branch individualizes the first point of the first
 non-singleton domain cell, as the principal branch does, and only the
 images differ.  So one memo per search holds the domain fragments of
-each refinement round, and later branches split only the image side,
-matching each image signature against the signature of one point of
-the domain fragment it must pair with.
+each refinement round, keyed by the domain cells and the round's new
+cells, and later branches split only the image side, matching each
+image signature against the signature of the domain fragment it must
+pair with.
 
 The points fixed along the principal branch form a base for the
 closure, and the generators found are a strong generating set for it,
@@ -145,53 +156,75 @@ def _split(weights, cell, layout):
     return by_sig
 
 
-def _refine_pair(weights, pairs, memo):
+def _domain_round(weights, cells, new):
+    """One refinement round of the domain cells, counting into cells[new].
+
+    Returns, per cell, None for a singleton or its fragments in signature
+    order, each with its signature; and the indices, in the refined cell
+    list, of the fragments that count in the next round: every fragment
+    of a split cell but its last.
+    """
+    layout = _layout([cells[i] for i in new])
+    keyed = []
+    added = []
+    at = 0
+    for cell in cells:
+        if len(cell) == 1:
+            keyed.append(None)
+            at += 1
+            continue
+        by_sig = _split(weights, cell, layout)
+        keyed.append(sorted((k, tuple(f)) for k, f in by_sig.items()))
+        added += range(at, at + len(by_sig) - 1)
+        at += len(by_sig)
+    return keyed, tuple(added)
+
+
+def _refine_pair(weights, pairs, memo, new=None):
     """Refine matched (domain, image) cell lists to a stable partition pair.
 
     Returns the refined pair list, or None when the two sides split
     incompatibly, which proves no automorphism respects the pairing.
 
-    The domain side of a round depends on the domain cells alone, so
-    memo maps the domain cells of each round met to their layout and
-    the fragments of each cell in signature order; a memo shared by the
-    refinements of one search lays out and splits each domain partition
-    once.  The image side is laid out and split every time, and each of
-    its keys must be the signature of a point of the matching fragment.
+    The first round counts arcs into the cells at the indices new, or
+    into every cell when new is None; each later round into the
+    fragments the round before split off (see the module docstring).
+    Given new, the pairs must have been stable and matched before those
+    cells split off, as _individualize's output is with new = (t,).
+
+    memo maps the domain cells and new cells of each round met to the
+    round's domain side (see _domain_round); a memo shared by the
+    refinements of one search splits each domain round once.  The image
+    side is split every time, and each of its signatures must be that of
+    the matching domain fragment.
     """
     pairs = list(pairs)
+    if new is None:
+        new = tuple(range(len(pairs)))
     while True:
         p_cells = tuple(p for p, _ in pairs)
-        q_layout = _layout([q for _, q in pairs])
-        p_layout, fragments = memo.get(p_cells, (None, None))
-        if fragments is None:
-            p_layout = _layout(p_cells)
-            fragments = []
-            for cp in p_cells:
-                if len(cp) == 1:
-                    fragments.append((cp,))
-                    continue
-                by_sig = _split(weights, cp, p_layout)
-                fragments.append(tuple(tuple(by_sig[k]) for k in sorted(by_sig)))
-            memo[p_cells] = p_layout, fragments
+        domain = memo.get((p_cells, new))
+        if domain is None:
+            domain = memo[p_cells, new] = _domain_round(weights, p_cells, new)
+        keyed, added = domain
+        q_layout = _layout([pairs[i][1] for i in new])
         new_pairs = []
-        changed = False
-        for (cp, cq), frags in zip(pairs, fragments):
-            if len(cp) == 1:
+        for (cp, cq), frags in zip(pairs, keyed):
+            if frags is None:
                 new_pairs.append((cp, cq))
                 continue
             by_sig_q = _split(weights, cq, q_layout)
             if len(by_sig_q) != len(frags):
                 return None
-            for f in frags:
-                fq = by_sig_q.get(_signature(weights, f[0], p_layout))
+            for key, f in frags:
+                fq = by_sig_q.get(key)
                 if fq is None or len(fq) != len(f):
                     return None
                 new_pairs.append((f, tuple(fq)))
-            if len(frags) > 1:
-                changed = True
         pairs = new_pairs
-        if not changed:
+        if not added:
             return pairs
+        new = added
 
 
 def refine_partition(part: OrbitalPartition, cells) -> list:
@@ -203,8 +236,8 @@ def refine_partition(part: OrbitalPartition, cells) -> list:
     n = part.degree
     cell_tuples = [tuple(c) for c in cells]
     flat = [x for c in cell_tuples for x in c]
-    if sorted(flat) != list(range(n)):
-        raise MalformedPartitionError("cells must partition 0..degree-1")
+    if sorted(flat) != list(range(n)) or not all(cell_tuples):
+        raise MalformedPartitionError("cells must be nonempty and partition 0..degree-1")
     refined = _refine_pair(_arc_weights(part.color, part.rank), [(c, c) for c in cell_tuples], {})
     return [p for p, _ in refined]
 
@@ -278,7 +311,7 @@ def _color_automorphism_generators(color, rank, n):
         cp, cq = pairs[t]
         x = cp[0]
         for y in cq:
-            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo)
+            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
             if nxt is None:
                 continue
             found = find_one(nxt)
@@ -294,14 +327,14 @@ def _color_automorphism_generators(color, rank, n):
         cp, cq = pairs[t]
         x = cp[0]
         search_base.append(x)
-        local = descend(_refine_pair(weights, _individualize(pairs, t, x, x), memo))
+        local = descend(_refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,)))
         # images of x tried so far and all they reach under local; the
         # set stays closed under local, so a new generator only extends it
         reached = _reachable({x}, local)
         for y in cq:
             if y in reached:
                 continue
-            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo)
+            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
             found = find_one(nxt) if nxt is not None else None
             if found is not None:
                 local.append(found)  # maps x to y, so y is reached now

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -47,6 +48,50 @@ def random_groups(max_degree):
             st.permutations(list(range(n))).map(Permutation), max_size=3
         ).map(lambda gens: PermGroup(n, gens))
     )
+
+
+def product_wreath_s2(K):
+    """K wr S2 in product action on m*m points, (i, j) -> i*m + j: K acts
+    on the first coordinate, and one more generator swaps the two."""
+    m = K.degree
+    gens = [Permutation([g[x // m] * m + x % m for x in range(m * m)]) for g in K.generators]
+    gens.append(Permutation([(x % m) * m + x // m for x in range(m * m)]))
+    return PermGroup(m * m, gens)
+
+
+def relabeled(G, seed):
+    """G conjugated by a seeded random permutation s of its points."""
+    s = list(range(G.degree))
+    random.Random(seed).shuffle(s)
+    gens = []
+    for g in G.generators:
+        img = [0] * G.degree
+        for x, gx in enumerate(g.images):
+            img[s[x]] = s[gx]
+        gens.append(Permutation(img))
+    return PermGroup(G.degree, gens)
+
+
+def action_on_pairs(G):
+    """G acting on the 2-subsets of its points."""
+    pairs = [(a, b) for b in range(G.degree) for a in range(b)]
+    index = {p: i for i, p in enumerate(pairs)}
+    gens = [Permutation([index[tuple(sorted((g[a], g[b])))] for a, b in pairs]) for g in G.generators]
+    return PermGroup(len(pairs), gens)
+
+
+# rank 3 groups: the Petersen graph's S5 on 10 points, and S4 wr S2 on the
+# 4 x 4 rook's graph; random partitions of them often stabilize only after
+# several rounds, in which cells split into three or more fragments
+RANK_THREE = [action_on_pairs(group("symmetric", 5)), product_wreath_s2(group("symmetric", 4))]
+
+
+def random_cells(data, n):
+    """A random ordered partition of 0..n-1."""
+    points = data.draw(st.permutations(list(range(n))))
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    return [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class TestOrbitals:
@@ -104,20 +149,18 @@ class TestRefinePartition:
         part = orbitals(group("cyclic", 4))
         with pytest.raises(MalformedPartitionError):
             refine_partition(part, [(0, 1), (1, 2, 3)])
+        with pytest.raises(MalformedPartitionError):
+            refine_partition(part, [(0, 1, 2, 3), ()])
 
 
 class TestRefinementOracle:
     """Integer-coded signatures against explicit per-cell color counts."""
 
     @settings(max_examples=150, deadline=None)
-    @given(random_groups(8), st.data())
+    @given(st.one_of(random_groups(8), st.sampled_from(RANK_THREE)), st.data())
     def test_refine_partition_matches_count_oracle(self, G, data):
         part = orbitals(G)
-        n = G.degree
-        points = data.draw(st.permutations(list(range(n))))
-        cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
-        bounds = [0, *sorted(cuts), n]
-        cells = [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+        cells = random_cells(data, G.degree)
         expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
         assert refine_partition(part, cells) == [p for p, _ in expected]
 
@@ -143,17 +186,22 @@ class TestRefinementOracle:
             assert pairs == count_refine_pair(part.color, part.rank, individualized)
 
     @settings(max_examples=150, deadline=None)
-    @given(random_groups(8), st.data())
+    @given(st.one_of(random_groups(8), st.sampled_from(RANK_THREE)), st.data())
     def test_shared_memo_matches_count_oracle_and_fresh_memo(self, G, data):
-        """Refinements along several branches from one start share a
-        memo, as those of one search do; the branches mostly individualize
-        the first point of the first open domain cell, as the search does,
-        so domain partitions repeat."""
+        """Refine individualized stable pairs as the search does, counting
+        first into the new singleton only, with a fresh memo and with one
+        shared by the branches, which may also hold a full first round of
+        the same pairs; each must equal explicit counting and a full first
+        round with a fresh memo.  The branches start from one refined
+        random partition, which may be a single cell as in the search, and
+        mostly individualize the first point of the first open domain
+        cell, as the search does, so domain partitions repeat."""
         part = orbitals(G)
         weights = _arc_weights(part.color, part.rank)
-        unit = tuple(range(G.degree))
         memo = {}
-        start = _refine_pair(weights, [(unit, unit)], memo)
+        cells = random_cells(data, G.degree)
+        start = _refine_pair(weights, [(c, c) for c in cells], memo)
+        assert start == count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
         for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
             pairs = start
             while pairs is not None:
@@ -168,9 +216,13 @@ class TestRefinementOracle:
                     x = data.draw(st.sampled_from(pairs[t][0]))
                 y = data.draw(st.sampled_from(pairs[t][1]))
                 individualized = _individualize(pairs, t, x, y)
-                pairs = _refine_pair(weights, individualized, memo)
-                assert pairs == _refine_pair(weights, individualized, {})
-                assert pairs == count_refine_pair(part.color, part.rank, individualized)
+                expected = count_refine_pair(part.color, part.rank, individualized)
+                assert _refine_pair(weights, individualized, {}) == expected
+                assert _refine_pair(weights, individualized, {}, (t,)) == expected
+                if data.draw(st.booleans()):
+                    assert _refine_pair(weights, individualized, memo) == expected
+                pairs = _refine_pair(weights, individualized, memo, (t,))
+                assert pairs == expected
 
 
 class TestTwoClosure:
@@ -226,6 +278,24 @@ class TestHighRankInputs:
         cells = [tuple(range(0, 32, 2)), tuple(range(1, 32, 2))]
         expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
         assert refine_partition(part, cells) == [p for p, _ in expected]
+
+
+class TestAboveCap:
+    """M11 wr S2 in product action on 144 points, above the enumeration
+    cap.  M11 is 2-transitive on 12 points, so two ordered pairs of
+    points (i, j), (i', j') lie in one pair orbit exactly when as many
+    of their coordinates agree: the pair orbits are those of the Hamming
+    graph H(2, 12), whose automorphism group S12 wr S2 is the closure."""
+
+    @pytest.mark.parametrize("seed", [None, 5], ids=["plain", "relabeled"])
+    def test_m11_wreath_s2_closes_to_s12_wreath_s2(self, corpus_by_name, seed):
+        G = product_wreath_s2(corpus_by_name["m11_12"].group)
+        if seed is not None:
+            G = relabeled(G, seed)
+        assert orbitals(G).rank == 3
+        H = two_closure(G, degree_cap=144)
+        assert H.order() == 2 * factorial(12) ** 2
+        assert all(H.contains(g) for g in G.generators)
 
 
 class TestOracleEquivalence:
