@@ -44,9 +44,9 @@ image signature against the signature of the domain fragment it must
 pair with.
 
 The points fixed along the principal branch form a base for the
-closure, and the generators found are a strong generating set for it,
-so the closure's stabilizer chain is built on that base: Schreier-Sims
-still sifts every Schreier generator, but finds nothing to add.
+closure, and the generators found are a strong generating set for it
+(see _color_automorphism_generators), so the closure's stabilizer chain
+is built from them on that base without sifting a Schreier generator.
 """
 
 from __future__ import annotations
@@ -276,9 +276,14 @@ def _color_automorphism_generators(color, rank, n):
     """Generators of the full group of color-preserving permutations, and
     the base of the search: the point fixed at each principal-branch level.
 
-    The generators found while that level was processed fix the earlier
-    base points and move its own, so they are a strong generating set for
-    that base.
+    The generators are a strong generating set for that base.  Let K be
+    the automorphisms fixing the base points above a level, x its point,
+    and H the group of the generators descend returns there, all in K.
+    By induction from the deepest level, where the partition is discrete
+    and K trivial, those of the level below generate K_x, so K_x <= H.
+    When descend finishes, x's cell, which holds x^K, lies in reached,
+    and a point of reached is in x^H or in no K-image of x; so x^H = x^K
+    and |H| = |x^H| |H_x| >= |K|, that is H = K.
     """
     weights = _arc_weights(color, rank)
     # every domain side refined is one of the principal branch's, as
@@ -286,12 +291,6 @@ def _color_automorphism_generators(color, rank, n):
     # domain cell, the point descend fixes at that level
     memo = {}
     search_base = []
-
-    def extract(pairs):
-        img = [0] * n
-        for cp, cq in pairs:
-            img[cp[0]] = cq[0]
-        return img
 
     def preserves_colors(img):
         for a in range(n):
@@ -306,7 +305,9 @@ def _color_automorphism_generators(color, rank, n):
         """First automorphism consistent with the pairing, or None."""
         t = _first_non_singleton(pairs)
         if t is None:
-            img = extract(pairs)
+            img = [0] * n
+            for cp, cq in pairs:
+                img[cp[0]] = cq[0]
             return Permutation(img) if preserves_colors(img) else None
         cp, cq = pairs[t]
         x = cp[0]
@@ -355,9 +356,8 @@ def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap)
         raise DegreeCapExceededError(f"degree {n} exceeds closure degree cap {degree_cap}")
     part = orbitals(G)
     gens, search_base = _color_automorphism_generators(part.color, part.rank, n)
-    # every Schreier generator is still sifted; on the search base none
-    # leaves a residue, where a greedy base would need many
-    return PermGroup._from_chain(StabilizerChain(n, gens, base_prefix=search_base), gens)
+    # gens are a strong generating set for search_base: nothing to sift
+    return PermGroup._from_chain(StabilizerChain._from_strong_generators(n, search_base, gens), gens)
 
 
 def is_2_closed(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> bool:

@@ -20,9 +20,14 @@ one product; and a strip stops with the identity as soon as the running
 element equals the level's transversal element, which saves the last.
 A chain is built this way from its generators, and a chain not yet
 owned by a group grows the same way by a new generator
-(StabilizerChain.extend), completing only the levels that changed.  A
-group is immutable once constructed; its chain is built lazily and
-cached, after which the value can be shared freely between threads.
+(StabilizerChain.extend), completing only the levels that changed.
+Where a strong generating set for a known base is at hand, as for the
+2-closure found by the search and for a point stabilizer cut from a
+complete chain, StabilizerChain._from_strong_generators builds the same
+chain by walking each level's orbit once, with the same walk, and sifts
+nothing.  A group is immutable once constructed; its chain is built
+lazily and cached, after which the value can be shared freely between
+threads.
 
 The conjugacy classes come from one walk of the elements and a
 conjugation search from each element not yet met.  Up to degree 256 the
@@ -75,6 +80,28 @@ class StabilizerChain:
             self._insert(g)
         self._complete(len(self.levels) - 1)
 
+    @classmethod
+    def _from_strong_generators(cls, degree, base, generators):
+        """The chain of a group given by a strong generating set for base.
+
+        The generators must be non-identity, and those fixing the first
+        i base points must generate the stabilizer of those points, for
+        every i, with only the identity fixing all of base.  Each level's
+        orbit is walked once, as a first Schreier-Sims walk would walk it,
+        and nothing is sifted; every generator of a level is recorded as
+        checked on the whole orbit, as on a complete chain.  The result is
+        the chain StabilizerChain(degree, generators, base_prefix=base)
+        builds, whose sifts would find no residue.
+        """
+        chain = cls(degree, (), base)  # one level per point, orbits trivial
+        for g in generators:
+            chain._insert(g)
+        for i, lvl in enumerate(chain.levels):
+            gens = chain.strong_generators_below(i)
+            size = len(chain._walk(lvl, gens, gens))
+            lvl.checked = dict.fromkeys(gens, size)
+        return chain
+
     def _insert(self, g):
         """Attach a non-identity generator at the first level whose base
         point it moves; return that level."""
@@ -112,8 +139,7 @@ class StabilizerChain:
         points, so a Schreier generator checked before is unchanged and
         still lies in the deeper groups, which only grow.  The orbit is
         closed under every generator it was walked with (the keys of
-        checked), so the walk follows only generators added since from
-        the old points, and every generator from the new ones.  On the
+        checked), so only the generators added since are new.  On the
         first residue that does not sift, install it at the level where
         sifting got stuck (it fixes every base point above) and return
         that level for reprocessing; return None once every Schreier
@@ -121,21 +147,9 @@ class StabilizerChain:
         """
         lvl = self.levels[i]
         gens = self.strong_generators_below(i)
-        trans, invs, checked = lvl.transversal, lvl.inverses, lvl.checked
+        trans, checked = lvl.transversal, lvl.checked
         fresh = [s for s in gens if s not in checked]
-        points = list(trans)
-        old = len(points)
-        if not trans:
-            trans[lvl.point] = invs[lvl.point] = Permutation.identity(self.degree)
-            points.append(lvl.point)
-        for k, b in enumerate(points):  # grows while it is walked
-            u = trans[b]
-            for s in fresh if k < old else gens:
-                c = s.images[b]
-                if c not in trans:
-                    trans[c] = u_c = u * s
-                    invs[c] = u_c.inverse()
-                    points.append(c)
+        points = self._walk(lvl, gens, fresh)
         for s in fresh:
             checked[s] = 0
         for s in gens:
@@ -150,6 +164,27 @@ class StabilizerChain:
                     return self._insert(h)
             checked[s] = len(points)
         return None
+
+    def _walk(self, lvl, gens, fresh):
+        """Extend lvl's orbit: its old points under the generators fresh,
+        every point it gains under all of gens.  A point c first met from
+        b by s gets the transversal element u_b s and its inverse, and the
+        old elements stay.  Return the orbit points in transversal order."""
+        trans, invs = lvl.transversal, lvl.inverses
+        points = list(trans)
+        old = len(points)
+        if not trans:
+            trans[lvl.point] = invs[lvl.point] = Permutation.identity(self.degree)
+            points.append(lvl.point)
+        for k, b in enumerate(points):  # grows while it is walked
+            u = trans[b]
+            for s in fresh if k < old else gens:
+                c = s.images[b]
+                if c not in trans:
+                    trans[c] = u_c = u * s
+                    invs[c] = u_c.inverse()
+                    points.append(c)
+        return points
 
     def _strip(self, g, start=0):
         """Reduce g by transversal representatives from level start on;
@@ -271,11 +306,14 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, via a chain whose base is forced to start there."""
+        """Stabilizer of a point, via a chain whose base is forced to start
+        there; the levels below the first give the stabilizer its chain."""
         if not 0 <= point < self.degree:
             raise PointOutOfRangeError(f"point {point} out of range")
         chain = StabilizerChain(self.degree, self.generators, base_prefix=(point,))
-        return PermGroup(self.degree, chain.strong_generators_below(1))
+        gens = chain.strong_generators_below(1)
+        stab = StabilizerChain._from_strong_generators(self.degree, chain.base[1:], gens)
+        return PermGroup._from_chain(stab, gens)
 
     def elements(self, cap: int = DEFAULT_CAPS.enumeration_cap):
         """Iterate all elements; refuses to start if the order exceeds the cap."""

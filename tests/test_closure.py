@@ -8,6 +8,7 @@ from pga.cli import main
 from pga.closure import (
     MalformedPartitionError,
     _arc_weights,
+    _color_automorphism_generators,
     _individualize,
     _refine_pair,
     is_2_closed,
@@ -18,10 +19,12 @@ from pga.closure import (
 from pga.corpus import builtin_family
 from pga.errors import DegreeCapExceededError
 from pga.fixity import fixed_point_square_sum
-from pga.group import PermGroup
+from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 
 from oracles import brute_two_closure, count_refine_pair
+from test_group import assert_every_schreier_generator_checked, assert_every_schreier_generator_sifts, assert_same_chain
+from test_pinned_chains import workload_groups
 
 
 def perm(text, degree):
@@ -296,6 +299,52 @@ class TestAboveCap:
         H = two_closure(G, degree_cap=144)
         assert H.order() == 2 * factorial(12) ** 2
         assert all(H.contains(g) for g in G.generators)
+        assert_every_schreier_generator_sifts(H.chain())
+
+
+def closure_chains(G):
+    """The chain two_closure builds, and the chain Schreier-Sims sifts
+    from the search's generators on the search base."""
+    part = orbitals(G)
+    gens, base = _color_automorphism_generators(part.color, part.rank, G.degree)
+    return two_closure(G, degree_cap=G.degree).chain(), StabilizerChain(G.degree, gens, base_prefix=base)
+
+
+CHAIN_SOURCES = ["corpus", "workload_seed1", "workload_seed2"]
+
+
+class TestClosureChain:
+    """two_closure builds its chain from the search's generators as a
+    strong generating set for the search base, sifting nothing.  On the
+    corpus, the closure workload's groups under two relabelings and
+    random groups, that chain must be the one Schreier-Sims builds from
+    them on that base, and every Schreier generator must sift."""
+
+    @staticmethod
+    def groups(source, corpus_entries):
+        if source == "corpus":
+            return [e.group for e in corpus_entries]
+        return workload_groups(int(source[-1]))
+
+    @pytest.mark.parametrize("source", CHAIN_SOURCES)
+    def test_equals_the_sifted_chain(self, corpus_entries, source):
+        for G in self.groups(source, corpus_entries):
+            built, sifted = closure_chains(G)
+            assert_same_chain(built, sifted)
+            assert_every_schreier_generator_checked(built)
+
+    @pytest.mark.parametrize("source", CHAIN_SOURCES)
+    def test_every_schreier_generator_sifts(self, corpus_entries, source):
+        for G in self.groups(source, corpus_entries):
+            assert_every_schreier_generator_sifts(two_closure(G, degree_cap=G.degree).chain())
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups(8))
+    def test_random_groups(self, G):
+        built, sifted = closure_chains(G)
+        assert_same_chain(built, sifted)
+        assert_every_schreier_generator_checked(built)
+        assert_every_schreier_generator_sifts(built)
 
 
 class TestOracleEquivalence:

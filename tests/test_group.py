@@ -321,3 +321,67 @@ class TestCheckedRecord:
         for entry in corpus_entries:
             G = entry.group
             assert_every_schreier_generator_checked(StabilizerChain(G.degree, G.generators))
+
+
+def assert_same_chain(chain, expected):
+    """Level by level: the base point, the own generators in order, the
+    transversal keys in order with their elements, the stored inverses
+    and the checked record, in order."""
+    assert chain.degree == expected.degree
+    assert chain.base == expected.base
+    for lvl, exp in zip(chain.levels, expected.levels):
+        assert [g.images for g in lvl.own_gens] == [g.images for g in exp.own_gens], lvl.point
+        for got, want in ((lvl.transversal, exp.transversal), (lvl.inverses, exp.inverses)):
+            assert [(b, u.images) for b, u in got.items()] == [(b, u.images) for b, u in want.items()], lvl.point
+        assert [(s.images, k) for s, k in lvl.checked.items()] == [(s.images, k) for s, k in exp.checked.items()]
+
+
+def assert_every_schreier_generator_sifts(chain):
+    """Every Schreier generator u_b s u_s(b)^-1 of a level strips to the
+    identity through the levels below it, the test Schreier-Sims makes
+    for a complete chain."""
+    for i, lvl in enumerate(chain.levels):
+        for s in chain.strong_generators_below(i):
+            for b, u in lvl.transversal.items():
+                h = u * s * lvl.inverses[s.images[b]]
+                assert chain._strip(h, i + 1).is_identity(), (i, b, s)
+
+
+def assert_built_from_strong_generators(chain):
+    """A chain built by _from_strong_generators on a base and strong
+    generators is the chain Schreier-Sims sifts from them on that base."""
+    gens = chain.strong_generators_below(0)
+    assert_same_chain(chain, StabilizerChain(chain.degree, gens, base_prefix=chain.base))
+    assert_every_schreier_generator_checked(chain)
+    assert_every_schreier_generator_sifts(chain)
+
+
+class TestFromStrongGenerators:
+    @settings(max_examples=120, deadline=None)
+    @given(generator_lists)
+    def test_matches_the_sifted_chain(self, gens):
+        n = gens[0].degree
+        movers = [g for g in gens if not g.is_identity()]
+        closure = naive_closure([g.images for g in gens])
+        for complete in (PermGroup(n, gens).chain(), StabilizerChain(n, movers, base_prefix=(n - 1,))):
+            chain = StabilizerChain._from_strong_generators(n, complete.base, complete.strong_generators_below(0))
+            assert chain.base == complete.base
+            assert_built_from_strong_generators(chain)
+            assert chain.order() == len(closure)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups(), st.data())
+    def test_point_stabilizer_chain(self, G, data):
+        point = data.draw(st.integers(min_value=0, max_value=G.degree - 1))
+        H = G.point_stabilizer(point)
+        assert_built_from_strong_generators(H.chain())
+        closure = naive_closure([g.images for g in G.generators] or [tuple(range(G.degree))])
+        assert H.order() == sum(1 for x in closure if x[point] == point)
+        # the stabilizer's chain is the forced chain's levels below the first
+        assert H.chain().base == StabilizerChain(G.degree, G.generators, base_prefix=(point,)).base[1:]
+
+    def test_corpus_point_stabilizers(self, corpus_entries):
+        for entry in corpus_entries:
+            H = entry.group.point_stabilizer(0)
+            assert_built_from_strong_generators(H.chain())
+            assert entry.group.order() == len(entry.group.orbit(0)) * H.order(), entry.name
