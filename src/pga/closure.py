@@ -272,80 +272,77 @@ def _reachable(points, gens):
     return seen
 
 
+def _preserves_colors(color, img):
+    return all(tuple(map(color[ia].__getitem__, img)) == row for row, ia in zip(color, img))
+
+
+def _find_one(weights, memo, color, pairs):
+    """First automorphism consistent with the pairing, or None."""
+    t = _first_non_singleton(pairs)
+    if t is None:
+        img = [0] * len(color)
+        for cp, cq in pairs:
+            img[cp[0]] = cq[0]
+        return Permutation(img) if _preserves_colors(color, img) else None
+    cp, cq = pairs[t]
+    x = cp[0]
+    for y in cq:
+        nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
+        found = _find_one(weights, memo, color, nxt) if nxt is not None else None
+        if found is not None:
+            return found
+    return None
+
+
+def _descend(weights, memo, color, pairs, base):
+    """Generators of the automorphisms fixing the individualized prefix;
+    the points it fixes in turn are appended to base."""
+    t = _first_non_singleton(pairs)
+    if t is None:
+        return []
+    cp, cq = pairs[t]
+    x = cp[0]
+    base.append(x)
+    nxt = _refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,))
+    local = _descend(weights, memo, color, nxt, base)
+    # images of x tried so far and all they reach under local; the
+    # set stays closed under local, so a new generator only extends it
+    reached = _reachable({x}, local)
+    for y in cq:
+        if y in reached:
+            continue
+        nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
+        found = _find_one(weights, memo, color, nxt) if nxt is not None else None
+        if found is not None:
+            local.append(found)  # maps x to y, so y is reached now
+            reached = _reachable(reached, local)
+        else:
+            reached |= _reachable({y}, local)
+    return local
+
+
 def _color_automorphism_generators(color, rank, n):
     """Generators of the full group of color-preserving permutations, and
     the base of the search: the point fixed at each principal-branch level.
 
     The generators are a strong generating set for that base.  Let K be
     the automorphisms fixing the base points above a level, x its point,
-    and H the group of the generators descend returns there, all in K.
+    and H the group of the generators _descend returns there, all in K.
     By induction from the deepest level, where the partition is discrete
     and K trivial, those of the level below generate K_x, so K_x <= H.
-    When descend finishes, x's cell, which holds x^K, lies in reached,
+    When _descend finishes, x's cell, which holds x^K, lies in reached,
     and a point of reached is in x^H or in no K-image of x; so x^H = x^K
-    and |H| = |x^H| |H_x| >= |K|, that is H = K.
+    and |H| = |x^H| |H_x| >= |K|, that is H = K.  The search's state
+    goes to each step as arguments, so it is freed when the search ends.
     """
     weights = _arc_weights(color, rank)
     # every domain side refined is one of the principal branch's, as
-    # find_one individualizes the first point of the first non-singleton
-    # domain cell, the point descend fixes at that level
+    # _find_one individualizes the first point of the first non-singleton
+    # domain cell, the point _descend fixes at that level
     memo = {}
     search_base = []
-
-    def preserves_colors(img):
-        for a in range(n):
-            row = color[a]
-            mapped = color[img[a]]
-            for b in range(n):
-                if mapped[img[b]] != row[b]:
-                    return False
-        return True
-
-    def find_one(pairs):
-        """First automorphism consistent with the pairing, or None."""
-        t = _first_non_singleton(pairs)
-        if t is None:
-            img = [0] * n
-            for cp, cq in pairs:
-                img[cp[0]] = cq[0]
-            return Permutation(img) if preserves_colors(img) else None
-        cp, cq = pairs[t]
-        x = cp[0]
-        for y in cq:
-            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
-            if nxt is None:
-                continue
-            found = find_one(nxt)
-            if found is not None:
-                return found
-        return None
-
-    def descend(pairs):
-        """Generators of the automorphisms fixing the individualized prefix."""
-        t = _first_non_singleton(pairs)
-        if t is None:
-            return []
-        cp, cq = pairs[t]
-        x = cp[0]
-        search_base.append(x)
-        local = descend(_refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,)))
-        # images of x tried so far and all they reach under local; the
-        # set stays closed under local, so a new generator only extends it
-        reached = _reachable({x}, local)
-        for y in cq:
-            if y in reached:
-                continue
-            nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
-            found = find_one(nxt) if nxt is not None else None
-            if found is not None:
-                local.append(found)  # maps x to y, so y is reached now
-                reached = _reachable(reached, local)
-            else:
-                reached |= _reachable({y}, local)
-        return local
-
     unit = tuple(range(n))
-    gens = descend(_refine_pair(weights, [(unit, unit)], memo))
+    gens = _descend(weights, memo, color, _refine_pair(weights, [(unit, unit)], memo), search_base)
     return gens, search_base
 
 

@@ -18,6 +18,7 @@ generator u_b s u_s(b)^-1 of orbit point b and generator s is sifted as
 u_b s from its own level, whose first strip step forms it, which saves
 one product; and a strip stops with the identity as soon as the running
 element equals the level's transversal element, which saves the last.
+
 A chain is built this way from its generators, and a chain not yet
 owned by a group grows the same way by a new generator
 (StabilizerChain.extend), completing only the levels that changed.
@@ -29,12 +30,25 @@ nothing.  A group is immutable once constructed; its chain is built
 lazily and cached, after which the value can be shared freely between
 threads.
 
+The walk and the sift run on codes, not on Permutation objects.  Up to
+degree 256 a code is the bytes of the images and a product is one
+bytes.translate call against the 256-byte table of its right factor;
+each level keeps, for every orbit point b, the code of u_b and the table
+of u_b^-1, and each strong generator s has its table and the code of
+s^-1.  A Schreier generator is then one translate, a strip step another,
+the early exit a comparison of byte strings, and the inverse of a new
+transversal element u_b s is s^-1 u_b^-1, one more translate.  Above
+degree 256, where a point no longer fits in a byte, codes and tables are
+image tuples and a product is an itemgetter call.  The transversal still
+holds Permutation objects, and a residue becomes one only when it is
+installed as a strong generator.
+
 The conjugacy classes come from one walk of the elements and a
-conjugation search from each element not yet met.  Up to degree 256 the
-search carries an element as the bytes of its images, so a conjugate is
-two bytes.translate calls and the set of elements met holds short byte
-strings with cached hashes; above degree 256, where a point no longer
-fits in a byte, it carries image tuples.
+conjugation search from each element not yet met.  The search carries
+an element as its code, with the same choice at degree 256 (_codec
+makes it for both): up to that degree a conjugate is two
+bytes.translate calls and the set of elements met holds short byte
+strings with cached hashes; above it, it holds image tuples.
 """
 
 from __future__ import annotations
@@ -50,14 +64,45 @@ from .errors import (
 )
 from .perm import Permutation
 
+
+def _codec(degree):
+    """How the chain and the class search carry a permutation of the
+    given degree, as (encode, tail, product).  encode(images) is its
+    code, code + tail its table, and product(code of x, table of y) the
+    code of x * y.  Up to degree 256 a code is the bytes of the images, a
+    table the 256 bytes bytes.translate needs and a product one translate
+    call; above it, where a point no longer fits in a byte, a code and a
+    table are the image tuple and a product is an itemgetter call (the
+    degree is then at least 2, so itemgetter returns a tuple)."""
+    if degree <= 256:
+        return bytes, bytes(range(degree, 256)), bytes.translate
+    return tuple, (), _tuple_product
+
+
+def _tuple_product(x, table):
+    return itemgetter(*x)(table)
+
+
+def _products(reps, i, acc):
+    """Yield acc * u_i * ... * u_0 for every choice of u_j in reps[j],
+    the choices at the deepest level varying slowest."""
+    if i == 0:
+        for u in reps[0]:
+            yield acc * u
+    else:
+        for u in reps[i]:
+            yield from _products(reps, i - 1, acc * u)
+
+
 class _Level:
-    __slots__ = ("point", "own_gens", "transversal", "inverses", "checked")
+    __slots__ = ("point", "own_gens", "own_tables", "transversal", "codes", "checked")
 
     def __init__(self, point):
         self.point = point
         self.own_gens = []
+        self.own_tables = []  # (table of s, code of s^-1) for s in own_gens
         self.transversal = {}
-        self.inverses = {}  # orbit point b -> transversal[b].inverse()
+        self.codes = {}  # orbit point b -> (code of u_b, table of u_b^-1)
         # generator s -> k: the orbit has been walked with s, and the
         # Schreier generators of s with the first k orbit points (in
         # transversal order) are known to sift
@@ -67,11 +112,12 @@ class _Level:
 class StabilizerChain:
     """Base, transversals and strong generators for a generated group."""
 
-    __slots__ = ("degree", "levels")
+    __slots__ = ("degree", "levels", "_codec")
 
     def __init__(self, degree, generators, base_prefix=()):
         self.degree = degree
         self.levels = []
+        self._codec = _codec(degree)
         for p in base_prefix:
             if not 0 <= p < degree:
                 raise PointOutOfRangeError(f"base point {p} out of range")
@@ -97,9 +143,9 @@ class StabilizerChain:
         for g in generators:
             chain._insert(g)
         for i, lvl in enumerate(chain.levels):
-            gens = chain.strong_generators_below(i)
-            size = len(chain._walk(lvl, gens, gens))
-            lvl.checked = dict.fromkeys(gens, size)
+            tables = chain._tables_below(i)
+            size = len(chain._walk(lvl, tables, tables))
+            lvl.checked = dict.fromkeys(chain.strong_generators_below(i), size)
         return chain
 
     def _insert(self, g):
@@ -111,7 +157,9 @@ class StabilizerChain:
         if i == len(self.levels):
             moved = next(p for p in range(self.degree) if g.images[p] != p)
             self.levels.append(_Level(moved))
+        encode, tail, _ = self._codec
         self.levels[i].own_gens.append(g)
+        self.levels[i].own_tables.append((encode(g.images) + tail, encode(g.inverse().images)))
         return i
 
     def extend(self, g):
@@ -147,62 +195,75 @@ class StabilizerChain:
         """
         lvl = self.levels[i]
         gens = self.strong_generators_below(i)
-        trans, checked = lvl.transversal, lvl.checked
-        fresh = [s for s in gens if s not in checked]
-        points = self._walk(lvl, gens, fresh)
-        for s in fresh:
-            checked[s] = 0
-        for s in gens:
-            for k in range(checked[s], len(points)):
-                b = points[k]
+        tables = self._tables_below(i)
+        codes, checked = lvl.codes, lvl.checked
+        done = [checked.get(s) for s in gens]  # None for a generator new here
+        points = self._walk(lvl, tables, [t for t, k in zip(tables, done) if k is None])
+        for s, k in zip(gens, done):
+            if k is None:
+                checked[s] = 0
+        product = self._codec[2]
+        ident = codes[lvl.point][0]
+        for s, (table, _), start in zip(gens, tables, done):
+            for k in range(start or 0, len(points)):
                 # u_b s maps the base point to s(b), so its first strip
                 # step at this level forms the Schreier generator
                 # u_b s u_s(b)^-1, and the rest strips that below
-                h = self._strip(trans[b] * s, i)
-                if not h.is_identity():
+                h = self._sift(product(codes[points[k]][0], table), i)
+                if h != ident:
                     checked[s] = k
-                    return self._insert(h)
-            checked[s] = len(points)
+                    return self._insert(Permutation._trusted(tuple(h)))
+            if start != len(points):
+                checked[s] = len(points)
         return None
 
-    def _walk(self, lvl, gens, fresh):
-        """Extend lvl's orbit: its old points under the generators fresh,
-        every point it gains under all of gens.  A point c first met from
-        b by s gets the transversal element u_b s and its inverse, and the
+    def _walk(self, lvl, tables, fresh):
+        """Extend lvl's orbit: its old points under the generators whose
+        tables are fresh, every point it gains under all of tables.  A
+        point c first met from b by s gets the transversal element u_b s,
+        with its code and the table of its inverse s^-1 u_b^-1, and the
         old elements stay.  Return the orbit points in transversal order."""
-        trans, invs = lvl.transversal, lvl.inverses
+        encode, tail, product = self._codec
+        trans, codes = lvl.transversal, lvl.codes
         points = list(trans)
         old = len(points)
         if not trans:
-            trans[lvl.point] = invs[lvl.point] = Permutation.identity(self.degree)
+            trans[lvl.point] = Permutation.identity(self.degree)
+            ident = encode(trans[lvl.point].images)
+            codes[lvl.point] = (ident, ident + tail)
             points.append(lvl.point)
         for k, b in enumerate(points):  # grows while it is walked
-            u = trans[b]
-            for s in fresh if k < old else gens:
-                c = s.images[b]
-                if c not in trans:
-                    trans[c] = u_c = u * s
-                    invs[c] = u_c.inverse()
+            u, u_inv = codes[b]
+            for table, s_inv in fresh if k < old else tables:
+                c = table[b]
+                if c not in codes:
+                    code = product(u, table)
+                    trans[c] = Permutation._trusted(tuple(code))
+                    codes[c] = (code, product(s_inv, u_inv) + tail)
                     points.append(c)
         return points
 
-    def _strip(self, g, start=0):
-        """Reduce g by transversal representatives from level start on;
-        return the residue.  Once the running element is the level's
-        representative itself, the residue is the identity, and the
-        product that would show it is skipped."""
-        for j in range(start, len(self.levels)):
-            lvl = self.levels[j]
-            b = g.images[lvl.point]
+    def _sift(self, g, start=0):
+        """Reduce the code g by transversal representatives from level
+        start on; return the residue's code.  Once the running element is
+        the level's representative itself, the residue is the identity,
+        and the product that would show it is skipped."""
+        product = self._codec[2]
+        for lvl in self.levels[start:]:
+            b = g[lvl.point]
             if b == lvl.point:
                 continue
-            u = lvl.transversal.get(b)
-            if u is None:
+            rep = lvl.codes.get(b)
+            if rep is None:
                 return g
-            if u.images == g.images:
-                return lvl.transversal[lvl.point]  # the identity
-            g = g * lvl.inverses[b]
+            if rep[0] == g:
+                return lvl.codes[lvl.point][0]  # the identity
+            g = product(g, rep[1])
         return g
+
+    def _strip(self, g, start=0):
+        """The residue of the permutation g sifted from level start on."""
+        return Permutation._trusted(tuple(self._sift(self._codec[0](g.images), start)))
 
     @property
     def base(self):
@@ -215,12 +276,17 @@ class StabilizerChain:
         return n
 
     def contains(self, g) -> bool:
-        return self._strip(g).is_identity()
+        encode = self._codec[0]
+        return self._sift(encode(g.images)) == encode(range(self.degree))
 
     def strong_generators_below(self, i):
         """Strong generators fixing the first i base points: the generators
         of the i-th group on the chain (own plus all deeper)."""
         return [g for lvl in self.levels[i:] for g in lvl.own_gens]
+
+    def _tables_below(self, i):
+        """(table of s, code of s^-1) for s in strong_generators_below(i)."""
+        return [t for lvl in self.levels[i:] for t in lvl.own_tables]
 
     def iter_elements(self):
         """Yield every group element exactly once (transversal products)."""
@@ -229,16 +295,7 @@ class StabilizerChain:
             yield ident
             return
         reps = [[lvl.transversal[b] for b in sorted(lvl.transversal)] for lvl in self.levels]
-
-        def rec(i, acc):
-            if i == 0:
-                for u in reps[0]:
-                    yield acc * u
-                return
-            for u in reps[i]:
-                yield from rec(i - 1, acc * u)
-
-        yield from rec(len(reps) - 1, ident)
+        yield from _products(reps, len(reps) - 1, ident)
 
 
 class PermGroup:
@@ -338,22 +395,11 @@ class PermGroup:
         """
         walk = self.elements(cap)
         if self._classes is None:
-            # x^g = g^-1 x g sends point g(i) to g(x(i)), so its image of i
-            # is g[x[g_inv[i]]].  Up to degree 256 an element is the bytes
-            # of its images: g_inv.translate(x + tail) reads x at g_inv[i],
-            # tail pads x to the 256-entry table translate needs, and
-            # .translate(g) maps each image through g.  Above degree 256 it
-            # is its image tuple, conjugated by itemgetter; a generator is
-            # not the identity, so the degree is at least 2 and itemgetter
-            # returns a tuple.
-            small = self.degree <= 256
-            if small:
-                tail = bytes(range(self.degree, 256))
-                gens = [(bytes(g.images) + tail, bytes(g.inverse().images)) for g in self.generators]
-                encode = bytes
-            else:
-                gens = [(g.images, itemgetter(*g.inverse().images)) for g in self.generators]
-                encode = tuple
+            # x^g = g^-1 x g sends point g(i) to g(x(i)), so its code is
+            # the product g^-1 * x * g, formed from the code of g^-1, the
+            # table of x and the table of g
+            encode, tail, product = _codec(self.degree)
+            gens = [(encode(g.images) + tail, encode(g.inverse().images)) for g in self.generators]
             seen = set()
             classes = []
             left = self.order()
@@ -367,7 +413,7 @@ class PermGroup:
                 while frontier:
                     x = frontier.pop()
                     for g, g_inv in gens:
-                        c = g_inv.translate(x + tail).translate(g) if small else itemgetter(*g_inv(x))(g)
+                        c = product(product(g_inv, x + tail), g)
                         if c not in seen:
                             seen.add(c)
                             frontier.append(c)

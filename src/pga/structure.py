@@ -332,7 +332,8 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
     known = set(class_of_type.values())
     if 2 * sum(sizes[k] for k in key if k == i or k in known) <= order:
         return False
-    levels = [(list(lvl.transversal), lvl.transversal, lvl.inverses) for lvl in reversed(G.chain().levels)]
+    levels = [(list(lvl.transversal), lvl.transversal) for lvl in reversed(G.chain().levels)]
+    ident = Permutation.identity(G.degree)
     met = {i, class_of_type[(1,) * G.degree]}  # y's class and the identity's
     total = sum(sizes[k] for k in met)
     z = y
@@ -340,11 +341,10 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
     for _ in range(_CERTIFICATE_SAMPLES):
         if 2 * total > order:
             return True
-        c = y
-        for points, trans, invs in levels:  # y^g for g = u_last ... u_0
-            b = rng.choice(points)
-            c = invs[b] * c * trans[b]
-        z = z * c
+        g = ident  # becomes u_last ... u_0, uniform in G
+        for points, trans in levels:
+            g = g * trans[rng.choice(points)]
+        z = z * g.inverse() * y * g  # z * y^g
         k = class_of_type.get(z.cycle_type())
         if k is None or k in met:
             idle += 1

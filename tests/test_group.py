@@ -217,15 +217,27 @@ class TestM11Facts:
         assert {e.images for e in G.elements()} == closure
 
 
+def stored_inverse(lvl, b):
+    """The inverse of lvl's transversal element for b, read off the
+    table the level stores for it."""
+    n = lvl.transversal[b].degree
+    return Permutation(tuple(lvl.codes[b][1])[:n])
+
+
 class TestStoredInverses:
     @settings(max_examples=80, deadline=None)
     @given(random_groups())
     def test_transversal_inverses_match_oracle(self, G):
+        """Each orbit point's stored code is its transversal element, and
+        its stored table the inverse, padded with fixed points."""
         ident = tuple(range(G.degree))
         for lvl in G.chain().levels:
-            assert set(lvl.inverses) == set(lvl.transversal)
+            assert list(lvl.codes) == list(lvl.transversal)
             for b, u in lvl.transversal.items():
-                u_inv = lvl.inverses[b].images
+                code, table = lvl.codes[b]
+                assert tuple(code) == u.images
+                assert tuple(table)[G.degree :] == tuple(range(G.degree, len(table)))
+                u_inv = stored_inverse(lvl, b).images
                 assert oracles.mul(u.images, u_inv) == ident
                 assert sorted(u_inv) == list(ident)
                 assert u_inv[b] == lvl.point
@@ -291,7 +303,7 @@ class TestExtend:
                 assert set(lvl.transversal) == {x[lvl.point] for x in stab}
                 for b, u in lvl.transversal.items():
                     assert u.images[lvl.point] == b
-                    assert (u * lvl.inverses[b]).is_identity()
+                    assert (u * stored_inverse(lvl, b)).is_identity()
 
 
 def assert_every_schreier_generator_checked(chain):
@@ -325,14 +337,16 @@ class TestCheckedRecord:
 
 def assert_same_chain(chain, expected):
     """Level by level: the base point, the own generators in order, the
-    transversal keys in order with their elements, the stored inverses
-    and the checked record, in order."""
+    transversal keys in order with their elements, the stored codes and
+    inverse tables and the checked record, in order."""
     assert chain.degree == expected.degree
     assert chain.base == expected.base
     for lvl, exp in zip(chain.levels, expected.levels):
         assert [g.images for g in lvl.own_gens] == [g.images for g in exp.own_gens], lvl.point
-        for got, want in ((lvl.transversal, exp.transversal), (lvl.inverses, exp.inverses)):
-            assert [(b, u.images) for b, u in got.items()] == [(b, u.images) for b, u in want.items()], lvl.point
+        assert [(b, u.images) for b, u in lvl.transversal.items()] == [
+            (b, u.images) for b, u in exp.transversal.items()
+        ], lvl.point
+        assert list(lvl.codes.items()) == list(exp.codes.items()), lvl.point
         assert [(s.images, k) for s, k in lvl.checked.items()] == [(s.images, k) for s, k in exp.checked.items()]
 
 
@@ -343,7 +357,7 @@ def assert_every_schreier_generator_sifts(chain):
     for i, lvl in enumerate(chain.levels):
         for s in chain.strong_generators_below(i):
             for b, u in lvl.transversal.items():
-                h = u * s * lvl.inverses[s.images[b]]
+                h = u * s * stored_inverse(lvl, s.images[b])
                 assert chain._strip(h, i + 1).is_identity(), (i, b, s)
 
 
@@ -385,3 +399,83 @@ class TestFromStrongGenerators:
             H = entry.group.point_stabilizer(0)
             assert_built_from_strong_generators(H.chain())
             assert entry.group.order() == len(entry.group.orbit(0)) * H.order(), entry.name
+
+
+def embed(g, degree, offset):
+    """g moved onto points offset .. offset + g.degree - 1 of degree
+    points, every other point fixed."""
+    img = list(range(degree))
+    img[offset : offset + g.degree] = [q + offset for q in g.images]
+    return Permutation(img)
+
+
+def window(images, offset, d):
+    """The images of points offset .. offset + d - 1 moved back to 0 ..
+    d - 1; every other point must be fixed."""
+    assert all(q == p for p, q in enumerate(images) if not offset <= p < offset + d)
+    return tuple(q - offset for q in images[offset : offset + d])
+
+
+def chain_in_window(chain, offset, d):
+    """Base, own generators, transversal keys in order with their
+    elements, and checked counts, all moved back to 0 .. d - 1."""
+    return [
+        (
+            lvl.point - offset,
+            [window(g.images, offset, d) for g in lvl.own_gens],
+            [(b - offset, window(u.images, offset, d)) for b, u in lvl.transversal.items()],
+            list(lvl.checked.values()),
+        )
+        for lvl in chain.levels
+    ]
+
+
+CODEC_DEGREES = (255, 256, 257, 300)
+
+
+class TestCodecBoundary:
+    """Up to degree 256 the chain carries its elements as byte strings,
+    above it as image tuples; the same group padded with fixed points,
+    below or above the points it moves, gets the same chain and the same
+    sifts on either side."""
+
+    @staticmethod
+    def padded(G):
+        for n in CODEC_DEGREES:
+            for offset in (0, n - G.degree):
+                yield n, offset, PermGroup(n, [embed(g, n, offset) for g in G.generators])
+
+    def assert_matches(self, G, extra=()):
+        d = G.degree
+        want = chain_in_window(G.chain(), 0, d)
+        for n, offset, H in self.padded(G):
+            chain = H.chain()
+            assert chain_in_window(chain, offset, d) == want, (n, offset)
+            for lvl in chain.levels:
+                assert isinstance(lvl.codes[lvl.point][0], bytes if n <= 256 else tuple), n
+            levels = [(lvl.point, {b: u.images for b, u in lvl.transversal.items()}) for lvl in chain.levels]
+            ident = tuple(range(n))
+            # members, transversal elements, the elements given and one
+            # moving a point outside the window, which no member does
+            members = list(H.generators) + [u for lvl in chain.levels for u in lvl.transversal.values()]
+            members += [a * b for a in H.generators for b in H.generators]
+            others = [embed(x, n, offset) for x in extra]
+            swap = list(range(n))
+            far = 0 if offset else n - 1
+            swap[far], swap[offset] = swap[offset], swap[far]
+            others.append(Permutation(swap))
+            for g in members + others:
+                for start in range(len(levels) + 1):
+                    assert chain._strip(g, start).images == oracles.strip(levels, g.images, start)
+                assert chain.contains(g) == (oracles.strip(levels, g.images) == ident)
+            assert all(chain.contains(g) for g in members)
+            assert not chain.contains(others[-1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_groups(max_degree=6), st.lists(st.permutations(list(range(6))), max_size=3))
+    def test_random_groups(self, G, extra):
+        d = G.degree
+        self.assert_matches(G, [Permutation([p for p in x if p < d]) for x in extra])
+
+    def test_m11(self, corpus_by_name):
+        self.assert_matches(corpus_by_name["m11_12"].group)
