@@ -56,7 +56,7 @@ from itertools import accumulate, compress
 
 from .config import DEFAULT_CAPS
 from .errors import DegreeCapExceededError, PgaError
-from .group import PermGroup, StabilizerChain
+from .group import PermGroup, StabilizerChain, _orbit
 from .perm import Permutation
 
 
@@ -259,19 +259,6 @@ def _first_non_singleton(pairs):
     return None
 
 
-def _reachable(points, gens):
-    seen = set(points)
-    stack = list(points)
-    while stack:
-        a = stack.pop()
-        for g in gens:
-            b = g.images[a]
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return seen
-
-
 def _preserves_colors(color, img):
     return all(tuple(map(color[ia].__getitem__, img)) == row for row, ia in zip(color, img))
 
@@ -307,7 +294,7 @@ def _descend(weights, memo, color, pairs, base):
     local = _descend(weights, memo, color, nxt, base)
     # images of x tried so far and all they reach under local; the
     # set stays closed under local, so a new generator only extends it
-    reached = _reachable({x}, local)
+    reached = _orbit({x}, local)
     for y in cq:
         if y in reached:
             continue
@@ -315,9 +302,9 @@ def _descend(weights, memo, color, pairs, base):
         found = _find_one(weights, memo, color, nxt) if nxt is not None else None
         if found is not None:
             local.append(found)  # maps x to y, so y is reached now
-            reached = _reachable(reached, local)
+            reached = _orbit(reached, local)
         else:
-            reached |= _reachable({y}, local)
+            reached |= _orbit({y}, local)
     return local
 
 

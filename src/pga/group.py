@@ -30,20 +30,20 @@ nothing.  A group is immutable once constructed; its chain is built
 lazily and cached, after which the value can be shared freely between
 threads.
 
-The walk and the sift run on codes, not on Permutation objects.  Up to
-degree 256 a code is the bytes of the images and a product is one
-bytes.translate call against the 256-byte table of its right factor;
-each level keeps, for every orbit point b, the code of u_b and the table
-of u_b^-1, and each strong generator s has its table and the code of
-s^-1.  A Schreier generator is then one translate, a strip step another,
-the early exit a comparison of byte strings, and the inverse of a new
-transversal element u_b s is s^-1 u_b^-1, one more translate.  Above
-degree 256, where a point no longer fits in a byte, codes and tables are
-image tuples and a product is an itemgetter call.  The transversal still
-holds Permutation objects, and a residue becomes one only when it is
-installed as a strong generator.
+The chain stores each coset representative once, as a code, and the
+walk, the sift and the element walk run on codes.  Up to degree 256 a
+code is the bytes of the images and a product is one bytes.translate
+call against the 256-byte table of its right factor; each level keeps,
+for every orbit point b, the code of u_b and the table of u_b^-1, and
+each strong generator s has its table and the code of s^-1.  A Schreier
+generator is then one translate, a strip step another, the early exit a
+comparison of byte strings, and the inverse of a new transversal element
+u_b s is s^-1 u_b^-1, one more translate.  Above degree 256, where a
+point no longer fits in a byte, codes and tables are image tuples and a
+product is an itemgetter call.  A code becomes a Permutation only where
+one is installed as a strong generator or handed to a caller.
 
-The conjugacy classes come from one walk of the elements and a
+The conjugacy classes come from one walk of the element codes and a
 conjugation search from each element not yet met.  The search carries
 an element as its code, with the same choice at degree 256 (_codec
 makes it for both): up to that degree a conjugate is two
@@ -83,25 +83,42 @@ def _tuple_product(x, table):
     return itemgetter(*x)(table)
 
 
-def _products(reps, i, acc):
-    """Yield acc * u_i * ... * u_0 for every choice of u_j in reps[j],
-    the choices at the deepest level varying slowest."""
+def _decode(code):
+    return Permutation._trusted(tuple(code))
+
+
+def _products(tables, i, acc, product):
+    """Yield the code of acc * u_i * ... * u_0 for every choice of the
+    table of u_j in tables[j], the deepest level varying slowest."""
     if i == 0:
-        for u in reps[0]:
-            yield acc * u
+        for t in tables[0]:
+            yield product(acc, t)
     else:
-        for u in reps[i]:
-            yield from _products(reps, i - 1, acc * u)
+        for t in tables[i]:
+            yield from _products(tables, i - 1, product(acc, t), product)
+
+
+def _orbit(points, gens):
+    """The set of points reached from points under the permutations gens."""
+    seen = set(points)
+    stack = list(points)
+    while stack:
+        a = stack.pop()
+        for g in gens:
+            b = g.images[a]
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
 
 
 class _Level:
-    __slots__ = ("point", "own_gens", "own_tables", "transversal", "codes", "checked")
+    __slots__ = ("point", "own_gens", "own_tables", "codes", "checked")
 
     def __init__(self, point):
         self.point = point
         self.own_gens = []
         self.own_tables = []  # (table of s, code of s^-1) for s in own_gens
-        self.transversal = {}
         self.codes = {}  # orbit point b -> (code of u_b, table of u_b^-1)
         # generator s -> k: the orbit has been walked with s, and the
         # Schreier generators of s with the first k orbit points (in
@@ -212,7 +229,7 @@ class StabilizerChain:
                 h = self._sift(product(codes[points[k]][0], table), i)
                 if h != ident:
                     checked[s] = k
-                    return self._insert(Permutation._trusted(tuple(h)))
+                    return self._insert(_decode(h))
             if start != len(points):
                 checked[s] = len(points)
         return None
@@ -220,16 +237,15 @@ class StabilizerChain:
     def _walk(self, lvl, tables, fresh):
         """Extend lvl's orbit: its old points under the generators whose
         tables are fresh, every point it gains under all of tables.  A
-        point c first met from b by s gets the transversal element u_b s,
-        with its code and the table of its inverse s^-1 u_b^-1, and the
-        old elements stay.  Return the orbit points in transversal order."""
+        point c first met from b by s gets the code of the transversal
+        element u_b s and the table of its inverse s^-1 u_b^-1, and the old
+        codes stay.  Return the orbit points in transversal order."""
         encode, tail, product = self._codec
-        trans, codes = lvl.transversal, lvl.codes
-        points = list(trans)
+        codes = lvl.codes
+        points = list(codes)
         old = len(points)
-        if not trans:
-            trans[lvl.point] = Permutation.identity(self.degree)
-            ident = encode(trans[lvl.point].images)
+        if not codes:
+            ident = encode(range(self.degree))
             codes[lvl.point] = (ident, ident + tail)
             points.append(lvl.point)
         for k, b in enumerate(points):  # grows while it is walked
@@ -237,9 +253,7 @@ class StabilizerChain:
             for table, s_inv in fresh if k < old else tables:
                 c = table[b]
                 if c not in codes:
-                    code = product(u, table)
-                    trans[c] = Permutation._trusted(tuple(code))
-                    codes[c] = (code, product(s_inv, u_inv) + tail)
+                    codes[c] = (product(u, table), product(s_inv, u_inv) + tail)
                     points.append(c)
         return points
 
@@ -263,7 +277,7 @@ class StabilizerChain:
 
     def _strip(self, g, start=0):
         """The residue of the permutation g sifted from level start on."""
-        return Permutation._trusted(tuple(self._sift(self._codec[0](g.images), start)))
+        return _decode(self._sift(self._codec[0](g.images), start))
 
     @property
     def base(self):
@@ -272,7 +286,7 @@ class StabilizerChain:
     def order(self) -> int:
         n = 1
         for lvl in self.levels:
-            n *= len(lvl.transversal)
+            n *= len(lvl.codes)
         return n
 
     def contains(self, g) -> bool:
@@ -287,15 +301,6 @@ class StabilizerChain:
     def _tables_below(self, i):
         """(table of s, code of s^-1) for s in strong_generators_below(i)."""
         return [t for lvl in self.levels[i:] for t in lvl.own_tables]
-
-    def iter_elements(self):
-        """Yield every group element exactly once (transversal products)."""
-        ident = Permutation.identity(self.degree)
-        if not self.levels:
-            yield ident
-            return
-        reps = [[lvl.transversal[b] for b in sorted(lvl.transversal)] for lvl in self.levels]
-        yield from _products(reps, len(reps) - 1, ident)
 
 
 class PermGroup:
@@ -348,16 +353,7 @@ class PermGroup:
     def orbit(self, point: int) -> frozenset:
         if not 0 <= point < self.degree:
             raise PointOutOfRangeError(f"point {point} out of range")
-        seen = {point}
-        queue = [point]
-        while queue:
-            a = queue.pop()
-            for g in self.generators:
-                b = g.images[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return frozenset(seen)
+        return frozenset(_orbit((point,), self.generators))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -374,10 +370,35 @@ class PermGroup:
 
     def elements(self, cap: int = DEFAULT_CAPS.enumeration_cap):
         """Iterate all elements; refuses to start if the order exceeds the cap."""
+        return map(_decode, self._element_codes(cap))
+
+    def _element_codes(self, cap):
+        """The codes of elements(), in its order: the products u_last ...
+        u_0, orbit points ascending at each level, the deepest level
+        varying slowest.  Refuses to start if the order exceeds the cap."""
         n = self.order()
         if n > cap:
             raise CapExceededError(f"group order {n} exceeds enumeration cap {cap}")
-        return self.chain().iter_elements()
+        chain = self.chain()
+        encode, tail, product = chain._codec
+        ident = encode(range(self.degree))
+        tables = [[lvl.codes[b][0] + tail for b in sorted(lvl.codes)] for lvl in chain.levels]
+        tables = tables or [[ident + tail]]  # the trivial group has no level
+        return _products(tables, len(tables) - 1, ident, product)
+
+    def _random_elements(self, rng):
+        """Seeded uniform elements without end, each the product u_last
+        ... u_0 of one transversal element per level, drawn deepest first
+        by rng.choice over the level's orbit points in transversal order."""
+        chain = self.chain()
+        encode, tail, product = chain._codec
+        ident = encode(range(self.degree))
+        levels = [[code + tail for code, _ in lvl.codes.values()] for lvl in reversed(chain.levels)]
+        while True:
+            g = ident
+            for tables in levels:
+                g = product(g, rng.choice(tables))
+            yield _decode(g)
 
     def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration_cap) -> list:
         """(representative, class size) pairs, one per conjugacy class.
@@ -388,12 +409,10 @@ class PermGroup:
         the first element of its class in that walk.  The walk stops once
         the class sizes found sum to the order, as every later element
         lies in a class already found; the searches still conjugate every
-        element by every generator.  They run on byte strings up to
-        degree 256 and on image tuples above it, with the same table
-        either way.  The table is cached; like elements(), it refuses a
-        group whose order exceeds the cap.
+        element by every generator, on codes.  The table is cached; like
+        elements(), it refuses a group whose order exceeds the cap.
         """
-        walk = self.elements(cap)
+        walk = self._element_codes(cap)
         if self._classes is None:
             # x^g = g^-1 x g sends point g(i) to g(x(i)), so its code is
             # the product g^-1 * x * g, formed from the code of g^-1, the
@@ -403,12 +422,11 @@ class PermGroup:
             seen = set()
             classes = []
             left = self.order()
-            for e in walk:
-                x = encode(e.images)
-                if x in seen:
+            for rep in walk:
+                if rep in seen:
                     continue
-                seen.add(x)
-                frontier = [x]
+                seen.add(rep)
+                frontier = [rep]
                 size = 1
                 while frontier:
                     x = frontier.pop()
@@ -418,7 +436,7 @@ class PermGroup:
                             seen.add(c)
                             frontier.append(c)
                             size += 1
-                classes.append((e, size))
+                classes.append((_decode(rep), size))
                 left -= size
                 if not left:
                     break  # every later element is in a class already found

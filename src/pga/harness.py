@@ -97,8 +97,6 @@ class GroupAnalysis:
     degree_factored: FactoredInteger
     order_factored: FactoredInteger
     stab_order_factored: FactoredInteger
-    primes_group: frozenset
-    primes_stab: frozenset
     solvable: bool
     fixity: FixityResult | None
     elusive: bool | None
@@ -169,8 +167,6 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
         degree_factored=factorize(degree),
         order_factored=order_factored,
         stab_order_factored=stab_order_factored,
-        primes_group=frozenset(order_factored.primes),
-        primes_stab=frozenset(stab_order_factored.primes),
         solvable=is_solvable(G),
         fixity=fix,
         elusive=elusive,
@@ -218,7 +214,7 @@ def _check_L2_1a(a: GroupAnalysis):
     """Primes above the fixity that divide the stabilizer order divide it
     to the full multiplicity of the group order (fixity at least 2)."""
     f = _need(a, "fixity").fixity
-    large = [p for p in sorted(a.primes_stab) if p > f]
+    large = [p for p in a.stab_order_factored.primes if p > f]
     _assume(f >= 2 and large)
     for p in large:
         v_stab = a.stab_order_factored.valuation(p)
@@ -239,7 +235,7 @@ def _check_L2_1b(a: GroupAnalysis):
     _assume(cands)
     for info in cands:
         p = info.is_p_group_for
-        if p in a.primes_stab:
+        if p in a.stab_order_factored.primes:
             return VIOLATED, {"prime": p, "subgroup_order": info.order.value}
     return VERIFIED, None
 
@@ -407,10 +403,9 @@ def _check_A1(a: GroupAnalysis):
     """In an elusive group the stabilizer order has the same prime divisors
     as the group order."""
     _assume(_need(a, "elusive"))
-    if a.primes_group != a.primes_stab:
-        return VIOLATED, {
-            "group_primes": sorted(a.primes_group), "stabilizer_primes": sorted(a.primes_stab)
-        }
+    group, stab = a.order_factored.primes, a.stab_order_factored.primes
+    if group != stab:
+        return VIOLATED, {"group_primes": list(group), "stabilizer_primes": list(stab)}
     return VERIFIED, None
 
 

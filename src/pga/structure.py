@@ -27,7 +27,8 @@ closure's chain is built only when a certificate fails to show that.
 For a representative y, let M be the smallest listed subgroup whose key
 holds y's class, or G itself when none does; M is normal and contains
 y, so the closure N(y) lies in M and |N(y)| divides |M|.  Seeded
-products z <- z * y^g, each g uniform in G, lie in N(y), and as N(y) is
+products z <- z * y^g lie in N(y), each g a uniform element of G drawn
+by G's seeded sampler (PermGroup._random_elements), and as N(y) is
 normal so does z's whole class.  Once the classes met, with y's and the
 identity's, sum to more than |M| / 2, so does |N(y)|, and the only
 divisor of |M| above |M| / 2 is |M| itself: N(y) = M.  A
@@ -332,8 +333,7 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
     known = set(class_of_type.values())
     if 2 * sum(sizes[k] for k in key if k == i or k in known) <= order:
         return False
-    levels = [(list(lvl.transversal), lvl.transversal) for lvl in reversed(G.chain().levels)]
-    ident = Permutation.identity(G.degree)
+    sample = G._random_elements(rng)
     met = {i, class_of_type[(1,) * G.degree]}  # y's class and the identity's
     total = sum(sizes[k] for k in met)
     z = y
@@ -341,9 +341,7 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
     for _ in range(_CERTIFICATE_SAMPLES):
         if 2 * total > order:
             return True
-        g = ident  # becomes u_last ... u_0, uniform in G
-        for points, trans in levels:
-            g = g * trans[rng.choice(points)]
+        g = next(sample)
         z = z * g.inverse() * y * g  # z * y^g
         k = class_of_type.get(z.cycle_type())
         if k is None or k in met:

@@ -129,6 +129,13 @@ def inverse(img):
     return tuple(inv)
 
 
+def transversal(lvl):
+    """A stabilizer chain level's transversal as {orbit point: image
+    tuple of its element}, in the order the orbit was found, read off the
+    codes the level stores (byte strings or image tuples)."""
+    return {b: tuple(code) for b, (code, _) in lvl.codes.items()}
+
+
 def strip(levels, g, start=0):
     """Sift the image tuple g through chain levels, given as (base point,
     {orbit point: transversal image tuple}) pairs, from level start on:

@@ -8,7 +8,7 @@ from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 
 import oracles
-from oracles import naive_closure
+from oracles import naive_closure, transversal
 
 
 @st.composite
@@ -220,7 +220,7 @@ class TestM11Facts:
 def stored_inverse(lvl, b):
     """The inverse of lvl's transversal element for b, read off the
     table the level stores for it."""
-    n = lvl.transversal[b].degree
+    n = len(lvl.codes[b][0])
     return Permutation(tuple(lvl.codes[b][1])[:n])
 
 
@@ -228,17 +228,18 @@ class TestStoredInverses:
     @settings(max_examples=80, deadline=None)
     @given(random_groups())
     def test_transversal_inverses_match_oracle(self, G):
-        """Each orbit point's stored code is its transversal element, and
-        its stored table the inverse, padded with fixed points."""
+        """Each orbit point's stored code is a permutation mapping the base
+        point to it, and its stored table the inverse, padded with fixed
+        points."""
         ident = tuple(range(G.degree))
         for lvl in G.chain().levels:
-            assert list(lvl.codes) == list(lvl.transversal)
-            for b, u in lvl.transversal.items():
-                code, table = lvl.codes[b]
-                assert tuple(code) == u.images
+            for b, u in transversal(lvl).items():
+                table = lvl.codes[b][1]
+                assert sorted(u) == list(ident)
+                assert u[lvl.point] == b
                 assert tuple(table)[G.degree :] == tuple(range(G.degree, len(table)))
                 u_inv = stored_inverse(lvl, b).images
-                assert oracles.mul(u.images, u_inv) == ident
+                assert oracles.mul(u, u_inv) == ident
                 assert sorted(u_inv) == list(ident)
                 assert u_inv[b] == lvl.point
 
@@ -251,13 +252,13 @@ class TestStrip:
         arbitrary permutations, from every start level."""
         n = G.degree
         chain = G.chain()
-        levels = [(lvl.point, {b: u.images for b, u in lvl.transversal.items()}) for lvl in chain.levels]
+        levels = [(lvl.point, transversal(lvl)) for lvl in chain.levels]
         word = data.draw(st.lists(st.sampled_from((*G.generators, Permutation.identity(n))), max_size=6))
         member = Permutation.identity(n)
         for g in word:
             member = member * g
         elements = [member, *data.draw(st.lists(st.permutations(list(range(n))).map(Permutation), max_size=3))]
-        elements += [u for lvl in chain.levels for u in lvl.transversal.values()]
+        elements += [Permutation(u) for _, trans in levels for u in trans.values()]
         for g in elements:
             for start in range(len(levels) + 1):
                 assert chain._strip(g, start).images == oracles.strip(levels, g.images, start)
@@ -300,10 +301,10 @@ class TestExtend:
             base = chain.base
             for i, lvl in enumerate(chain.levels):
                 stab = [x for x in closure if all(x[b] == b for b in base[:i])]
-                assert set(lvl.transversal) == {x[lvl.point] for x in stab}
-                for b, u in lvl.transversal.items():
-                    assert u.images[lvl.point] == b
-                    assert (u * stored_inverse(lvl, b)).is_identity()
+                assert set(lvl.codes) == {x[lvl.point] for x in stab}
+                for b, u in transversal(lvl).items():
+                    assert u[lvl.point] == b
+                    assert (Permutation(u) * stored_inverse(lvl, b)).is_identity()
 
 
 def assert_every_schreier_generator_checked(chain):
@@ -312,7 +313,7 @@ def assert_every_schreier_generator_checked(chain):
     those Schreier generators again."""
     for i, lvl in enumerate(chain.levels):
         for s in chain.strong_generators_below(i):
-            assert lvl.checked.get(s) == len(lvl.transversal), (i, s)
+            assert lvl.checked.get(s) == len(lvl.codes), (i, s)
 
 
 class TestCheckedRecord:
@@ -337,15 +338,12 @@ class TestCheckedRecord:
 
 def assert_same_chain(chain, expected):
     """Level by level: the base point, the own generators in order, the
-    transversal keys in order with their elements, the stored codes and
-    inverse tables and the checked record, in order."""
+    orbit points in order with the stored codes and inverse tables, and the
+    checked record, in order."""
     assert chain.degree == expected.degree
     assert chain.base == expected.base
     for lvl, exp in zip(chain.levels, expected.levels):
         assert [g.images for g in lvl.own_gens] == [g.images for g in exp.own_gens], lvl.point
-        assert [(b, u.images) for b, u in lvl.transversal.items()] == [
-            (b, u.images) for b, u in exp.transversal.items()
-        ], lvl.point
         assert list(lvl.codes.items()) == list(exp.codes.items()), lvl.point
         assert [(s.images, k) for s, k in lvl.checked.items()] == [(s.images, k) for s, k in exp.checked.items()]
 
@@ -356,8 +354,8 @@ def assert_every_schreier_generator_sifts(chain):
     for a complete chain."""
     for i, lvl in enumerate(chain.levels):
         for s in chain.strong_generators_below(i):
-            for b, u in lvl.transversal.items():
-                h = u * s * stored_inverse(lvl, s.images[b])
+            for b, u in transversal(lvl).items():
+                h = Permutation(u) * s * stored_inverse(lvl, s.images[b])
                 assert chain._strip(h, i + 1).is_identity(), (i, b, s)
 
 
@@ -423,7 +421,7 @@ def chain_in_window(chain, offset, d):
         (
             lvl.point - offset,
             [window(g.images, offset, d) for g in lvl.own_gens],
-            [(b - offset, window(u.images, offset, d)) for b, u in lvl.transversal.items()],
+            [(b - offset, window(u, offset, d)) for b, u in transversal(lvl).items()],
             list(lvl.checked.values()),
         )
         for lvl in chain.levels
@@ -453,11 +451,11 @@ class TestCodecBoundary:
             assert chain_in_window(chain, offset, d) == want, (n, offset)
             for lvl in chain.levels:
                 assert isinstance(lvl.codes[lvl.point][0], bytes if n <= 256 else tuple), n
-            levels = [(lvl.point, {b: u.images for b, u in lvl.transversal.items()}) for lvl in chain.levels]
+            levels = [(lvl.point, transversal(lvl)) for lvl in chain.levels]
             ident = tuple(range(n))
             # members, transversal elements, the elements given and one
             # moving a point outside the window, which no member does
-            members = list(H.generators) + [u for lvl in chain.levels for u in lvl.transversal.values()]
+            members = list(H.generators) + [Permutation(u) for _, trans in levels for u in trans.values()]
             members += [a * b for a in H.generators for b in H.generators]
             others = [embed(x, n, offset) for x in extra]
             swap = list(range(n))
@@ -479,3 +477,15 @@ class TestCodecBoundary:
 
     def test_m11(self, corpus_by_name):
         self.assert_matches(corpus_by_name["m11_12"].group)
+
+    def test_element_walk(self, corpus_by_name):
+        """elements() at degree 300, on image tuples, yields the walk at
+        the group's own degree, on byte strings, padding aside."""
+        G = corpus_by_name["alternating_6"].group
+        d = G.degree
+        want = [e.images for e in G.elements()]
+        assert len(want) == G.order() == 360
+        for offset in (0, 300 - d):
+            H = PermGroup(300, [embed(g, 300, offset) for g in G.generators])
+            assert isinstance(next(H._element_codes(H.order())), tuple)
+            assert [window(e.images, offset, d) for e in H.elements()] == want, offset

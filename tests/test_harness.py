@@ -55,7 +55,6 @@ def make_analysis(
     two_closed=True,
     solvable=True,
     lattice=(),
-    primes_stab=None,
     derangement="auto",
     prime_derangement=None,
     missing=(),
@@ -63,8 +62,6 @@ def make_analysis(
     stab_order = order // degree if order % degree == 0 else 1
     fac_order = factorize(order)
     fac_stab = factorize(stab_order)
-    if primes_stab is None:
-        primes_stab = frozenset(fac_stab.primes)
     if derangement == "auto":
         derangement = Permutation(list(range(1, degree)) + [0])
     fix = FixityResult(fixity_value, None, frozenset())
@@ -78,8 +75,6 @@ def make_analysis(
         degree_factored=factorize(degree),
         order_factored=fac_order,
         stab_order_factored=fac_stab,
-        primes_group=frozenset(fac_order.primes),
-        primes_stab=frozenset(primes_stab),
         solvable=solvable,
         fixity=fix,
         elusive=elusive,
@@ -115,7 +110,7 @@ def _abelians(lattice):
 def hyp_L2_1a(a):
     if a.fixity is None:
         return None
-    return a.fixity.fixity >= 2 and any(p > a.fixity.fixity for p in a.primes_stab)
+    return a.fixity.fixity >= 2 and any(p > a.fixity.fixity for p in a.stab_order_factored.primes)
 
 
 def hyp_L2_1b(a):
@@ -256,7 +251,7 @@ def concl_L2_1a(a):
     f = a.fixity.fixity
     return all(
         a.stab_order_factored.valuation(p) == a.order_factored.valuation(p)
-        for p in a.primes_stab
+        for p in a.stab_order_factored.primes
         if p > f
     )
 
@@ -264,7 +259,7 @@ def concl_L2_1a(a):
 def concl_L2_1b(a):
     f = a.fixity.fixity
     return all(
-        i.is_p_group_for not in a.primes_stab
+        i.is_p_group_for not in a.stab_order_factored.primes
         for i in _psubs(a.normal_lattice)
         if i.is_p_group_for > f
     )
@@ -360,7 +355,7 @@ def concl_C2_10(a):
 
 
 def concl_A1(a):
-    return a.primes_group == a.primes_stab
+    return set(a.order_factored.primes) == set(a.stab_order_factored.primes)
 
 
 def concl_A2(a):
@@ -424,7 +419,7 @@ class TestAnalyze:
         assert a.solvable is False
         assert sorted(i.order.value for i in a.normal_lattice) == [1, 7920]
         assert a.two_closed is False
-        assert a.primes_group == {2, 3, 5, 11}
+        assert a.order_factored.primes == (2, 3, 5, 11)
 
     def test_intransitive_rejected(self):
         from pga.errors import NotTransitiveError

@@ -22,14 +22,17 @@ from pga.closure import two_closure
 from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 
+from oracles import transversal
+
 
 def chain_digest(chains):
     h = hashlib.sha256()
     for chain in chains:
         for lvl in chain.levels:
             own = [g.images for g in lvl.own_gens]
-            images = sorted(u.images for u in lvl.transversal.values())
-            h.update(repr((lvl.point, own, list(lvl.transversal), images)).encode())
+            trans = transversal(lvl)
+            images = sorted(trans.values())
+            h.update(repr((lvl.point, own, list(trans), images)).encode())
         h.update(b";")
     return h.hexdigest()
 
