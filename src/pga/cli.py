@@ -132,15 +132,19 @@ def _yesno(value) -> str:
     return "yes" if value else "no"
 
 
+def _witness(result) -> str:
+    """A fixity witness in cycle notation, with the points it fixes."""
+    fixed = ", ".join(map(str, sorted(result.witness.fixed_points())))
+    return f"{result.witness.cycle_string()}  fixes {{{fixed}}}"
+
+
 def _print_analysis(a) -> None:
     print(f"name: {a.name}")
     print(f"degree: {a.degree} = {a.degree_factored}")
     print(f"order: {a.order} = {a.order_factored}")
     print("transitive: yes")  # analyze rejects intransitive groups
     if a.fixity is not None:
-        w = a.fixity.witness
-        fixed = "{" + ", ".join(map(str, sorted(a.fixity.witness_fixed_set))) + "}"
-        print(f"fixity: {a.fixity.fixity}  witness {w.cycle_string()}  fixes {fixed}")
+        print(f"fixity: {a.fixity.fixity}  witness {_witness(a.fixity)}")
     else:
         print(f"fixity: skipped ({a.skip_reasons.get('fixity', '')})")
     print(f"elusive: {_yesno(a.elusive)}")
@@ -225,9 +229,8 @@ def _cmd_two_closure(args) -> int:
 def _cmd_fixity(args) -> int:
     caps = _caps_from(args)
     result = fixity(_load_entry(args.file, caps).group, caps.enumeration_cap)
-    fixed = "{" + ", ".join(map(str, sorted(result.witness_fixed_set))) + "}"
     print(f"fixity: {result.fixity}")
-    print(f"witness: {result.witness.cycle_string()}  fixes {fixed}")
+    print(f"witness: {_witness(result)}")
     return EXIT_OK
 
 

@@ -55,13 +55,9 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from .config import DEFAULT_CAPS
-from .errors import DegreeCapExceededError, PgaError
+from .errors import DegreeCapExceededError
 from .group import PermGroup, StabilizerChain, _orbit
 from .perm import Permutation
-
-
-class MalformedPartitionError(PgaError, ValueError):
-    """Cells do not partition the point set."""
 
 
 @dataclass(frozen=True)
@@ -180,17 +176,17 @@ def _domain_round(weights, cells, new):
     return keyed, tuple(added)
 
 
-def _refine_pair(weights, pairs, memo, new=None):
+def _refine_pair(weights, pairs, memo, new):
     """Refine matched (domain, image) cell lists to a stable partition pair.
 
     Returns the refined pair list, or None when the two sides split
     incompatibly, which proves no automorphism respects the pairing.
 
-    The first round counts arcs into the cells at the indices new, or
-    into every cell when new is None; each later round into the
-    fragments the round before split off (see the module docstring).
-    Given new, the pairs must have been stable and matched before those
-    cells split off, as _individualize's output is with new = (t,).
+    The first round counts arcs into the cells at the indices new, each
+    later round into the fragments the round before split off (see the
+    module docstring).  Unless new lists every cell, the pairs must have
+    been stable and matched before those cells split off, as
+    _individualize's output is with new = (t,).
 
     memo maps the domain cells and new cells of each round met to the
     round's domain side (see _domain_round); a memo shared by the
@@ -199,8 +195,6 @@ def _refine_pair(weights, pairs, memo, new=None):
     the matching domain fragment.
     """
     pairs = list(pairs)
-    if new is None:
-        new = tuple(range(len(pairs)))
     while True:
         p_cells = tuple(p for p, _ in pairs)
         domain = memo.get((p_cells, new))
@@ -225,21 +219,6 @@ def _refine_pair(weights, pairs, memo, new=None):
         if not added:
             return pairs
         new = added
-
-
-def refine_partition(part: OrbitalPartition, cells) -> list:
-    """Coarsest stable refinement of an ordered partition under the coloring.
-
-    Split cells keep their relative order and new fragments are ordered
-    by their count vectors, so the result is deterministic.
-    """
-    n = part.degree
-    cell_tuples = [tuple(c) for c in cells]
-    flat = [x for c in cell_tuples for x in c]
-    if sorted(flat) != list(range(n)) or not all(cell_tuples):
-        raise MalformedPartitionError("cells must be nonempty and partition 0..degree-1")
-    refined = _refine_pair(_arc_weights(part.color, part.rank), [(c, c) for c in cell_tuples], {})
-    return [p for p, _ in refined]
 
 
 def _individualize(pairs, t, x, y):
@@ -329,7 +308,7 @@ def _color_automorphism_generators(color, rank, n):
     memo = {}
     search_base = []
     unit = tuple(range(n))
-    gens = _descend(weights, memo, color, _refine_pair(weights, [(unit, unit)], memo), search_base)
+    gens = _descend(weights, memo, color, _refine_pair(weights, [(unit, unit)], memo, (0,)), search_base)
     return gens, search_base
 
 

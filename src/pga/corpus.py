@@ -189,9 +189,13 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
                       degree p, order p*q; a = g**((p-1)/q) for the least
                       primitive root g
 
-    Every family refuses a degree above caps.max_degree.
+    Every family refuses a degree above caps.max_degree.  A parameter
+    given as a string must be a run of ASCII digits, as numbers in group
+    files are, and the name spells the integers read.
     """
-    params = list(params)
+    params = [p if isinstance(p, int) else _ascii_int(str(p)) for p in params]
+    if None in params:
+        raise InvalidFamilyError(f"{family} parameters must be runs of ASCII digits")
     name = "_".join([family] + [str(p) for p in params])
 
     def check_degree(degree):
@@ -289,10 +293,7 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
 def _family_params(family, params, want):
     if len(params) != want:
         raise InvalidFamilyError(f"{family} takes {want} parameter(s), got {len(params)}")
-    try:
-        return [int(p) for p in params]
-    except (TypeError, ValueError):
-        raise InvalidFamilyError(f"{family} parameters must be integers") from None
+    return params
 
 
 def _pad(g: Permutation, degree: int) -> Permutation:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -194,47 +195,30 @@ def abelian_invariants(G: PermGroup, classes) -> tuple:
 
     classes lists (representative, class size) pairs whose classes
     partition G's elements, conjugacy classes of G itself or of any group
-    G is normal in, since element order is a class function.  Recovered
-    from the element-order census: for each prime p, the count of
-    elements of order dividing p**i determines the partition of the
-    p-part, and the per-prime parts are then aligned largest-with-largest.
+    G is normal in, since element order is a class function.  Read off
+    the element-order census: when p**c_i elements have order dividing
+    p**i, exactly c_i - c_(i-1) cyclic factors have order divisible by
+    p**i, so the j-th largest invariant factor is the product over the
+    primes p of p**#{i : c_i - c_(i-1) >= j}.
     """
     if not is_abelian(G):
         raise NotAbelianError("abelian_invariants needs an abelian group")
-    order = G.order()
-    if order == 1:
-        return ()
-    counts = {}
+    census = Counter()
     for g, size in classes:
-        o = g.order()
-        counts[o] = counts.get(o, 0) + size
-    parts_by_prime = {}
-    for p, e_max in factorize(order).factors:
-        log_counts = [0]  # log_p of #elements of order dividing p**i
-        for i in range(1, e_max + 1):
-            n_i = sum(c for o, c in counts.items() if p**i % o == 0)
+        census[g.order()] += size
+    steps = {}  # steps[p] lists c_i - c_(i-1) for i = 1, 2, ...
+    for p, e in factorize(G.order()).factors:
+        c = []
+        for i in range(e + 1):
+            n_i = sum(k for o, k in census.items() if p**i % o == 0)
             s = 0
             while p**s < n_i:
                 s += 1
             assert p**s == n_i, "order census of an abelian p-part must be a p-power"
-            log_counts.append(s)
-        # m_i = #(cyclic factors of p-order at least p**i); its drops give the factors
-        m = [log_counts[i] - log_counts[i - 1] for i in range(1, e_max + 1)]
-        parts = []
-        for i in range(1, e_max + 1):
-            next_m = m[i] if i < e_max else 0
-            parts.extend([i] * (m[i - 1] - next_m))
-        parts_by_prime[p] = sorted(p**a for a in parts)
-    width = max(len(v) for v in parts_by_prime.values())
-    invariants = []
-    for j in range(width):
-        d = 1
-        for p, parts in parts_by_prime.items():
-            pad = width - len(parts)
-            if j >= pad:
-                d *= parts[j - pad]
-        invariants.append(d)
-    return tuple(invariants)
+            c.append(s)
+        steps[p] = [b - a for a, b in zip(c, c[1:])]
+    width = max((m[0] for m in steps.values()), default=0)
+    return tuple(prod(p ** sum(k >= j for k in m) for p, m in steps.items()) for j in range(width, 0, -1))
 
 
 @dataclass

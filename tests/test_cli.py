@@ -251,6 +251,14 @@ class TestGen:
         assert code == 2
         assert not (tmp_path / "x.grp").exists()
 
+    @pytest.mark.parametrize("param", [" 5", "\u0663", "1_0", "+4"])
+    def test_params_need_ascii_digits(self, capsys, tmp_path, param):
+        # int() takes each of these, and the name would not spell the degree
+        code, _, err = run(capsys, "gen", "cyclic", param, "-o", str(tmp_path / "c.grp"))
+        assert code == 2
+        assert "ASCII digits" in err
+        assert not (tmp_path / "c.grp").exists()
+
     def test_max_degree_from_flag_and_environment(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "ea.grp"
         code, _, _ = run(capsys, "gen", "elem_abelian", "2", "7", "--max-degree", "128", "-o", str(path))

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pga.cli import main
 from pga.closure import (
-    MalformedPartitionError,
     _arc_weights,
     _color_automorphism_generators,
     _individualize,
     _refine_pair,
     is_2_closed,
     orbitals,
-    refine_partition,
     two_closure,
 )
 from pga.corpus import builtin_family
@@ -89,6 +87,16 @@ def action_on_pairs(G):
 RANK_THREE = [action_on_pairs(group("symmetric", 5)), product_wreath_s2(group("symmetric", 4))]
 
 
+def refine_all(weights, pairs, memo):
+    """_refine_pair with its first round counting into every cell."""
+    return _refine_pair(weights, pairs, memo, tuple(range(len(pairs))))
+
+
+def refine_cells(part, cells):
+    """The domain side of the stable refinement of the pairs (c, c)."""
+    return [p for p, _ in refine_all(_arc_weights(part.color, part.rank), [(c, c) for c in cells], {})]
+
+
 def random_cells(data, n):
     """A random ordered partition of 0..n-1."""
     points = data.draw(st.permutations(list(range(n))))
@@ -137,23 +145,17 @@ class TestOrbitals:
 class TestRefinePartition:
     def test_full_symmetry_never_splits(self):
         part = orbitals(group("symmetric", 5))
-        assert refine_partition(part, [tuple(range(5))]) == [tuple(range(5))]
+        assert refine_cells(part, [tuple(range(5))]) == [tuple(range(5))]
 
     def test_regular_cyclic_splits_to_points(self):
         part = orbitals(group("cyclic", 4))
-        assert refine_partition(part, [(0,), (1, 2, 3)]) == [(0,), (1,), (2,), (3,)]
+        assert refine_cells(part, [(0,), (1, 2, 3)]) == [(0,), (1,), (2,), (3,)]
 
     def test_discrete_is_fixed_point(self):
         part = orbitals(group("dihedral", 4))
         discrete = [(i,) for i in range(4)]
-        assert refine_partition(part, discrete) == discrete
+        assert refine_cells(part, discrete) == discrete
 
-    def test_malformed_partition_rejected(self):
-        part = orbitals(group("cyclic", 4))
-        with pytest.raises(MalformedPartitionError):
-            refine_partition(part, [(0, 1), (1, 2, 3)])
-        with pytest.raises(MalformedPartitionError):
-            refine_partition(part, [(0, 1, 2, 3), ()])
 
 
 class TestRefinementOracle:
@@ -165,7 +167,7 @@ class TestRefinementOracle:
         part = orbitals(G)
         cells = random_cells(data, G.degree)
         expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
-        assert refine_partition(part, cells) == [p for p, _ in expected]
+        assert refine_cells(part, cells) == [p for p, _ in expected]
 
     @settings(max_examples=150, deadline=None)
     @given(random_groups(8), st.data())
@@ -173,7 +175,7 @@ class TestRefinementOracle:
         part = orbitals(G)
         weights = _arc_weights(part.color, part.rank)
         unit = tuple(range(G.degree))
-        pairs = _refine_pair(weights, [(unit, unit)], {})
+        pairs = _refine_pair(weights, [(unit, unit)], {}, (0,))
         assert pairs == count_refine_pair(part.color, part.rank, [(unit, unit)])
         # individualize random point pairs, level after level, while the
         # refinement succeeds and leaves a cell to split
@@ -185,7 +187,7 @@ class TestRefinementOracle:
             cp, cq = pairs[t]
             x, y = data.draw(st.sampled_from(cp)), data.draw(st.sampled_from(cq))
             individualized = _individualize(pairs, t, x, y)
-            pairs = _refine_pair(weights, individualized, {})
+            pairs = refine_all(weights, individualized, {})
             assert pairs == count_refine_pair(part.color, part.rank, individualized)
 
     @settings(max_examples=150, deadline=None)
@@ -203,7 +205,7 @@ class TestRefinementOracle:
         weights = _arc_weights(part.color, part.rank)
         memo = {}
         cells = random_cells(data, G.degree)
-        start = _refine_pair(weights, [(c, c) for c in cells], memo)
+        start = refine_all(weights, [(c, c) for c in cells], memo)
         assert start == count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
         for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
             pairs = start
@@ -220,10 +222,10 @@ class TestRefinementOracle:
                 y = data.draw(st.sampled_from(pairs[t][1]))
                 individualized = _individualize(pairs, t, x, y)
                 expected = count_refine_pair(part.color, part.rank, individualized)
-                assert _refine_pair(weights, individualized, {}) == expected
+                assert refine_all(weights, individualized, {}) == expected
                 assert _refine_pair(weights, individualized, {}, (t,)) == expected
                 if data.draw(st.booleans()):
-                    assert _refine_pair(weights, individualized, memo) == expected
+                    assert refine_all(weights, individualized, memo) == expected
                 pairs = _refine_pair(weights, individualized, memo, (t,))
                 assert pairs == expected
 
@@ -280,7 +282,7 @@ class TestHighRankInputs:
         part = orbitals(G)
         cells = [tuple(range(0, 32, 2)), tuple(range(1, 32, 2))]
         expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
-        assert refine_partition(part, cells) == [p for p, _ in expected]
+        assert refine_cells(part, cells) == [p for p, _ in expected]
 
 
 class TestAboveCap:

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from pga.corpus import builtin_family
@@ -14,6 +16,7 @@ from pga.perm import Permutation
 from pga.structure import normal_subgroups
 
 from oracles import fixed_count, naive_closure
+from test_closure import product_wreath_s2, wreath
 
 
 def perm(text, degree):
@@ -24,12 +27,33 @@ def group(family, *params):
     return builtin_family(family, list(params)).group
 
 
+def direct_product(H, K):
+    """H x K in product action on H.degree * K.degree points,
+    (i, j) -> i*m + j with m = K.degree."""
+    m = K.degree
+    n = H.degree * m
+    gens = [Permutation([h[x // m] * m + x % m for x in range(n)]) for h in H.generators]
+    gens += [Permutation([x - x % m + k[x % m] for x in range(n)]) for k in K.generators]
+    return PermGroup(n, gens)
+
+
+# small transitive groups, each with its order and fixity
+CLOSED_FORM_FACTORS = [
+    (group("symmetric", 3), 6, 1),
+    (group("symmetric", 4), 24, 2),
+    (group("alternating", 4), 12, 1),
+    (group("cyclic", 4), 4, 0),
+    (group("cyclic", 5), 5, 0),
+    (group("dihedral", 5), 10, 1),
+    (group("frobenius", 5, 4), 20, 1),
+]
+
+
 class TestFixity:
     def test_sym4(self):
         result = fixity(group("symmetric", 4))
         assert result.fixity == 2
         assert result.witness.cycle_type() == (1, 1, 2)
-        assert result.witness_fixed_set == result.witness.fixed_points()
 
     def test_regular_cyclic_is_zero(self):
         assert fixity(group("cyclic", 5)).fixity == 0
@@ -56,6 +80,42 @@ class TestFixity:
         counts.remove(G.degree)  # the identity
         assert result.fixity == max(counts)
         assert len(result.witness.fixed_points()) == result.fixity
+
+
+class TestClosedForms:
+    """Orders and fixities of product constructions, from H on a set D
+    and K on a set G, against the class table: H x K in product action
+    has fixity max(f_H |G|, f_K |D|); H wr S2 in product action on D x D
+    has fixity max(f_H, 1) |D|; H wr K imprimitive on D x G has fixity
+    |D| (|G| - 1) + f_H."""
+
+    def test_factors(self):
+        for H, order, fix in CLOSED_FORM_FACTORS:
+            assert (H.order(), fixity(H).fixity) == (order, fix)
+
+    def test_direct_product(self):
+        for (H, o_h, f_h), (K, o_k, f_k) in combinations_with_replacement(CLOSED_FORM_FACTORS, 2):
+            G = direct_product(H, K)
+            assert G.order() == o_h * o_k
+            assert fixity(G).fixity == max(f_h * K.degree, f_k * H.degree)
+
+    def test_product_action_wreath_s2(self):
+        for H, o_h, f_h in CLOSED_FORM_FACTORS:
+            G = product_wreath_s2(H)
+            assert G.order() == 2 * o_h**2
+            assert fixity(G).fixity == max(f_h, 1) * H.degree
+
+    def test_imprimitive_wreath(self):
+        tried = 0
+        for (H, o_h, f_h), (K, o_k, _) in product(CLOSED_FORM_FACTORS, repeat=2):
+            order = o_h**K.degree * o_k
+            if order > 10**5:
+                continue
+            G = wreath(H.degree, H.generators, K.degree, K.generators)
+            assert G.order() == order
+            assert fixity(G).fixity == H.degree * (K.degree - 1) + f_h
+            tried += 1
+        assert tried == 26
 
 
 class TestPrimeFixProfile:

@@ -64,7 +64,7 @@ def make_analysis(
     fac_stab = factorize(stab_order)
     if derangement == "auto":
         derangement = Permutation(list(range(1, degree)) + [0])
-    fix = FixityResult(fixity_value, None, frozenset())
+    fix = FixityResult(fixity_value, None)
     profile = PrimeFixProfile(
         power_fix_counts={p: frozenset({0}) for p in fac_order.primes},
     )

@@ -10,6 +10,7 @@ code.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,7 +20,6 @@ SCANNED = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 # names that only tests read, each kept for the test that needs it
 ALLOWED = {
     "fixed_point_square_sum": "the Burnside rank identity of the acceptance tests",
-    "refine_partition": "the refinement-oracle tests of the 2-closure search",
     "read_report": "the report round-trip tests",
 }
 
@@ -83,3 +83,22 @@ def test_every_public_name_has_a_reader():
 
 def test_allowlisted_names_still_exist():
     assert set(ALLOWED) <= set(public_definitions())
+
+
+def test_perfbench_layer_calls_resolve():
+    """perfbench's traced run replaces each function of its LAYER_CALLS
+    table on pga.<module> by name; one that no longer resolves fails
+    every traced operation.  The table is read as a literal, without
+    importing perfbench."""
+    tree = _parse(ROOT / "perfbench" / "workloads.py")
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYER_CALLS"]
+    ]
+    layer_calls = ast.literal_eval(table)
+    assert set(layer_calls) == {"harness", "closure"}
+    for module, names in layer_calls.items():
+        namespace = vars(importlib.import_module(f"pga.{module}"))
+        missing = sorted(name for name in names if not callable(namespace.get(name)))
+        assert missing == [], f"pga.{module} lacks {missing}"
