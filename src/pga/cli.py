@@ -158,7 +158,7 @@ def _print_analysis(a) -> None:
     else:
         print(f"normal subgroup orders: skipped ({a.skip_reasons.get('normal_lattice', '')})")
     if a.prime_profile is not None:
-        for p, counts in a.prime_profile.power_fix_counts.items():
+        for p, counts in a.prime_profile.items():
             shown = "{" + ", ".join(map(str, sorted(counts))) + "}"
             print(f"fixed-point counts of {p}-power-order elements: {shown}")
 

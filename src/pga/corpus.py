@@ -9,10 +9,7 @@ Group file (.grp), UTF-8, line oriented::
 
 Every integer (the degree, img images, cycle points) is a run of ASCII
 digits.  Comment lines starting with '#' and blank lines are ignored.
-A file with no gen:/img: lines describes the trivial group.  Comments
-of the special form ``# expect: <key> <value>`` are kept as validation
-expectations; validating loads recompute those facts from scratch and
-refuse the file on a mismatch.
+A file with no gen:/img: lines describes the trivial group.
 
 Reports are line-delimited JSON: one metadata line, then one record per
 (group, check) sorted by group name and check id.  Group orders are
@@ -23,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import Caps, DEFAULT_CAPS
@@ -45,7 +42,6 @@ class CorpusEntry:
     source: str
     group: PermGroup
     declared_degree: int
-    expectations: dict = field(default_factory=dict)
 
 
 def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFAULT_CAPS.max_degree) -> CorpusEntry:
@@ -53,19 +49,10 @@ def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFA
     name = None
     degree = None
     gens = []
-    expectations = {}
     saw_body = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("expect:"):
-                parts = body[len("expect:") :].split()
-                if len(parts) != 2:
-                    raise GroupFileError("malformed expect comment", line=lineno, source=source)
-                expectations[parts[0]] = parts[1]
+        if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition(":")
         key = key.strip()
@@ -134,7 +121,6 @@ def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFA
         source=source,
         group=PermGroup(degree, gens),
         declared_degree=degree,
-        expectations=expectations,
     )
 
 
@@ -144,37 +130,12 @@ def serialize_entry(entry: CorpusEntry) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EXPECTATION_KEYS = ("order", "transitive", "stabilizer_order", "elusive", "fixity")
-
-
-def validate_expectations(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> None:
-    """Recompute every expectation embedded in the entry; raise on mismatch."""
-    from .fixity import fixity as _fixity, is_elusive
-
-    G = entry.group
-    for key, want in entry.expectations.items():
-        if key not in _EXPECTATION_KEYS:
-            raise GroupFileError(f"unknown expectation {key!r}", source=entry.source)
-        if key == "order":
-            got = str(G.order())
-        elif key == "transitive":
-            got = "true" if G.is_transitive() else "false"
-        elif key == "stabilizer_order":
-            got = str(G.point_stabilizer(0).order())
-        elif key == "elusive":
-            got = "true" if is_elusive(G, caps.enumeration_cap) else "false"
-        else:
-            got = str(_fixity(G, caps.enumeration_cap).fixity)
-        if got != want:
-            raise GroupFileError(
-                f"expectation {key} failed: expected {want}, recomputed {got}",
-                source=entry.source,
-            )
-
-
-def _cycle_of(points: list) -> Permutation:
-    degree = max(points) + 1
-    return Permutation.from_cycles("(" + " ".join(map(str, points)) + ")", degree)
+def _cycle(points: list, degree: int) -> Permutation:
+    """The cycle sending each listed point to the next, on degree points."""
+    images = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return Permutation(images)
 
 
 def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntry:
@@ -219,13 +180,13 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
         check_degree(n)
         if n == 1:
             return entry(1, [])
-        return entry(n, [_pad(_cycle_of(list(range(n))), n)])
+        return entry(n, [_cycle(list(range(n)), n)])
     if family == "dihedral":
         (n,) = _family_params(family, params, 1)
         if n < 3:
             raise InvalidFamilyError("dihedral needs n >= 3")
         check_degree(n)
-        rotation = _pad(_cycle_of(list(range(n))), n)
+        rotation = _cycle(list(range(n)), n)
         reflection = Permutation([(n - i) % n for i in range(n)])
         return entry(n, [rotation, reflection])
     if family == "symmetric":
@@ -235,22 +196,22 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
         check_degree(n)
         if n == 1:
             return entry(1, [])
-        gens = [_pad(_cycle_of([0, 1]), n)]
+        gens = [_cycle([0, 1], n)]
         if n > 2:
-            gens.append(_pad(_cycle_of(list(range(n))), n))
+            gens.append(_cycle(list(range(n)), n))
         return entry(n, gens)
     if family == "alternating":
         (n,) = _family_params(family, params, 1)
         if n < 3:
             raise InvalidFamilyError("alternating needs n >= 3")
         check_degree(n)
-        three_cycle = _pad(_cycle_of([0, 1, 2]), n)
+        three_cycle = _cycle([0, 1, 2], n)
         if n == 3:
             return entry(3, [three_cycle])
         if n % 2 == 1:
-            big = _pad(_cycle_of(list(range(n))), n)
+            big = _cycle(list(range(n)), n)
         else:
-            big = _pad(_cycle_of(list(range(1, n))), n)
+            big = _cycle(list(range(1, n)), n)
         return entry(n, [three_cycle, big])
     if family == "elem_abelian":
         p, k = _family_params(family, params, 2)
@@ -296,18 +257,11 @@ def _family_params(family, params, want):
     return params
 
 
-def _pad(g: Permutation, degree: int) -> Permutation:
-    if g.degree == degree:
-        return g
-    return Permutation(list(g.images) + list(range(g.degree, degree)))
-
-
-def load_corpus(directory, caps: Caps = DEFAULT_CAPS, validate: bool = False) -> list:
+def load_corpus(directory, caps: Caps = DEFAULT_CAPS) -> list:
     """Load every .grp file in a directory, sorted by entry name.
 
     Any parse error aborts the load naming the offending file; duplicate
-    entry names are rejected.  With validate=True, embedded expectations
-    are recomputed and must hold.
+    entry names are rejected.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -324,9 +278,6 @@ def load_corpus(directory, caps: Caps = DEFAULT_CAPS, validate: bool = False) ->
             )
         by_name[e.name] = e
     entries.sort(key=lambda e: e.name)
-    if validate:
-        for e in entries:
-            validate_expectations(e, caps)
     return entries
 
 

@@ -11,8 +11,9 @@ the prime-order derangement forms element powers.  A representative is
 the first element of its class in the group's element walk, and each
 witness comes from the first element in that walk with a property
 conjugation preserves, so the witnesses are the ones a scan of every
-element in walk order finds.  Nothing is cached here: the table belongs
-to the group, and reading it is cheap enough to repeat.
+element in walk order finds.  The prime fix-profile is a plain dict
+{p: frozenset of fixed-point counts}.  Nothing is cached here: the
+table belongs to the group, and reading it is cheap enough to repeat.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ class FixityResult:
     witness: Permutation | None
 
 
-@dataclass(frozen=True)
-class PrimeFixProfile:
-    """Fixed-point counts of prime-power-order elements, bucketed by prime:
-    power_fix_counts[p] collects |Fix(x)| over nontrivial x of order p**a."""
-
-    power_fix_counts: dict
-
-
 def fixity(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> FixityResult:
     """Largest number of points fixed by a non-identity element."""
     reps = [g for g, _ in G.conjugacy_classes(cap) if not g.is_identity()]
@@ -51,13 +44,16 @@ def fixity(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> FixityResul
     return FixityResult(fixity=witness.fixed_point_count(), witness=witness)
 
 
-def prime_fix_profile(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> PrimeFixProfile:
+def prime_fix_profile(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> dict:
+    """Fixed-point counts of prime-power-order elements, bucketed by
+    prime: the result maps p, in increasing order, to the frozenset of
+    |Fix(x)| over nontrivial x of order p**a."""
     counts: dict = {}
     for g, _ in G.conjugacy_classes(cap):
         primes = factorize(g.order()).factors
         if len(primes) == 1:
             counts.setdefault(primes[0][0], set()).add(g.fixed_point_count())
-    return PrimeFixProfile(power_fix_counts={p: frozenset(v) for p, v in sorted(counts.items())})
+    return {p: frozenset(v) for p, v in sorted(counts.items())}
 
 
 def is_elusive(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .fixity import (
     FixityResult,
-    PrimeFixProfile,
     any_derangement,
     first_prime_derangement,
     fixity,
@@ -101,7 +100,7 @@ class GroupAnalysis:
     fixity: FixityResult | None
     elusive: bool | None
     two_closed: bool | None
-    prime_profile: PrimeFixProfile | None
+    prime_profile: dict | None
     normal_lattice: list | None
     derangement: Permutation | None
     prime_derangement: Permutation | None
@@ -145,7 +144,7 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
         except TrivialGroupError as exc:
             skip_reasons["fixity"] = str(exc)
     except CapExceededError as exc:
-        for f in ("fixity", "elusive", "prime_profile", "derangement"):
+        for f in ("fixity", "elusive", "prime_profile", "derangement", "prime_derangement"):
             skip_reasons[f] = str(exc)
 
     two_closed = None
@@ -284,7 +283,7 @@ def _check_L2_4ii(a: GroupAnalysis):
     """For p dividing the degree, nontrivial p-power-order elements fix
     either no points or a positive multiple of p within the fixity."""
     f = _lemma_2_4_fixity(a)
-    counts_by_prime = _need(a, "prime_profile").power_fix_counts
+    counts_by_prime = _need(a, "prime_profile")
     for p in a.degree_factored.primes:
         for count in sorted(counts_by_prime.get(p, ())):
             if count != 0 and (count % p != 0 or not p <= count <= f):
@@ -392,6 +391,10 @@ def _check_C2_10(a: GroupAnalysis):
     _assume(_need(a, "two_closed"))
     _assume(_need(a, "fixity").fixity == 4)
     _assume(_p_subgroups(_need(a, "normal_lattice")))
+    # None in a derangement field means none exists, unless a cap left it unknown
+    for field in ("derangement", "prime_derangement"):
+        if field in a.skip_reasons:
+            raise _Ended(SKIPPED, {"missing": field, "reason": a.skip_reasons[field]})
     witness = {
         "any_order": a.derangement.cycle_string() if a.derangement else None,
         "prime_order": a.prime_derangement.cycle_string() if a.prime_derangement else None,

@@ -15,7 +15,6 @@ from pga.corpus import (
     render_report_lines,
     report_metadata,
     serialize_entry,
-    validate_expectations,
     write_report,
 )
 from pga.errors import GroupFileError, InvalidFamilyError
@@ -70,7 +69,7 @@ class TestParseGroupFile:
         assert entry.group.order() == 1
 
     def test_comments_and_blanks_ignored(self):
-        text = "name: c2\ndegree: 2\n\n# a comment\ngen: (0 1)\n\n"
+        text = "name: c2\ndegree: 2\n\n# a comment\n# expect: x\ngen: (0 1)\n\n"
         assert parse_group_file(text).group.order() == 2
 
     def test_duplicate_keys_rejected(self):
@@ -95,11 +94,6 @@ class TestParseGroupFile:
     def test_degree_above_max_rejected(self):
         with pytest.raises(GroupFileError):
             parse_group_file("name: a\ndegree: 100\n", max_degree=64)
-
-    def test_expect_comments_collected(self):
-        text = "name: a\ndegree: 2\ngen: (0 1)\n# expect: order 2\n"
-        entry = parse_group_file(text)
-        assert entry.expectations == {"order": "2"}
 
 
 class TestRoundTrip:
@@ -207,31 +201,6 @@ class TestLoadCorpus:
         with pytest.raises(GroupFileError) as err:
             load_corpus(tmp_path)
         assert "broken.grp" in str(err.value)
-
-    def test_validating_load_recomputes_expectations(self, corpus_dir):
-        entries = load_corpus(corpus_dir, validate=True)
-        m11 = next(e for e in entries if e.name == "m11_12")
-        assert m11.expectations["order"] == "7920"
-
-    def test_failed_expectation_raises(self, tmp_path):
-        (tmp_path / "x.grp").write_text(
-            "name: x\ndegree: 2\ngen: (0 1)\n# expect: order 3\n"
-        )
-        with pytest.raises(GroupFileError):
-            load_corpus(tmp_path, validate=True)
-
-
-class TestM11Validation:
-    def test_embedded_expectations(self, corpus_by_name):
-        entry = corpus_by_name["m11_12"]
-        assert entry.expectations == {
-            "order": "7920",
-            "transitive": "true",
-            "stabilizer_order": "660",
-            "elusive": "true",
-            "fixity": "4",
-        }
-        validate_expectations(entry)  # recomputes everything from scratch
 
 
 class TestReportFormat:

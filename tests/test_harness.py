@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pga.corpus import CorpusEntry, builtin_family
 from pga.errors import UnknownCheckError
-from pga.fixity import FixityResult, PrimeFixProfile
+from pga.fixity import FixityResult
 from pga.group import PermGroup
 from pga.harness import (
     CHECK_IDS,
@@ -65,9 +65,7 @@ def make_analysis(
     if derangement == "auto":
         derangement = Permutation(list(range(1, degree)) + [0])
     fix = FixityResult(fixity_value, None)
-    profile = PrimeFixProfile(
-        power_fix_counts={p: frozenset({0}) for p in fac_order.primes},
-    )
+    profile = {p: frozenset({0}) for p in fac_order.primes}
     a = GroupAnalysis(
         name="synthetic",
         degree=degree,
@@ -211,7 +209,11 @@ def hyp_C2_10(a):
         return False
     if a.normal_lattice is None:
         return None
-    return bool(_psubs(a.normal_lattice))
+    if not _psubs(a.normal_lattice):
+        return False
+    if "derangement" in a.skip_reasons or "prime_derangement" in a.skip_reasons:
+        return None
+    return True
 
 
 def hyp_elusive_only(a):
@@ -281,7 +283,7 @@ def concl_L2_4ii(a):
     f = a.fixity.fixity
     for p in a.degree_factored.primes:
         allowed = {0} | {m * p for m in range(1, f // p + 1)}
-        if not set(a.prime_profile.power_fix_counts.get(p, ())) <= allowed:
+        if not set(a.prime_profile.get(p, ())) <= allowed:
             return False
     return True
 
@@ -445,7 +447,8 @@ class TestAnalyze:
         assert a.elusive is None
         assert a.two_closed is None
         assert a.normal_lattice is None
-        assert {"fixity", "two_closed", "normal_lattice"} <= set(a.skip_reasons)
+        assert a.prime_derangement is None
+        assert {"fixity", "two_closed", "normal_lattice", "prime_derangement"} <= set(a.skip_reasons)
         assert check("C2_3", a).status == SKIPPED
         assert check("C2_8", a).status == SKIPPED
         assert check("L2_6", a).status == SKIPPED
@@ -522,6 +525,12 @@ class TestCheckSemantics:
         result = check("C2_10", b)
         assert result.status == VIOLATED
         assert result.witness["any_order"] is None
+        for field in ("derangement", "prime_derangement"):
+            c = make_analysis(elusive=False, two_closed=True, fixity_value=4,
+                              lattice=lattice, missing=(field,))
+            result = check("C2_10", c)
+            assert result.status == SKIPPED
+            assert result.witness == {"missing": field, "reason": "synthetic cap"}
 
     def test_skip_names_missing_field(self):
         a = make_analysis(elusive=True, missing=("normal_lattice",))
@@ -585,10 +594,12 @@ def synthetic_analyses(draw):
         profile[p] = frozenset(
             draw(st.sets(st.sampled_from([0, p, 2 * p, 3, 4, 1]), min_size=1, max_size=3))
         )
-    a.prime_profile = PrimeFixProfile(power_fix_counts=profile)
+    a.prime_profile = profile
     missing = draw(
         st.sets(
-            st.sampled_from(["fixity", "elusive", "two_closed", "normal_lattice", "prime_profile"]),
+            st.sampled_from(
+                ["fixity", "elusive", "two_closed", "normal_lattice", "prime_profile", "derangement", "prime_derangement"]
+            ),
             max_size=2,
         )
     )
