@@ -4,11 +4,9 @@ Subcommands: analyze, verify, two-closure, fixity, gen.  Exit codes:
 0 success (verify: no violated results), 1 violated results, 2 parse or
 parameter errors and files that cannot be read or written, 3 resource
 caps hit (verify: only with --strict).  Commands raise; only main turns
-an error into its one "error: ..." line and exit code.
-
-The environment variable PGA_CAPS may override caps as comma-separated
-key=value pairs (e.g. "enumeration_cap=10000,lattice_cap=128"); explicit
-flags win over the environment.
+an error into its one "error: ..." line and exit code.  Each
+subcommand takes the flags of only the caps it reads; a cap not given
+keeps its default.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .closure import orbitals, two_closure
-from .config import DEFAULT_CAPS, parse_caps_overrides
+from .config import DEFAULT_CAPS
 from .corpus import (
     CorpusEntry,
     builtin_family,
@@ -40,24 +38,22 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 
 
-def _add_cap_flags(parser):
-    parser.add_argument("--enumeration-cap", type=int, metavar="N", default=None)
-    parser.add_argument("--lattice-cap", type=int, metavar="N", default=None)
-    parser.add_argument("--closure-cap", type=int, metavar="N", default=None)
-    parser.add_argument("--max-degree", type=int, metavar="N", default=None)
+# each Caps field and its flag; the flag stores into the field's name
+_CAP_FLAGS = {
+    "enumeration_cap": "--enumeration-cap",
+    "lattice_cap": "--lattice-cap",
+    "closure_degree_cap": "--closure-cap",
+    "max_degree": "--max-degree",
+}
+
+
+def _add_cap_flags(parser, *fields):
+    for field in fields:
+        parser.add_argument(_CAP_FLAGS[field], dest=field, type=int, metavar="N")
 
 
 def _caps_from(args):
-    base = DEFAULT_CAPS
-    env = os.environ.get("PGA_CAPS")
-    if env:
-        base = parse_caps_overrides(env, base)
-    return base.with_overrides(
-        enumeration_cap=args.enumeration_cap,
-        lattice_cap=args.lattice_cap,
-        closure_degree_cap=args.closure_cap,
-        max_degree=args.max_degree,
-    )
+    return DEFAULT_CAPS.with_overrides(**{f: v for f, v in vars(args).items() if f in _CAP_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis of one group file")
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "machine-records"], default="text")
-    _add_cap_flags(p)
+    _add_cap_flags(p, *_CAP_FLAGS)
 
     p = sub.add_parser("verify", help="run the check suite over a corpus directory")
     p.add_argument("dir")
@@ -77,22 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--strict", action="store_true", help="exit 3 when any result is skipped")
     p.add_argument("--format", choices=["text", "machine-records"], default="text")
-    _add_cap_flags(p)
+    _add_cap_flags(p, *_CAP_FLAGS)
 
     p = sub.add_parser("two-closure", help="orbit coloring rank and 2-closure of one group")
     p.add_argument("file")
     p.add_argument("--emit", default=None, metavar="PATH", help="write the closure generators as a .grp file")
-    _add_cap_flags(p)
+    _add_cap_flags(p, "closure_degree_cap", "max_degree")
 
     p = sub.add_parser("fixity", help="fixity and witness of one group")
     p.add_argument("file")
-    _add_cap_flags(p)
+    _add_cap_flags(p, "enumeration_cap", "max_degree")
 
     p = sub.add_parser("gen", help="write a builtin family member as a .grp file")
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--out", required=True, metavar="PATH")
-    _add_cap_flags(p)
+    _add_cap_flags(p, "max_degree")
     return parser
 
 

@@ -34,23 +34,3 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
-
-_CAP_KEYS = frozenset(Caps().as_dict())
-
-
-def parse_caps_overrides(text: str, base: Caps = DEFAULT_CAPS) -> Caps:
-    """Parse a "key=value,key=value" cap override string (e.g. from PGA_CAPS)."""
-    overrides = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, sep, value = chunk.partition("=")
-        key = key.strip()
-        if not sep or key not in _CAP_KEYS:
-            raise ValueError(f"bad cap override {chunk!r}")
-        try:
-            overrides[key] = int(value.strip())
-        except ValueError:
-            raise ValueError(f"bad cap value in {chunk!r}") from None
-    return base.with_overrides(**overrides)

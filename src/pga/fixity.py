@@ -2,12 +2,11 @@
 derangements, and elusiveness.
 
 Every quantity here is a class function: conjugate elements have the
-same order and the same number of fixed points, and the power of a
-conjugate is the conjugate of the power.  So each function reads its
-own quantity off the representatives of the group's conjugacy-class
-table (PermGroup.conjugacy_classes, guarded by the enumeration cap),
-with the sum of squared fixed-point counts weighted by class size; only
-the prime-order derangement forms element powers.  A representative is
+same order and the same number of fixed points.  So each function
+reads its own quantity off the representatives of the group's
+conjugacy-class table (PermGroup.conjugacy_classes, guarded by the
+enumeration cap), with the sum of squared fixed-point counts weighted
+by class size; no element power is formed.  A representative is
 the first element of its class in the group's element walk, and each
 witness comes from the first element in that walk with a property
 conjugation preserves, so the witnesses are the ones a scan of every
@@ -24,7 +23,7 @@ from .config import DEFAULT_CAPS
 from .errors import NotTransitiveError, TrivialGroupError
 from .group import PermGroup
 from .perm import Permutation
-from .structure import factorize
+from .structure import factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,6 @@ def first_prime_derangement(
     G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap
 ) -> Permutation | None:
     """A fixed-point-free element of prime order if one exists, else None:
-    of the least such prime p, the first power g**(m/p) in walk order,
-    for g of order m."""
-    best = None  # (p, derangement of order p), p the least found so far
-    for g, _ in G.conjugacy_classes(cap):
-        m = g.order()
-        for p, _ in factorize(m).factors:
-            if best is None or p < best[0]:
-                h = g ** (m // p)
-                if h.fixed_point_count() == 0:
-                    best = (p, h)
-    return best[1] if best else None
+    of the least such prime, the first in walk order."""
+    reps = [g for g, _ in G.conjugacy_classes(cap) if g.fixed_point_count() == 0 and is_prime(g.order())]
+    return min(reps, key=Permutation.order, default=None)  # the first of the least

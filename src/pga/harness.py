@@ -507,7 +507,8 @@ def run_all(
     entries = sorted(corpus, key=lambda e: e.name)
     tasks = [(e, selection, caps) for e in entries]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker on the first submit, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_worker, tasks))
     else:
         chunks = [_worker(t) for t in tasks]

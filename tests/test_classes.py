@@ -29,7 +29,7 @@ from pga.fixity import (
 from pga.group import PermGroup
 from pga.perm import Permutation
 
-from oracles import element_order, fixed_count, naive_classes, naive_closure, power
+from oracles import element_order, fixed_count, naive_classes, naive_closure
 
 ORDER_LIMIT = 5040
 
@@ -54,11 +54,8 @@ def brute_scan(walk):
             out["derangement"] = x
         m = element_order(x)
         primes = _primes(m)
-        for p in primes:
-            if p not in prime_derangements:
-                h = power(x, m // p)
-                if fixed_count(h) == 0:
-                    prime_derangements[p] = h
+        if fp == 0 and primes == [m]:
+            prime_derangements.setdefault(m, x)  # the first of order m
         if len(primes) == 1:
             power_fix.setdefault(primes[0], set()).add(fp)
     out["power_fix"] = power_fix

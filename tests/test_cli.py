@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 import re
 
 import pytest
 
-from pga.cli import main
+from pga.cli import build_parser, main
 from pga.config import Caps
 from pga.corpus import parse_group_file, read_report
 
@@ -13,6 +14,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CAP_FLAGS = {
+    "enumeration_cap": "--enumeration-cap",
+    "lattice_cap": "--lattice-cap",
+    "closure_degree_cap": "--closure-cap",
+    "max_degree": "--max-degree",
+}
+
+# the Caps fields each subcommand reads, and so the cap flags it takes
+CAPS_READ = {
+    "analyze": tuple(CAP_FLAGS),
+    "verify": tuple(CAP_FLAGS),
+    "two-closure": ("closure_degree_cap", "max_degree"),
+    "fixity": ("enumeration_cap", "max_degree"),
+    "gen": ("max_degree",),
+}
+
+
+def command_argv(command, corpus_dir, out_path):
+    """A run of the subcommand that exits 0 with the default caps and
+    writes out_path if it writes anything; verify is strict, so that a
+    skip exits 3."""
+    return {
+        "analyze": ["analyze", str(corpus_dir / "symmetric_4.grp")],
+        "verify": ["verify", str(corpus_dir), "--jobs", "1", "--strict", "--out", str(out_path)],
+        "two-closure": ["two-closure", str(corpus_dir / "symmetric_4.grp"), "--emit", str(out_path)],
+        "fixity": ["fixity", str(corpus_dir / "symmetric_4.grp")],
+        "gen": ["gen", "cyclic", "4", "-o", str(out_path)],
+    }[command]
 
 
 class TestAnalyze:
@@ -65,6 +96,13 @@ class TestAnalyze:
         assert code == 3
         assert "order: 120" in out
         assert "skipped" in out
+
+    def test_pga_caps_in_the_environment_changes_nothing(self, capsys, corpus_dir, monkeypatch):
+        path = str(corpus_dir / "symmetric_5.grp")
+        code, plain, _ = run(capsys, "analyze", path)
+        assert code == 0
+        monkeypatch.setenv("PGA_CAPS", "enumeration_cap=10")
+        assert run(capsys, "analyze", path) == (0, plain, "")
 
     def test_machine_records_mode(self, capsys, corpus_dir):
         code, out, _ = run(
@@ -158,17 +196,15 @@ class TestVerify:
         counts = {s: statuses.count(s) for s in sorted(set(statuses))}
         return hashlib.sha256(report.encode()).hexdigest(), counts
 
-    def test_corpus_report_is_pinned(self, capsys, corpus_dir, monkeypatch):
+    def test_corpus_report_is_pinned(self, capsys, corpus_dir):
         # a change to chains, element walks or checks must leave every
         # status, witness and order in the report as it is
-        monkeypatch.delenv("PGA_CAPS", raising=False)
         digest, _ = self._report_digest(capsys, corpus_dir)
         assert digest == "01e3a0cd89e6728c2e01367b727e99146d6b27743bfa48c5765c1a07bbf6e03a"
 
-    def test_capped_corpus_report_is_pinned(self, capsys, corpus_dir, monkeypatch):
+    def test_capped_corpus_report_is_pinned(self, capsys, corpus_dir):
         # caps low enough that every check skips on some groups, which
         # pins each skip witness (missing field and reason) as well
-        monkeypatch.delenv("PGA_CAPS", raising=False)
         digest, counts = self._report_digest(
             capsys, corpus_dir,
             "--enumeration-cap", "5000", "--closure-cap", "8", "--lattice-cap", "5",
@@ -259,13 +295,12 @@ class TestGen:
         assert "ASCII digits" in err
         assert not (tmp_path / "c.grp").exists()
 
-    def test_max_degree_from_flag_and_environment(self, capsys, tmp_path, monkeypatch):
+    def test_max_degree_from_flag(self, capsys, tmp_path):
         path = tmp_path / "ea.grp"
         code, _, _ = run(capsys, "gen", "elem_abelian", "2", "7", "--max-degree", "128", "-o", str(path))
         assert code == 0
         assert parse_group_file(path.read_text(), max_degree=128).declared_degree == 128
-        monkeypatch.setenv("PGA_CAPS", "max_degree=8")
-        code, _, err = run(capsys, "gen", "symmetric", "9", "-o", str(tmp_path / "s9.grp"))
+        code, _, err = run(capsys, "gen", "symmetric", "9", "--max-degree", "8", "-o", str(tmp_path / "s9.grp"))
         assert code == 2
         assert "exceeds the configured maximum 8" in err
         assert not (tmp_path / "s9.grp").exists()
@@ -291,24 +326,6 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and missing in err
 
 
-class TestCapsEnvironment:
-    def test_env_overrides_defaults_and_flags_win(self, capsys, corpus_dir, monkeypatch, tmp_path):
-        monkeypatch.setenv("PGA_CAPS", "enumeration_cap=10")
-        code, _, _ = run(capsys, "analyze", str(corpus_dir / "symmetric_5.grp"))
-        assert code == 3  # env cap forces skips
-        code, out, _ = run(
-            capsys, "analyze", str(corpus_dir / "symmetric_5.grp"),
-            "--enumeration-cap", "1000000",
-        )
-        assert code == 0
-
-    def test_bad_env_value_rejected(self, capsys, corpus_dir, monkeypatch):
-        for env in ("enumeration_cap=zero", "lattice_cap=0"):
-            monkeypatch.setenv("PGA_CAPS", env)
-            code, _, err = run(capsys, "analyze", str(corpus_dir / "cyclic_6.grp"))
-            assert code == 2, env
-
-
 class TestCapValues:
     @pytest.mark.parametrize("field", sorted(Caps().as_dict()))
     @pytest.mark.parametrize("value", [0, -1, 2.5, "8", True])
@@ -318,15 +335,49 @@ class TestCapValues:
 
     @pytest.mark.parametrize("flag", ["--enumeration-cap", "--lattice-cap", "--closure-cap", "--max-degree"])
     @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_flag_below_one_exits_2(self, capsys, corpus_dir, tmp_path, monkeypatch, flag, value):
-        monkeypatch.delenv("PGA_CAPS", raising=False)
-        out_path = tmp_path / "c4.grp"
-        for argv in (
-            ["analyze", str(corpus_dir / "symmetric_4.grp")],
-            ["verify", str(corpus_dir), "--jobs", "1"],
-            ["gen", "cyclic", "4", "-o", str(out_path)],
-        ):
+    def test_flag_below_one_exits_2(self, capsys, corpus_dir, tmp_path, flag, value):
+        out_path = tmp_path / "out"
+        commands = [c for c, fields in CAPS_READ.items() if any(CAP_FLAGS[f] == flag for f in fields)]
+        assert commands
+        for command in commands:
+            argv = command_argv(command, corpus_dir, out_path)
             code, out, err = run(capsys, *argv, flag, value)
             assert (code, out) == (2, ""), argv
             assert "must be an integer of at least 1" in err, argv
         assert not out_path.exists()
+
+
+class TestCapFlags:
+    def test_each_subcommand_registers_exactly_its_caps(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(CAPS_READ)
+        for command, sub in subparsers.choices.items():
+            taken = {
+                a.dest: a.option_strings
+                for a in sub._actions
+                if a.dest in CAP_FLAGS or set(a.option_strings) & set(CAP_FLAGS.values())
+            }
+            assert taken == {f: [CAP_FLAGS[f]] for f in CAPS_READ[command]}, command
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(c, f) for c in CAPS_READ for f in CAP_FLAGS if f not in CAPS_READ[c]],
+    )
+    def test_flag_of_a_cap_not_read_is_unrecognized(self, capsys, corpus_dir, tmp_path, command, field):
+        out_path = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([*command_argv(command, corpus_dir, out_path), CAP_FLAGS[field], "5"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {CAP_FLAGS[field]} 5" in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", sorted(CAPS_READ))
+    def test_each_flag_sets_its_cap(self, capsys, corpus_dir, tmp_path, command):
+        # a value of 1 is below every input these runs read, so each
+        # flag must reach its computation and end the run with an error
+        for field in CAPS_READ[command]:
+            out_path = tmp_path / "out"
+            code, _, _ = run(capsys, *command_argv(command, corpus_dir, out_path), CAP_FLAGS[field], "1")
+            assert code != 0, (command, field)

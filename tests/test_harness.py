@@ -609,7 +609,46 @@ def synthetic_analyses(draw):
     return a
 
 
+@st.composite
+def c2_10_analyses(draw):
+    """Records that hold C2_10's hypotheses (2-closed, fixity 4, a
+    nontrivial p-subgroup in the lattice), with each derangement field
+    present, None, or unknown because a cap left it out."""
+    degree = draw(st.integers(min_value=5, max_value=24))
+    p_subgroup = make_info(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25])))
+    lattice = draw(st.permutations([p_subgroup, *draw(st.lists(lattice_infos(), max_size=3))]))
+    states = st.sampled_from(["present", None, "unknown"])
+    fields = {"derangement": draw(states), "prime_derangement": draw(states)}
+    return make_analysis(
+        degree=degree,
+        order=degree * draw(st.integers(min_value=1, max_value=60)),
+        fixity_value=4,
+        two_closed=True,
+        lattice=lattice,
+        derangement="auto" if fields["derangement"] == "present" else None,
+        prime_derangement=Permutation.from_cycles("(0 1)(2 3)", degree) if fields["prime_derangement"] == "present" else None,
+        missing=tuple(f for f, state in fields.items() if state == "unknown"),
+    )
+
+
 class TestStatusSoundness:
+    @settings(max_examples=200, deadline=None)
+    @given(c2_10_analyses())
+    def test_c2_10_with_its_hypotheses_held(self, a):
+        result = check("C2_10", a)
+        hyp = INDEPENDENT_HYPS["C2_10"](a)
+        assert hyp is not False
+        if hyp is None:
+            missing = "derangement" if "derangement" in a.skip_reasons else "prime_derangement"
+            assert result.status == SKIPPED
+            assert result.witness == {"missing": missing, "reason": "synthetic cap"}
+            return
+        assert result.status == (VERIFIED if INDEPENDENT_CONCLS["C2_10"](a) else VIOLATED)
+        assert result.witness == {
+            "any_order": a.derangement.cycle_string() if a.derangement else None,
+            "prime_order": a.prime_derangement.cycle_string() if a.prime_derangement else None,
+        }
+
     @settings(max_examples=400, deadline=None)
     @given(synthetic_analyses(), st.sampled_from(CHECK_IDS))
     def test_status_agrees_with_independent_evaluators(self, a, cid):
@@ -708,6 +747,36 @@ class TestRunAll:
         reason = "RecursionError: maximum recursion depth exceeded"
         assert all(r.witness["reason"] == reason for r in by_group["cyclic_3"])
         assert [(r.status, r.order) for r in by_group["symmetric_3"]] == [(VACUOUS, 6)] * 2
+
+    def test_pool_has_no_more_workers_than_groups(self, monkeypatch):
+        import pga.harness
+
+        class SerialPool:
+            """Records the pool size asked for and runs the tasks in order."""
+
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        entries = [builtin_family("cyclic", [3]), builtin_family("symmetric", [3]), builtin_family("cyclic", [5])]
+        monkeypatch.setattr(pga.harness, "ProcessPoolExecutor", SerialPool)
+        pooled = run_all(entries, selection=("C2_3", "A1"), jobs=5000)
+        assert SerialPool.sizes == [3]
+        serial = run_all(entries, selection=("C2_3", "A1"), jobs=1)
+        assert SerialPool.sizes == [3]
+        assert [(r.group, r.check_id, r.status) for r in pooled.entries] == [
+            (r.group, r.check_id, r.status) for r in serial.entries
+        ]
 
     def test_jobs_do_not_change_results(self, corpus_entries):
         small = [e for e in corpus_entries if e.group.order() <= 60]
