@@ -2,8 +2,9 @@
 
 Subcommands: analyze, verify, two-closure, fixity, gen.  Exit codes:
 0 success (verify: no violated results), 1 violated results, 2 parse or
-parameter errors and files that cannot be read or written, 3 resource
-caps hit (verify: only with --strict).  Commands raise; only main turns
+parameter errors and files that cannot be read or written, 3 some result
+skipped, because a resource cap was hit or a quantity is undefined
+(verify: only with --strict).  Commands raise; only main turns
 an error into its one "error: ..." line and exit code.  Each
 subcommand takes the flags of only the caps it reads; a cap not given
 keeps its default.
@@ -57,16 +58,16 @@ def _caps_from(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pga", description=__doc__)
+    parser = argparse.ArgumentParser(prog="pga", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"pga {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full analysis of one group file")
+    p = sub.add_parser("analyze", help="full analysis of one group file", allow_abbrev=False)
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "machine-records"], default="text")
     _add_cap_flags(p, *_CAP_FLAGS)
 
-    p = sub.add_parser("verify", help="run the check suite over a corpus directory")
+    p = sub.add_parser("verify", help="run the check suite over a corpus directory", allow_abbrev=False)
     p.add_argument("dir")
     p.add_argument("--check", default="all", metavar="LIST", help="comma-separated check ids, or 'all'")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -75,16 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "machine-records"], default="text")
     _add_cap_flags(p, *_CAP_FLAGS)
 
-    p = sub.add_parser("two-closure", help="orbit coloring rank and 2-closure of one group")
+    p = sub.add_parser("two-closure", help="orbit coloring rank and 2-closure of one group", allow_abbrev=False)
     p.add_argument("file")
     p.add_argument("--emit", default=None, metavar="PATH", help="write the closure generators as a .grp file")
     _add_cap_flags(p, "closure_degree_cap", "max_degree")
 
-    p = sub.add_parser("fixity", help="fixity and witness of one group")
+    p = sub.add_parser("fixity", help="fixity and witness of one group", allow_abbrev=False)
     p.add_argument("file")
     _add_cap_flags(p, "enumeration_cap", "max_degree")
 
-    p = sub.add_parser("gen", help="write a builtin family member as a .grp file")
+    p = sub.add_parser("gen", help="write a builtin family member as a .grp file", allow_abbrev=False)
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--out", required=True, metavar="PATH")
@@ -161,11 +162,13 @@ def _print_analysis(a) -> None:
 
 def _cmd_verify(args) -> int:
     caps = _caps_from(args)
-    entries = load_corpus(args.dir, caps)
     if args.check.strip() == "all":
         selection = CHECK_IDS
     else:
         selection = tuple(s.strip() for s in args.check.split(",") if s.strip())
+        if not selection:
+            raise PgaError(f"--check {args.check!r} names no check id")
+    entries = load_corpus(args.dir, caps)
     report = run_all(entries, selection, caps, jobs=max(1, args.jobs))
     if not entries:
         print("warning: corpus directory has no .grp files", file=sys.stderr)
@@ -249,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, PgaError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED if isinstance(exc, CapExceededError) else EXIT_USAGE
 

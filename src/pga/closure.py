@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from .config import DEFAULT_CAPS
-from .errors import DegreeCapExceededError
+from .errors import CapExceededError
 from .group import PermGroup, StabilizerChain, _orbit
 from .perm import Permutation
 
@@ -316,7 +316,7 @@ def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap)
     """The full group of permutations preserving every pair orbit of G."""
     n = G.degree
     if n > degree_cap:
-        raise DegreeCapExceededError(f"degree {n} exceeds closure degree cap {degree_cap}")
+        raise CapExceededError(f"degree {n} exceeds closure degree cap {degree_cap}")
     part = orbitals(G)
     gens, search_base = _color_automorphism_generators(part.color, part.rank, n)
     # gens are a strong generating set for search_base: nothing to sift

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import (
-    GroupFileError,
-    InvalidFamilyError,
-    PgaError,
-)
+from .errors import GroupFileError, PgaError
 from .group import PermGroup
 from .perm import Permutation, _ascii_int
 from .structure import is_prime, smallest_primitive_root
@@ -156,14 +152,12 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
     """
     params = [p if isinstance(p, int) else _ascii_int(str(p)) for p in params]
     if None in params:
-        raise InvalidFamilyError(f"{family} parameters must be runs of ASCII digits")
+        raise PgaError(f"{family} parameters must be runs of ASCII digits")
     name = "_".join([family] + [str(p) for p in params])
 
     def check_degree(degree):
         if degree > caps.max_degree:
-            raise InvalidFamilyError(
-                f"degree {degree} exceeds the configured maximum {caps.max_degree}"
-            )
+            raise PgaError(f"degree {degree} exceeds the configured maximum {caps.max_degree}")
 
     def entry(degree, gens):
         return CorpusEntry(
@@ -176,7 +170,7 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
     if family == "cyclic":
         (n,) = _family_params(family, params, 1)
         if n < 1:
-            raise InvalidFamilyError("cyclic needs n >= 1")
+            raise PgaError("cyclic needs n >= 1")
         check_degree(n)
         if n == 1:
             return entry(1, [])
@@ -184,7 +178,7 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
     if family == "dihedral":
         (n,) = _family_params(family, params, 1)
         if n < 3:
-            raise InvalidFamilyError("dihedral needs n >= 3")
+            raise PgaError("dihedral needs n >= 3")
         check_degree(n)
         rotation = _cycle(list(range(n)), n)
         reflection = Permutation([(n - i) % n for i in range(n)])
@@ -192,7 +186,7 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
     if family == "symmetric":
         (n,) = _family_params(family, params, 1)
         if n < 1:
-            raise InvalidFamilyError("symmetric needs n >= 1")
+            raise PgaError("symmetric needs n >= 1")
         check_degree(n)
         if n == 1:
             return entry(1, [])
@@ -203,7 +197,7 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
     if family == "alternating":
         (n,) = _family_params(family, params, 1)
         if n < 3:
-            raise InvalidFamilyError("alternating needs n >= 3")
+            raise PgaError("alternating needs n >= 3")
         check_degree(n)
         three_cycle = _cycle([0, 1, 2], n)
         if n == 3:
@@ -216,16 +210,14 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
     if family == "elem_abelian":
         p, k = _family_params(family, params, 2)
         if k < 1:
-            raise InvalidFamilyError("elem_abelian needs a prime p and k >= 1")
+            raise PgaError("elem_abelian needs a prime p and k >= 1")
         # p**k is at least p and at least 2**k, so testing both against the
         # cap first keeps a huge p from a long primality test and a huge k
         # from building a huge integer
         if p > caps.max_degree or k >= caps.max_degree.bit_length():
-            raise InvalidFamilyError(
-                f"degree {p}**{k} exceeds the configured maximum {caps.max_degree}"
-            )
+            raise PgaError(f"degree {p}**{k} exceeds the configured maximum {caps.max_degree}")
         if not is_prime(p):
-            raise InvalidFamilyError("elem_abelian needs a prime p and k >= 1")
+            raise PgaError("elem_abelian needs a prime p and k >= 1")
         degree = p**k
         check_degree(degree)
         gens = []
@@ -241,19 +233,19 @@ def builtin_family(family: str, params, caps: Caps = DEFAULT_CAPS) -> CorpusEntr
         p, q = _family_params(family, params, 2)
         check_degree(p)  # before the primality test, which a huge p would stall
         if not is_prime(p) or p < 3:
-            raise InvalidFamilyError("frobenius needs an odd prime p")
+            raise PgaError("frobenius needs an odd prime p")
         if q < 2 or (p - 1) % q != 0:
-            raise InvalidFamilyError(f"frobenius needs q >= 2 dividing p-1 = {p - 1}")
+            raise PgaError(f"frobenius needs q >= 2 dividing p-1 = {p - 1}")
         a = pow(smallest_primitive_root(p), (p - 1) // q, p)
         translation = Permutation([(x + 1) % p for x in range(p)])
         multiplier = Permutation([(a * x) % p for x in range(p)])
         return entry(p, [translation, multiplier])
-    raise InvalidFamilyError(f"unknown family {family!r}")
+    raise PgaError(f"unknown family {family!r}")
 
 
 def _family_params(family, params, want):
     if len(params) != want:
-        raise InvalidFamilyError(f"{family} takes {want} parameter(s), got {len(params)}")
+        raise PgaError(f"{family} takes {want} parameter(s), got {len(params)}")
     return params
 
 

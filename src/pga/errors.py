@@ -1,48 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class is kept because some caller reacts to it differently: the
+command line exits 3 on `CapExceededError` and 2 on any other
+`PgaError`, the harness turns a cap or a trivial group into a
+`skipped` result, and `GroupFileError` carries where in a file the
+fault is.  Any other failure is a plain `PgaError` whose message says
+what went wrong.
+"""
 
 
-class PgaError(Exception):
+class PgaError(ValueError):
     """Base class for all errors raised by this package."""
-
-
-class InvalidPermutationError(PgaError, ValueError):
-    """Image list is not a bijection, or the degree is not positive."""
-
-
-class DegreeMismatchError(PgaError, ValueError):
-    """Operands act on point sets of different sizes."""
-
-
-class PointOutOfRangeError(PgaError, ValueError):
-    """A point is not in {0, ..., degree-1}."""
-
-
-class CycleParseError(PgaError, ValueError):
-    """Cycle text does not match the cycle grammar."""
-
-
-class RepeatedPointError(CycleParseError):
-    """A point occurs in more than one position of a cycle expression."""
-
-
-class NotPrimeError(PgaError, ValueError):
-    """An argument required to be prime is not."""
-
-
-class NotAbelianError(PgaError, ValueError):
-    """Operation defined only for abelian groups."""
-
-
-class NotInGroupError(PgaError, ValueError):
-    """A permutation is not a member of the group it must belong to."""
-
-
-class NotTransitiveError(PgaError, ValueError):
-    """Operation defined only for transitive groups."""
-
-
-class TrivialGroupError(PgaError, ValueError):
-    """Operation defined only for nontrivial groups."""
 
 
 class CapExceededError(PgaError):
@@ -53,15 +21,11 @@ class CapExceededError(PgaError):
     """
 
 
-class LatticeCapExceededError(CapExceededError):
-    """The normal-subgroup listing grew past the configured cap."""
+class TrivialGroupError(PgaError):
+    """Operation defined only for nontrivial groups."""
 
 
-class DegreeCapExceededError(CapExceededError):
-    """The degree is too large for the closure backtracker."""
-
-
-class GroupFileError(PgaError, ValueError):
+class GroupFileError(PgaError):
     """A group file is malformed; carries the offending line number."""
 
     def __init__(self, message, *, line=None, source=None):
@@ -73,11 +37,3 @@ class GroupFileError(PgaError, ValueError):
         super().__init__(f"{loc} {message}" if loc else message)
         self.line = line
         self.source = source
-
-
-class InvalidFamilyError(PgaError, ValueError):
-    """Unknown builtin family or invalid family parameters."""
-
-
-class UnknownCheckError(PgaError, ValueError):
-    """Check id is not in the catalog."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
-from .errors import NotTransitiveError, TrivialGroupError
+from .errors import PgaError, TrivialGroupError
 from .group import PermGroup
 from .perm import Permutation
 from .structure import factorize, is_prime
@@ -61,7 +61,7 @@ def is_elusive(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
     caller error, not False; on one point the trivial group has no
     element of prime order at all, so it is not called elusive."""
     if not G.is_transitive():
-        raise NotTransitiveError("elusiveness is defined for transitive groups")
+        raise PgaError("elusiveness is defined for transitive groups")
     if G.degree < 2:
         return False
     return first_prime_derangement(G, cap) is None

@@ -56,12 +56,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .config import DEFAULT_CAPS
-from .errors import (
-    CapExceededError,
-    DegreeMismatchError,
-    InvalidPermutationError,
-    PointOutOfRangeError,
-)
+from .errors import CapExceededError, PgaError
 from .perm import Permutation
 
 
@@ -137,7 +132,7 @@ class StabilizerChain:
         self._codec = _codec(degree)
         for p in base_prefix:
             if not 0 <= p < degree:
-                raise PointOutOfRangeError(f"base point {p} out of range")
+                raise PgaError(f"base point {p} out of range")
             self.levels.append(_Level(p))
         for g in generators:
             self._insert(g)
@@ -310,14 +305,12 @@ class PermGroup:
 
     def __init__(self, degree, generators=()):
         if degree < 1:
-            raise InvalidPermutationError(f"degree must be at least 1, got {degree}")
+            raise PgaError(f"degree must be at least 1, got {degree}")
         gens = []
         seen = set()
         for g in generators:
             if g.degree != degree:
-                raise DegreeMismatchError(
-                    f"generator of degree {g.degree} in a group of degree {degree}"
-                )
+                raise PgaError(f"generator of degree {g.degree} in a group of degree {degree}")
             if g.is_identity() or g.images in seen:
                 continue
             seen.add(g.images)
@@ -345,14 +338,12 @@ class PermGroup:
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
-            raise DegreeMismatchError(
-                f"degree {g.degree} element tested against degree {self.degree} group"
-            )
+            raise PgaError(f"degree {g.degree} element tested against degree {self.degree} group")
         return self.chain().contains(g)
 
     def orbit(self, point: int) -> frozenset:
         if not 0 <= point < self.degree:
-            raise PointOutOfRangeError(f"point {point} out of range")
+            raise PgaError(f"point {point} out of range")
         return frozenset(_orbit((point,), self.generators))
 
     def is_transitive(self) -> bool:
@@ -362,7 +353,7 @@ class PermGroup:
         """Stabilizer of a point, via a chain whose base is forced to start
         there; the levels below the first give the stabilizer its chain."""
         if not 0 <= point < self.degree:
-            raise PointOutOfRangeError(f"point {point} out of range")
+            raise PgaError(f"point {point} out of range")
         chain = StabilizerChain(self.degree, self.generators, base_prefix=(point,))
         gens = chain.strong_generators_below(1)
         stab = StabilizerChain._from_strong_generators(self.degree, chain.base[1:], gens)

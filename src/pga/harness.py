@@ -34,13 +34,7 @@ from . import __version__
 from .closure import is_2_closed
 from .config import Caps, DEFAULT_CAPS
 from .corpus import CorpusEntry, Report, report_metadata
-from .errors import (
-    CapExceededError,
-    NotTransitiveError,
-    PgaError,
-    TrivialGroupError,
-    UnknownCheckError,
-)
+from .errors import CapExceededError, PgaError, TrivialGroupError
 from .fixity import (
     FixityResult,
     any_derangement,
@@ -126,7 +120,7 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
     """
     G = entry.group
     if not G.is_transitive():
-        raise NotTransitiveError(f"{entry.name}: the checks assume a transitive group")
+        raise PgaError(f"{entry.name}: the checks assume a transitive group")
     order = G.order()
     degree = G.degree
     order_factored = factorize(order)
@@ -446,7 +440,7 @@ def check(check_id: str, a: GroupAnalysis) -> CheckResult:
     try:
         fn = _CHECKS[check_id]
     except KeyError:
-        raise UnknownCheckError(f"unknown check id {check_id!r}") from None
+        raise PgaError(f"unknown check id {check_id!r}") from None
     try:
         status, witness = fn(a)
     except _Ended as ended:
@@ -502,7 +496,7 @@ def run_all(
     requested = set(selection)
     unknown = requested - set(CHECK_IDS)
     if unknown:
-        raise UnknownCheckError(f"unknown check ids {sorted(unknown)}")
+        raise PgaError(f"unknown check ids {sorted(unknown)}")
     selection = tuple(cid for cid in CHECK_IDS if cid in requested)
     entries = sorted(corpus, key=lambda e: e.name)
     tasks = [(e, selection, caps) for e in entries]

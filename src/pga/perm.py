@@ -13,13 +13,7 @@ from __future__ import annotations
 from math import lcm
 from operator import itemgetter
 
-from .errors import (
-    CycleParseError,
-    DegreeMismatchError,
-    InvalidPermutationError,
-    PointOutOfRangeError,
-    RepeatedPointError,
-)
+from .errors import PgaError
 
 _new = object.__new__
 
@@ -38,11 +32,9 @@ class Permutation:
     def __init__(self, images):
         images = tuple(images)
         if not images:
-            raise InvalidPermutationError("degree must be at least 1")
+            raise PgaError("degree must be at least 1")
         if sorted(images) != list(range(len(images))):
-            raise InvalidPermutationError(
-                f"images {images!r} are not a bijection of 0..{len(images) - 1}"
-            )
+            raise PgaError(f"images {images!r} are not a bijection of 0..{len(images) - 1}")
         self.images = images
 
     @classmethod
@@ -60,17 +52,17 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         if n < 1:
-            raise InvalidPermutationError(f"degree must be at least 1, got {n}")
+            raise PgaError(f"degree must be at least 1, got {n}")
         return cls._trusted(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
         """Parse disjoint-cycle notation like "(0 1 2)(4 5)"; "()" is the identity."""
         if degree < 1:
-            raise InvalidPermutationError(f"degree must be at least 1, got {degree}")
+            raise PgaError(f"degree must be at least 1, got {degree}")
         s = text.strip()
         if not s:
-            raise CycleParseError("empty cycle expression")
+            raise PgaError("empty cycle expression")
         bodies = []
         pos = 0
         while pos < len(s):
@@ -78,10 +70,10 @@ class Permutation:
                 pos += 1
                 continue
             if s[pos] != "(":
-                raise CycleParseError(f"expected '(' at position {pos}, got {s[pos]!r}")
+                raise PgaError(f"expected '(' at position {pos}, got {s[pos]!r}")
             end = s.find(")", pos)
             if end < 0:
-                raise CycleParseError("unclosed cycle")
+                raise PgaError("unclosed cycle")
             bodies.append(s[pos + 1 : end])
             pos = end + 1
         if len(bodies) == 1 and not bodies[0].split():
@@ -91,18 +83,16 @@ class Permutation:
         for body in bodies:
             parts = body.split()
             if len(parts) < 2:
-                raise CycleParseError(f"cycle ({body.strip()}) needs at least two points")
+                raise PgaError(f"cycle ({body.strip()}) needs at least two points")
             points = []
             for part in parts:
                 p = _ascii_int(part)
                 if p is None:
-                    raise CycleParseError(f"bad point {part!r}")
+                    raise PgaError(f"bad point {part!r}")
                 if p >= degree:
-                    raise PointOutOfRangeError(
-                        f"point {p} out of range for degree {degree}"
-                    )
+                    raise PgaError(f"point {p} out of range for degree {degree}")
                 if p in seen:
-                    raise RepeatedPointError(f"point {p} occurs twice")
+                    raise PgaError(f"point {p} occurs twice")
                 seen.add(p)
                 points.append(p)
             for i, p in enumerate(points):
@@ -125,9 +115,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         a, img = self.images, other.images
         if len(a) != len(img):
-            raise DegreeMismatchError(
-                f"cannot compose degree {len(a)} with degree {len(img)}"
-            )
+            raise PgaError(f"cannot compose degree {len(a)} with degree {len(img)}")
         if len(a) == 1:
             # itemgetter of a single index returns the item, not a tuple
             return other

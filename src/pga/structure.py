@@ -51,13 +51,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .config import DEFAULT_CAPS
-from .errors import (
-    InvalidPermutationError,
-    LatticeCapExceededError,
-    NotAbelianError,
-    NotInGroupError,
-    NotPrimeError,
-)
+from .errors import CapExceededError, PgaError
 from .group import PermGroup, StabilizerChain
 from .perm import Permutation
 
@@ -101,7 +95,7 @@ def factorize(n: int) -> FactoredInteger:
     degrees, p - 1 for a prime degree p) have no prime factor above the
     degree, so the divisor never passes the degree."""
     if n < 1:
-        raise InvalidPermutationError(f"cannot factor {n}")
+        raise PgaError(f"cannot factor {n}")
     value = n
     counts: dict = {}
     d = 2
@@ -118,7 +112,7 @@ def factorize(n: int) -> FactoredInteger:
 def smallest_primitive_root(p: int) -> int:
     """Least generator of the multiplicative group mod a prime p."""
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise PgaError(f"{p} is not prime")
     if p == 2:
         return 1
     phi = p - 1
@@ -140,7 +134,7 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     seen = set()
     for s in seeds:
         if not G.contains(s):
-            raise NotInGroupError(f"{s!r} is not an element of the group")
+            raise PgaError(f"{s!r} is not an element of the group")
         if s.is_identity() or s.images in seen:
             continue
         seen.add(s.images)
@@ -202,7 +196,7 @@ def abelian_invariants(G: PermGroup, classes) -> tuple:
     primes p of p**#{i : c_i - c_(i-1) >= j}.
     """
     if not is_abelian(G):
-        raise NotAbelianError("abelian_invariants needs an abelian group")
+        raise PgaError("abelian_invariants needs an abelian group")
     census = Counter()
     for g, size in classes:
         census[g.order()] += size
@@ -261,7 +255,7 @@ def normal_subgroups(
         lattice.append(entry)
         keys.add(key)
         if len(lattice) > lattice_cap:
-            raise LatticeCapExceededError(f"more than {lattice_cap} normal subgroups")
+            raise CapExceededError(f"more than {lattice_cap} normal subgroups")
         return entry
 
     class_of_type = _classes_by_cycle_type(classes)

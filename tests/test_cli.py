@@ -159,6 +159,13 @@ class TestVerify:
         assert out == ""
         assert err == "error: unknown check ids ['BOGUS']\n"
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    @pytest.mark.parametrize("selection", ["", ",", " , "])
+    def test_check_list_without_an_id_exits_2(self, capsys, corpus_dir, selection, strict):
+        code, out, err = run(capsys, "verify", str(corpus_dir), "--jobs", "1", "--check", selection, *strict)
+        assert (code, out) == (2, "")
+        assert err == f"error: --check {selection!r} names no check id\n"
+
     def test_strict_with_forced_skips_exits_3(self, capsys, corpus_dir, tmp_path):
         code, _, _ = run(
             capsys, "verify", str(corpus_dir), "--jobs", "1", "--strict",
@@ -372,6 +379,18 @@ class TestCapFlags:
         assert captured.out == ""
         assert f"unrecognized arguments: {CAP_FLAGS[field]} 5" in captured.err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, file, prefix",
+        [("fixity", "symmetric_6.grp", "--enum"), ("analyze", "symmetric_4.grp", "--closure")],
+    )
+    def test_prefix_of_a_flag_is_unrecognized(self, capsys, corpus_dir, command, file, prefix):
+        with pytest.raises(SystemExit) as exited:
+            main([command, str(corpus_dir / file), prefix, "2"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {prefix} 2" in captured.err
 
     @pytest.mark.parametrize("command", sorted(CAPS_READ))
     def test_each_flag_sets_its_cap(self, capsys, corpus_dir, tmp_path, command):

@@ -15,7 +15,7 @@ from pga.closure import (
     two_closure,
 )
 from pga.corpus import builtin_family
-from pga.errors import DegreeCapExceededError
+from pga.errors import CapExceededError
 from pga.fixity import fixed_point_square_sum
 from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
@@ -248,7 +248,7 @@ class TestTwoClosure:
         assert not is_2_closed(G)
 
     def test_degree_cap(self):
-        with pytest.raises(DegreeCapExceededError):
+        with pytest.raises(CapExceededError, match="degree 12 exceeds closure degree cap 10"):
             two_closure(group("cyclic", 12), degree_cap=10)
 
     def test_trivial_group(self):

@@ -17,7 +17,7 @@ from pga.corpus import (
     serialize_entry,
     write_report,
 )
-from pga.errors import GroupFileError, InvalidFamilyError
+from pga.errors import GroupFileError, PgaError
 from pga.fixity import fixity
 from pga.harness import CheckResult
 from pga.perm import Permutation
@@ -139,15 +139,15 @@ class TestBuiltinFamilies:
         assert fixity(G).fixity == 0
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(PgaError, match="frobenius needs q >= 2 dividing p-1 = 6"):
             builtin_family("frobenius", [7, 4])  # 4 does not divide 6
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(PgaError, match="frobenius needs an odd prime p"):
             builtin_family("frobenius", [8, 2])  # 8 is not prime
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(PgaError, match="dihedral needs n >= 3"):
             builtin_family("dihedral", [2])
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(PgaError, match="unknown family 'nosuch'"):
             builtin_family("nosuch", [3])
-        with pytest.raises(InvalidFamilyError):
+        with pytest.raises(PgaError, match=r"cyclic takes 1 parameter\(s\), got 2"):
             builtin_family("cyclic", [3, 3])
 
     def test_degree_checked_against_the_callers_cap(self):
@@ -162,7 +162,7 @@ class TestBuiltinFamilies:
             ("elem_abelian", [2, 10**9]),
             ("frobenius", [11, 5]),
         ]:
-            with pytest.raises(InvalidFamilyError, match="exceeds the configured maximum 8"):
+            with pytest.raises(PgaError, match="exceeds the configured maximum 8"):
                 builtin_family(family, params, small)
 
     def test_huge_prime_refused_before_the_primality_test(self, monkeypatch):
@@ -172,7 +172,7 @@ class TestBuiltinFamilies:
 
         monkeypatch.setattr(corpus, "is_prime", no_primality_test)
         for family in ("frobenius", "elem_abelian"):
-            with pytest.raises(InvalidFamilyError, match="exceeds the configured maximum"):
+            with pytest.raises(PgaError, match="exceeds the configured maximum"):
                 builtin_family(family, [2**61 - 1, 2])
 
 

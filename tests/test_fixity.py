@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from pga.corpus import builtin_family
-from pga.errors import CapExceededError, NotTransitiveError, TrivialGroupError
+from pga.errors import CapExceededError, PgaError, TrivialGroupError
 from pga.fixity import (
     any_derangement,
     first_prime_derangement,
@@ -177,7 +177,7 @@ class TestElusive:
         assert is_elusive(corpus_by_name["m11_12"].group)
 
     def test_intransitive_rejected(self):
-        with pytest.raises(NotTransitiveError):
+        with pytest.raises(PgaError, match="elusiveness is defined for transitive groups"):
             is_elusive(PermGroup(3, [perm("(0 1)", 3)]))
 
     def test_degree_one_is_not_elusive(self):

@@ -6,7 +6,8 @@ looks layer functions up by name with getattr).  Every public top-level
 function, public class and public method defined in src/pga must be
 used somewhere outside its own definition.  Matching is by name only:
 a use of any object of the same name counts, so the scan can miss dead
-code.
+code.  Every error class but the base is caught or tested for in
+src/pga, or carries state of its own.
 """
 
 import ast
@@ -103,3 +104,43 @@ def test_perfbench_layer_calls_resolve():
         namespace = vars(importlib.import_module(f"pga.{module}"))
         missing = sorted(name for name in names if not callable(namespace.get(name)))
         assert missing == [], f"pga.{module} lacks {missing}"
+
+
+def _class_names(node):
+    """The names an except clause or an isinstance call tests against."""
+    if isinstance(node, ast.Tuple):
+        return {name for item in node.elts for name in _class_names(item)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def caught_names():
+    """Names of the classes that an except clause or an isinstance call
+    in src/pga tests for."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                out |= _class_names(node.type)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                out |= _class_names(node.args[1])
+    return out
+
+
+def test_every_error_class_is_reacted_to():
+    """An error class other than the base earns its place by being caught
+    or tested for, or by carrying state of its own; any other failure
+    raises the base class with a message that says what went wrong."""
+    caught = caught_names()
+    idle = [
+        node.name
+        for node in _parse(PACKAGE / "errors.py").body
+        if isinstance(node, ast.ClassDef)
+        and node.name != "PgaError"
+        and node.name not in caught
+        and not any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
+    ]
+    assert idle == [], f"error classes nothing in src/pga catches or tests for: {idle}"
