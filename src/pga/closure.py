@@ -68,7 +68,6 @@ class OrbitalPartition:
     pairs row-major, so equal pair partitions get byte-equal matrices.
     """
 
-    degree: int
     color: tuple  # n x n matrix, color[x][y] is the orbit id of (x, y)
     rank: int
 
@@ -92,7 +91,7 @@ def orbitals(G: PermGroup) -> OrbitalPartition:
                         color[u][v] = rank
                         queue.append((u, v))
             rank += 1
-    return OrbitalPartition(degree=n, color=tuple(tuple(row) for row in color), rank=rank)
+    return OrbitalPartition(color=tuple(tuple(row) for row in color), rank=rank)
 
 
 def _arc_weights(color, rank):

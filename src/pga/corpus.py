@@ -41,73 +41,51 @@ class CorpusEntry:
 
 
 def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFAULT_CAPS.max_degree) -> CorpusEntry:
-    """Parse one .grp file."""
-    name = None
-    degree = None
+    """Parse one .grp file: its first content line names the group, its
+    second gives the degree, and every later one is a gen: or img: line."""
+    name = degree = None
     gens = []
-    saw_body = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if not sep:
-            raise GroupFileError(f"expected 'key: value', got {line!r}", line=lineno, source=source)
-        if key == "name":
-            if name is not None:
-                raise GroupFileError("duplicate name line", line=lineno, source=source)
-            if degree is not None or saw_body:
-                raise GroupFileError("name must come first", line=lineno, source=source)
-            if not value or any(c.isspace() for c in value):
-                raise GroupFileError(f"bad name {value!r}", line=lineno, source=source)
-            name = value
-        elif key == "degree":
-            if degree is not None:
-                raise GroupFileError("duplicate degree line", line=lineno, source=source)
-            if name is None or saw_body:
-                raise GroupFileError("degree must come second", line=lineno, source=source)
-            degree = _ascii_int(value)
-            if degree is None:
-                raise GroupFileError(f"bad degree {value!r}", line=lineno, source=source)
-            if degree < 1:
-                raise GroupFileError(f"degree must be at least 1, got {degree}", line=lineno, source=source)
-            if degree > max_degree:
-                raise GroupFileError(
-                    f"degree {degree} exceeds the configured maximum {max_degree}",
-                    line=lineno,
-                    source=source,
-                )
-        elif key == "gen":
-            if degree is None:
-                raise GroupFileError("gen line before the degree line", line=lineno, source=source)
-            saw_body = True
-            try:
+    content = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1)]
+    content = [(n, line) for n, line in content if line and not line.startswith("#")]
+    try:
+        for position, (lineno, line) in enumerate(content):
+            key, sep, value = line.partition(":")
+            key = key.strip()
+            value = value.strip()
+            if not sep:
+                raise PgaError(f"expected 'key: value', got {line!r}")
+            if key not in ("name", "degree", "gen", "img"):
+                raise PgaError(f"unknown key {key!r}")
+            if position == 0:
+                if key != "name":
+                    raise PgaError("expected the name line")
+                if not value or any(c.isspace() for c in value):
+                    raise PgaError(f"bad name {value!r}")
+                name = value
+            elif position == 1:
+                if key != "degree":
+                    raise PgaError("expected the degree line")
+                degree = _ascii_int(value)
+                if degree is None:
+                    raise PgaError(f"bad degree {value!r}")
+                if degree < 1:
+                    raise PgaError(f"degree must be at least 1, got {degree}")
+                if degree > max_degree:
+                    raise PgaError(f"degree {degree} exceeds the configured maximum {max_degree}")
+            elif key == "gen":
                 gens.append(Permutation.from_cycles(value, degree))
-            except PgaError as exc:
-                raise GroupFileError(str(exc), line=lineno, source=source) from exc
-        elif key == "img":
-            if degree is None:
-                raise GroupFileError("img line before the degree line", line=lineno, source=source)
-            saw_body = True
-            parts = value.split()
-            if len(parts) != degree:
-                raise GroupFileError(
-                    f"img needs exactly {degree} integers, got {len(parts)}",
-                    line=lineno,
-                    source=source,
-                )
-            images = [_ascii_int(p) for p in parts]
-            if None in images:
-                bad = parts[images.index(None)]
-                raise GroupFileError(f"bad image {bad!r}", line=lineno, source=source)
-            try:
+            elif key == "img":
+                parts = value.split()
+                if len(parts) != degree:
+                    raise PgaError(f"img needs exactly {degree} integers, got {len(parts)}")
+                images = [_ascii_int(p) for p in parts]
+                if None in images:
+                    raise PgaError(f"bad image {parts[images.index(None)]!r}")
                 gens.append(Permutation(images))
-            except PgaError as exc:
-                raise GroupFileError(str(exc), line=lineno, source=source) from exc
-        else:
-            raise GroupFileError(f"unknown key {key!r}", line=lineno, source=source)
+            else:
+                raise PgaError(f"duplicate {key} line")
+    except PgaError as exc:
+        raise GroupFileError(str(exc), line=lineno, source=source) from exc
     if name is None:
         raise GroupFileError("missing name line", line=1, source=source)
     if degree is None:

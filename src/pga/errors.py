@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Each class is kept because some caller reacts to it differently: the
-command line exits 3 on `CapExceededError` and 2 on any other
-`PgaError`, the harness turns a cap or a trivial group into a
-`skipped` result, and `GroupFileError` carries where in a file the
-fault is.  Any other failure is a plain `PgaError` whose message says
+command line exits 3 on `CapExceededError` and `TrivialGroupError` and
+2 on any other `PgaError`, the harness turns a cap or a trivial group
+into a `skipped` result, and `GroupFileError` carries where in a file
+the fault is.  Any other failure is a plain `PgaError` whose message says
 what went wrong.
 """
 

@@ -10,13 +10,14 @@ on synthetic records.  Statuses form a closed set:
     skipped    a field the check needs was unavailable (resource caps)
 
 A check states its hypotheses in order, then its conclusion.  It reads
-each field it needs through _need, which ends the check as skipped, with
-the field and its skip reason as witness, when the field is None; and it
-states each hypothesis through _assume, which ends the check as vacuous
-when the hypothesis fails.  So a hypothesis decided before a missing
-field is read still makes the check vacuous.  A check that reaches its
-conclusion returns (status, witness); check() alone turns that, or the
-early ending, into a CheckResult.
+each field it needs through _need, and a check is skipped exactly when
+skip_reasons names a field it needs: _need then ends it with the field
+and its skip reason as witness.  It states each hypothesis through
+_assume, which ends the check as vacuous when the hypothesis fails.  So
+a hypothesis decided before a missing field is read still makes the
+check vacuous.  A check that reaches its conclusion returns (status,
+witness); check() alone turns that, or the early ending, into a
+CheckResult.
 
 Bounds are evaluated in exact rational arithmetic; no floating point.
 Check ids are stable opaque labels used in reports and on the command
@@ -80,16 +81,15 @@ CHECK_IDS = (
 class GroupAnalysis:
     """Aggregate per-group record consumed by the checks.
 
-    Fields that scans or searches could not populate are None, with the
-    reason recorded in skip_reasons under the field name.
+    A field that scans or searches could not populate is None and named
+    in skip_reasons, with the reason; skip_reasons alone marks a field
+    unavailable, as None is a value of derangement and prime_derangement
+    (no such element exists).
     """
 
     name: str
     degree: int
     order: int
-    degree_factored: FactoredInteger
-    order_factored: FactoredInteger
-    stab_order_factored: FactoredInteger
     solvable: bool
     fixity: FixityResult | None
     elusive: bool | None
@@ -99,6 +99,18 @@ class GroupAnalysis:
     derangement: Permutation | None
     prime_derangement: Permutation | None
     skip_reasons: dict
+
+    @property
+    def degree_factored(self) -> FactoredInteger:
+        return factorize(self.degree)
+
+    @property
+    def order_factored(self) -> FactoredInteger:
+        return factorize(self.order)
+
+    @property
+    def stab_order_factored(self) -> FactoredInteger:
+        return factorize(self.order // self.degree)
 
 
 @dataclass
@@ -121,10 +133,6 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
     G = entry.group
     if not G.is_transitive():
         raise PgaError(f"{entry.name}: the checks assume a transitive group")
-    order = G.order()
-    degree = G.degree
-    order_factored = factorize(order)
-    stab_order_factored = factorize(order // degree)
     skip_reasons = {}
 
     fix = elusive = profile = derang = prime_derang = None
@@ -155,11 +163,8 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
 
     return GroupAnalysis(
         name=entry.name,
-        degree=degree,
-        order=order,
-        degree_factored=factorize(degree),
-        order_factored=order_factored,
-        stab_order_factored=stab_order_factored,
+        degree=G.degree,
+        order=G.order(),
         solvable=is_solvable(G),
         fixity=fix,
         elusive=elusive,
@@ -177,12 +182,10 @@ class _Ended(Exception):
 
 
 def _need(a: GroupAnalysis, field: str):
-    """The field's value; the check is skipped when it is unavailable."""
-    value = getattr(a, field)
-    if value is None:
-        reason = a.skip_reasons.get(field, f"{field} unavailable")
-        raise _Ended(SKIPPED, {"missing": field, "reason": reason})
-    return value
+    """The field's value; the check is skipped when skip_reasons names it."""
+    if field in a.skip_reasons:
+        raise _Ended(SKIPPED, {"missing": field, "reason": a.skip_reasons[field]})
+    return getattr(a, field)
 
 
 def _assume(hypothesis) -> None:
@@ -370,7 +373,7 @@ def _check_C2_9(a: GroupAnalysis):
             return VIOLATED, {"clause": 1, "subgroup_order": order}
         if p1 ** (total - 1) > f:
             return VIOLATED, {"clause": 2, "subgroup_order": order, "fixity": f}
-        invariants = tuple(info.abelian_invariants or ())
+        invariants = info.abelian_invariants
         if f == 3 and (p1 not in (2, 3) or invariants != (p1, p1)):
             return VIOLATED, {"clause": 3, "subgroup_order": order, "invariants": list(invariants)}
         if f == 4 and invariants not in _fixity_4_types(factors):
@@ -385,15 +388,13 @@ def _check_C2_10(a: GroupAnalysis):
     _assume(_need(a, "two_closed"))
     _assume(_need(a, "fixity").fixity == 4)
     _assume(_p_subgroups(_need(a, "normal_lattice")))
-    # None in a derangement field means none exists, unless a cap left it unknown
-    for field in ("derangement", "prime_derangement"):
-        if field in a.skip_reasons:
-            raise _Ended(SKIPPED, {"missing": field, "reason": a.skip_reasons[field]})
+    # None in a derangement field means that none exists
+    derangement, prime_derangement = _need(a, "derangement"), _need(a, "prime_derangement")
     witness = {
-        "any_order": a.derangement.cycle_string() if a.derangement else None,
-        "prime_order": a.prime_derangement.cycle_string() if a.prime_derangement else None,
+        "any_order": derangement.cycle_string() if derangement else None,
+        "prime_order": prime_derangement.cycle_string() if prime_derangement else None,
     }
-    return (VERIFIED if a.derangement is not None else VIOLATED), witness
+    return (VERIFIED if derangement is not None else VIOLATED), witness
 
 
 def _check_A1(a: GroupAnalysis):

@@ -3,12 +3,12 @@
 Covers integer factorization, derived series and solvability, abelian
 invariants (by element-order census), normal closures, and the full
 normal-subgroup listing of a group.  Each listed subgroup carries the
-facts the checks read: its order, whether it is abelian, cyclic (read
-off its abelian invariants), a p-group or semiregular, and whether it is
-a minimal normal subgroup.  The abelian invariants and semiregularity
-are read off G's class table, through the classes in the subgroup's key
-(below): element orders and fixed-point counts are class functions, so
-no subgroup's elements are walked again.
+facts the checks read: its order, its abelian invariants, whether it is
+semiregular and whether it is a minimal normal subgroup; whether it is
+abelian, cyclic or a p-group is read off the first two.  The abelian
+invariants and semiregularity are read off G's class table, through the
+classes in the subgroup's key (below): element orders and fixed-point
+counts are class functions, so no subgroup's elements are walked again.
 
 A normal subgroup is a union of conjugacy classes, so the listing keys
 each one by the set of classes it contains (indices into the group's
@@ -217,17 +217,35 @@ def abelian_invariants(G: PermGroup, classes) -> tuple:
 
 @dataclass
 class NormalSubgroupInfo:
-    """Per-subgroup summary consumed by the fact checks."""
+    """Per-subgroup summary consumed by the fact checks.
+
+    The abelian invariants are None exactly when the subgroup is not
+    abelian; the other structural flags are read off them and the order.
+    """
 
     subgroup: PermGroup
     order: FactoredInteger
-    is_abelian: bool
-    is_cyclic: bool
-    is_p_group_for: int | None
-    smallest_prime: int | None  # None only for the trivial subgroup
     abelian_invariants: tuple | None
     is_semiregular: bool
     is_minimal_normal: bool = False
+
+    @property
+    def is_abelian(self) -> bool:
+        return self.abelian_invariants is not None
+
+    @property
+    def is_cyclic(self) -> bool:
+        return self.is_abelian and len(self.abelian_invariants) <= 1
+
+    @property
+    def is_p_group_for(self) -> int | None:
+        """The prime p when the order is p**k with k >= 1, else None."""
+        return self.order.factors[0][0] if len(self.order.factors) == 1 else None
+
+    @property
+    def smallest_prime(self) -> int | None:
+        """The least prime dividing the order; None only for the trivial subgroup."""
+        return self.order.factors[0][0] if self.order.factors else None
 
 
 def normal_subgroups(
@@ -337,16 +355,13 @@ def _describe_subgroup(H: PermGroup, classes) -> NormalSubgroupInfo:
     """The facts of a normal subgroup H, read off the classes of G that
     make it up: fixed-point counts and element orders are class functions,
     so H is semiregular when no non-identity representative fixes a point."""
-    fac = factorize(H.order())
-    abelian = is_abelian(H)
-    invariants = abelian_invariants(H, classes) if abelian else None
+    try:
+        invariants = abelian_invariants(H, classes)
+    except PgaError:  # H is not abelian
+        invariants = None
     return NormalSubgroupInfo(
         subgroup=H,
-        order=fac,
-        is_abelian=abelian,
-        is_cyclic=abelian and len(invariants) <= 1,
-        is_p_group_for=fac.factors[0][0] if len(fac.factors) == 1 else None,
-        smallest_prime=fac.factors[0][0] if fac.factors else None,
+        order=factorize(H.order()),
         abelian_invariants=invariants,
         is_semiregular=all(g.fixed_point_count() == 0 for g, _ in classes if not g.is_identity()),
     )

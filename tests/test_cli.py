@@ -268,6 +268,13 @@ class TestFixityCommand:
         )
         assert code == 3
 
+    def test_trivial_group_exits_3_like_analyze(self, capsys, tmp_path):
+        # an undefined quantity is a skipped result, not a parse error
+        path = tmp_path / "one.grp"
+        path.write_text("name: one\ndegree: 1\n")
+        assert run(capsys, "fixity", str(path)) == (3, "", "error: fixity is undefined for the trivial group\n")
+        assert run(capsys, "analyze", str(path))[0] == 3
+
 
 class TestGen:
     def test_frobenius_21(self, capsys, tmp_path):

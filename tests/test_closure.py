@@ -120,7 +120,7 @@ class TestOrbitals:
     def test_class_sizes_cover_all_pairs(self, corpus_entries):
         for entry in corpus_entries:
             part = orbitals(entry.group)
-            n = part.degree
+            n = entry.group.degree
             sizes = {}
             for row in part.color:
                 for c in row:
@@ -131,7 +131,7 @@ class TestOrbitals:
     def test_transitive_single_diagonal_color(self, corpus_entries):
         for entry in corpus_entries:
             part = orbitals(entry.group)
-            assert len({part.color[x][x] for x in range(part.degree)}) == 1, entry.name
+            assert len({part.color[x][x] for x in range(len(part.color))}) == 1, entry.name
 
     def test_colors_invariant_under_generators(self):
         G = group("dihedral", 5)
@@ -347,6 +347,55 @@ class TestClosureChain:
         assert_same_chain(built, sifted)
         assert_every_schreier_generator_checked(built)
         assert_every_schreier_generator_sifts(built)
+
+
+def graph_colors(n, adjacent):
+    """Three colours of ordered pairs: 0 on the diagonal, 1 on an edge, 2
+    on a non-edge.  Every row holds all three, as _arc_weights needs."""
+    return tuple(tuple(0 if x == y else 1 if adjacent(x, y) else 2 for y in range(n)) for x in range(n))
+
+
+def shrikhande(x, y):
+    """Cayley graph of Z4 x Z4, point 4i + j being (i, j)."""
+    return ((x // 4 - y // 4) % 4, (x % 4 - y % 4) % 4) in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+
+def rook(x, y):
+    """The 4 x 4 rook's graph, point 4i + j being (i, j)."""
+    return (x // 4 == y // 4) != (x % 4 == y % 4)
+
+
+def cycle(n):
+    return lambda x, y: (x - y) % n in (1, n - 1)
+
+
+def disjoint_union(a, size_a, b):
+    return lambda x, y: a(x, y) if max(x, y) < size_a else min(x, y) >= size_a and b(x - size_a, y - size_a)
+
+
+class TestColorSearchRejections:
+    """Colourings that no group's orbitals give, so that the search meets
+    a refinement whose two sides split differently, a branch with no
+    automorphism, and a failed image in _descend.  The rook's graph and
+    the Shrikhande graph share their parameters, so refinement cannot
+    tell their points apart."""
+
+    @pytest.mark.parametrize(
+        "n, adjacent, order",
+        [
+            (16, shrikhande, 192),
+            (32, disjoint_union(rook, 16, shrikhande), 1152 * 192),
+            (12, disjoint_union(cycle(6), 6, disjoint_union(cycle(3), 3, cycle(3))), 12 * 72),
+        ],
+        ids=["shrikhande", "rook_and_shrikhande", "c6_and_two_c3"],
+    )
+    def test_automorphism_group(self, n, adjacent, order):
+        color = graph_colors(n, adjacent)
+        gens, base = _color_automorphism_generators(color, 3, n)
+        chain = StabilizerChain._from_strong_generators(n, base, gens)
+        assert chain.order() == order
+        assert all(color[g.images[x]][g.images[y]] == color[x][y] for g in gens for x in range(n) for y in range(n))
+        assert_every_schreier_generator_sifts(chain)
 
 
 class TestOracleEquivalence:

@@ -82,6 +82,23 @@ class TestParseGroupFile:
         with pytest.raises(GroupFileError):
             parse_group_file("degree: 2\nname: a\n")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("name: a\nname: b\ndegree: 2\n", 2, "expected the degree line"),
+            ("name: a\ndegree: 2\n\ndegree: 2\n", 4, "duplicate degree line"),
+            ("# header\ndegree: 2\nname: a\n", 2, "expected the name line"),
+            ("name: a\ngen: (0 1)\ndegree: 2\n", 2, "expected the degree line"),
+            ("name: a\ndegree: 2\ngen: (0 1)\nname: b\n", 4, "duplicate name line"),
+            ("", 1, "missing name line"),
+        ],
+    )
+    def test_header_fault_names_its_line(self, text, line, message):
+        with pytest.raises(GroupFileError) as err:
+            parse_group_file(text, source="h.grp")
+        assert (err.value.line, err.value.source) == (line, "h.grp")
+        assert str(err.value) == f"h.grp:{line}: {message}"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(GroupFileError) as err:
             parse_group_file("name: a\ndegree: 2\nfoo: bar\n")

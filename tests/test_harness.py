@@ -1,8 +1,10 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pga.config import Caps
 from pga.corpus import CorpusEntry, builtin_family
 from pga.errors import PgaError
 from pga.fixity import FixityResult
@@ -27,21 +29,11 @@ from pga.structure import NormalSubgroupInfo, factorize
 # synthetic analysis records
 
 
-def make_info(
-    order,
-    is_abelian=False,
-    is_cyclic=False,
-    is_semiregular=False,
-    invariants=None,
-):
-    fac = factorize(order)
+def make_info(order, invariants=None, is_semiregular=False):
+    """A subgroup of the given order; abelian exactly when invariants are given."""
     return NormalSubgroupInfo(
         subgroup=PermGroup(1),
-        order=fac,
-        is_abelian=is_abelian,
-        is_cyclic=is_cyclic,
-        is_p_group_for=fac.factors[0][0] if len(fac.factors) == 1 else None,
-        smallest_prime=fac.factors[0][0] if fac.factors else None,
+        order=factorize(order),
         abelian_invariants=tuple(invariants) if invariants else None,
         is_semiregular=is_semiregular,
     )
@@ -59,20 +51,14 @@ def make_analysis(
     prime_derangement=None,
     missing=(),
 ):
-    stab_order = order // degree if order % degree == 0 else 1
-    fac_order = factorize(order)
-    fac_stab = factorize(stab_order)
     if derangement == "auto":
         derangement = Permutation(list(range(1, degree)) + [0])
     fix = FixityResult(fixity_value, None)
-    profile = {p: frozenset({0}) for p in fac_order.primes}
+    profile = {p: frozenset({0}) for p in factorize(order).primes}
     a = GroupAnalysis(
         name="synthetic",
         degree=degree,
         order=order,
-        degree_factored=factorize(degree),
-        order_factored=fac_order,
-        stab_order_factored=fac_stab,
         solvable=solvable,
         fixity=fix,
         elusive=elusive,
@@ -436,9 +422,30 @@ class TestAnalyze:
         for cid in ("A1", "A2", "A3", "A4"):
             assert check(cid, a).status == VACUOUS, cid
 
-    def test_caps_turn_into_skip_reasons(self):
-        from pga.config import Caps
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            Caps(),
+            Caps(enumeration_cap=1),
+            Caps(closure_degree_cap=1),
+            Caps(lattice_cap=1),
+            Caps(enumeration_cap=1, closure_degree_cap=1),
+        ],
+        ids=["defaults", "enumeration", "closure", "lattice", "enumeration_and_closure"],
+    )
+    def test_skip_reasons_name_exactly_the_missing_fields(self, corpus_entries, caps):
+        # the checks' _need reads skip_reasons alone; None is a value of
+        # the derangement fields, where it means that none exists
+        for entry in [*corpus_entries, builtin_family("cyclic", [1]), builtin_family("symmetric", [1])]:
+            a = analyze(entry, caps)
+            names = {f.name for f in fields(a)}
+            assert set(a.skip_reasons) <= names, entry.name
+            for name in names - {"derangement", "prime_derangement"}:
+                assert (name in a.skip_reasons) == (getattr(a, name) is None), (entry.name, name)
+            for name in {"derangement", "prime_derangement"} & set(a.skip_reasons):
+                assert getattr(a, name) is None, (entry.name, name)
 
+    def test_caps_turn_into_skip_reasons(self):
         entry = builtin_family("symmetric", [5])
         a = analyze(entry, Caps(enumeration_cap=50, closure_degree_cap=3))
         assert a.fixity is None
@@ -481,38 +488,38 @@ class TestCheckSemantics:
     def test_l2_6_bound_violation_carries_witness(self):
         # order-2 normal subgroup gives bound f * (2-1)/(2-1) = f < degree
         a = make_analysis(degree=6, order=12, elusive=True, fixity_value=3,
-                          lattice=[make_info(2, is_abelian=True, is_cyclic=True)])
+                          lattice=[make_info(2, invariants=(2,))])
         result = check("L2_6", a)
         assert result.status == VIOLATED
         assert result.witness["degree"] == 6
 
     def test_l2_7_all_clauses_hold_on_small_synthetic(self):
         a = make_analysis(degree=4, order=12, elusive=True, fixity_value=3,
-                          lattice=[make_info(4, is_abelian=True, invariants=(2, 2))])
+                          lattice=[make_info(4, invariants=(2, 2))])
         assert check("L2_7", a).status == VERIFIED
 
     def test_c2_9_squarefree_abelian_normal_is_violation(self):
         a = make_analysis(elusive=True, fixity_value=3,
-                          lattice=[make_info(6, is_abelian=True, is_cyclic=True, invariants=(6,))])
+                          lattice=[make_info(6, invariants=(6,))])
         result = check("C2_9", a)
         assert result.status == VIOLATED
         assert result.witness["clause"] == 1
 
     def test_c2_9_fixity3_type_match(self):
         a = make_analysis(elusive=True, fixity_value=3,
-                          lattice=[make_info(9, is_abelian=True, invariants=(3, 3))])
+                          lattice=[make_info(9, invariants=(3, 3))])
         assert check("C2_9", a).status == VERIFIED
 
     def test_c2_9_fixity4_types(self):
         ok = make_analysis(elusive=True, fixity_value=4,
-                           lattice=[make_info(18, is_abelian=True, invariants=(3, 6))])
+                           lattice=[make_info(18, invariants=(3, 6))])
         assert check("C2_9", ok).status == VERIFIED
         bad = make_analysis(elusive=True, fixity_value=4,
-                            lattice=[make_info(18, is_abelian=True, invariants=(18,))])
+                            lattice=[make_info(18, invariants=(18,))])
         assert check("C2_9", bad).status == VIOLATED
 
     def test_c2_10_verdict_and_witness(self):
-        lattice = [make_info(4, is_abelian=True, invariants=(2, 2))]
+        lattice = [make_info(4, invariants=(2, 2))]
         a = make_analysis(elusive=False, two_closed=True, fixity_value=4, lattice=lattice)
         result = check("C2_10", a)
         assert result.status == VERIFIED
@@ -550,26 +557,17 @@ def lattice_infos():
     small_orders = st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 20, 25, 36, 50])
 
     def build(args):
-        order, abelian, semiregular, cyclic_bit, inv_choice = args
-        fac = factorize(order)
+        order, abelian, semiregular, inv_choice = args
         invariants = None
         if abelian:
             options = [(order,)]
-            p = fac.factors[0][0]
+            p = factorize(order).factors[0][0]
             if order % (p * p) == 0:
                 options.append((p, order // p))
             invariants = options[inv_choice % len(options)]
-        return make_info(
-            order,
-            is_abelian=abelian,
-            is_cyclic=abelian and cyclic_bit,
-            is_semiregular=semiregular,
-            invariants=invariants,
-        )
+        return make_info(order, invariants, is_semiregular=semiregular)
 
-    return st.tuples(
-        small_orders, st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3)
-    ).map(build)
+    return st.tuples(small_orders, st.booleans(), st.booleans(), st.integers(0, 3)).map(build)
 
 
 @st.composite
