@@ -5,8 +5,7 @@ Every quantity here is a class function: conjugate elements have the
 same order and the same number of fixed points.  So each function
 reads its own quantity off the representatives of the group's
 conjugacy-class table (PermGroup.conjugacy_classes, guarded by the
-enumeration cap), with the sum of squared fixed-point counts weighted
-by class size; no element power is formed.  A representative is
+enumeration cap); no element power is formed.  A representative is
 the first element of its class in the group's element walk, and each
 witness comes from the first element in that walk with a property
 conjugation preserves, so the witnesses are the ones a scan of every
@@ -65,11 +64,6 @@ def is_elusive(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> bool:
     if G.degree < 2:
         return False
     return first_prime_derangement(G, cap) is None
-
-
-def fixed_point_square_sum(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> int:
-    """Sum of |Fix(g)|**2 over all elements, identity included."""
-    return sum(size * g.fixed_point_count() ** 2 for g, size in G.conjugacy_classes(cap))
 
 
 def any_derangement(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> Permutation | None:

@@ -26,7 +26,6 @@ line.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,7 +120,6 @@ class CheckResult:
     check_id: str
     status: str
     witness: dict | None = None
-    elapsed_ms: int = 0
 
 
 def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
@@ -470,13 +468,7 @@ def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
             )
             for cid in selection
         ]
-    results = []
-    for cid in selection:
-        start = time.perf_counter()
-        r = check(cid, a)
-        r.elapsed_ms = int((time.perf_counter() - start) * 1000)
-        results.append(r)
-    return results
+    return [check(cid, a) for cid in selection]
 
 
 def _worker(args):

@@ -21,7 +21,6 @@ from pga.errors import CapExceededError
 from pga.fixity import (
     any_derangement,
     first_prime_derangement,
-    fixed_point_square_sum,
     fixity,
     is_elusive,
     prime_fix_profile,
@@ -41,11 +40,10 @@ def _primes(m):
 def brute_scan(walk):
     """Every fixity quantity by looking at each element in walk order."""
     ident = tuple(range(len(walk[0])))
-    out = {"max_fix": -1, "witness": None, "derangement": None, "square_sum": 0}
+    out = {"max_fix": -1, "witness": None, "derangement": None}
     power_fix, prime_derangements = {}, {}
     for x in walk:
         fp = fixed_count(x)
-        out["square_sum"] += fp * fp
         if x == ident:
             continue
         if fp > out["max_fix"]:
@@ -216,4 +214,3 @@ class TestFixityOnRepresentatives:
             first = min(want["prime_derangements"].items(), default=(None, None))[1]
             assert _images(first_prime_derangement(G)) == first, entry.name
             assert _images(any_derangement(G)) == want["derangement"], entry.name
-            assert fixed_point_square_sum(G) == want["square_sum"], entry.name

@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import re
 
 import pytest
 
@@ -190,18 +189,16 @@ class TestVerify:
 
     @staticmethod
     def _report_digest(capsys, corpus_dir, *cap_flags):
-        """sha256 of the whole-corpus machine-records report with its
-        elapsed_ms fields removed, and the report's status counts."""
+        """sha256 of the whole-corpus machine-records report, and the
+        report's status counts."""
         code, out, _ = run(
             capsys, "verify", str(corpus_dir), "--jobs", "1", "--format", "machine-records",
             *cap_flags,
         )
         assert code == 0
-        assert out.count('"elapsed_ms":') == 560
-        report = re.sub(r',"elapsed_ms":\d+', "", out)
-        statuses = [json.loads(line)["status"] for line in report.splitlines()[1:]]
+        statuses = [json.loads(line)["status"] for line in out.splitlines()[1:]]
         counts = {s: statuses.count(s) for s in sorted(set(statuses))}
-        return hashlib.sha256(report.encode()).hexdigest(), counts
+        return hashlib.sha256(out.encode()).hexdigest(), counts
 
     def test_corpus_report_is_pinned(self, capsys, corpus_dir):
         # a change to chains, element walks or checks must leave every

@@ -16,7 +16,6 @@ from pga.closure import (
 )
 from pga.corpus import builtin_family
 from pga.errors import CapExceededError
-from pga.fixity import fixed_point_square_sum
 from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 
@@ -453,15 +452,6 @@ class TestClosureLaws:
             if part.rank != 2 or G.degree > 12:
                 continue
             assert two_closure(G).order() == factorial(G.degree), entry.name
-
-
-class TestBurnsideRankIdentity:
-    def test_rank_times_order_is_fix_square_sum(self, corpus_entries):
-        for entry in corpus_entries:
-            G = entry.group
-            if G.order() > 100_000:
-                continue
-            assert orbitals(G).rank * G.order() == fixed_point_square_sum(G), entry.name
 
 
 class TestPinnedSearchOutput:

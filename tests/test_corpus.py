@@ -224,11 +224,9 @@ class TestReportFormat:
     def make_report(self, entries=()):
         caps = Caps()
         results = [
-            CheckResult("g1", 4, 24, "C2_3", "vacuous", None, 1),
-            CheckResult("g1", 4, 24, "A1", "vacuous", None, 0),
-            CheckResult(
-                "g0", 5, 20, "C2_3", "violated", {"fixity": 2}, 2
-            ),
+            CheckResult("g1", 4, 24, "C2_3", "vacuous"),
+            CheckResult("g1", 4, 24, "A1", "vacuous"),
+            CheckResult("g0", 5, 20, "C2_3", "violated", {"fixity": 2}),
         ]
         return Report(metadata=report_metadata("0.0-test", caps, list(entries)), entries=results)
 

@@ -553,17 +553,27 @@ class TestCheckSemantics:
 # fuzzed status soundness
 
 
+def invariant_options(order):
+    """Abelian invariants of some abelian groups of the given order: the
+    cyclic one, and a p split off when p**2 divides the order."""
+    p = factorize(order).factors[0][0]
+    return [(order,), (p, order // p)] if order % (p * p) == 0 else [(order,)]
+
+
+def always_abelian(order):
+    """Every group of order p or p**2 is abelian."""
+    factors = factorize(order).factors
+    return len(factors) == 1 and factors[0][1] <= 2
+
+
 def lattice_infos():
     small_orders = st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 20, 25, 36, 50])
 
     def build(args):
         order, abelian, semiregular, inv_choice = args
         invariants = None
-        if abelian:
-            options = [(order,)]
-            p = factorize(order).factors[0][0]
-            if order % (p * p) == 0:
-                options.append((p, order // p))
+        if abelian or always_abelian(order):
+            options = invariant_options(order)
             invariants = options[inv_choice % len(options)]
         return make_info(order, invariants, is_semiregular=semiregular)
 
@@ -611,7 +621,9 @@ def c2_10_analyses(draw):
     nontrivial p-subgroup in the lattice), with each derangement field
     present, None, or unknown because a cap left it out."""
     degree = draw(st.integers(min_value=5, max_value=24))
-    p_subgroup = make_info(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25])))
+    p_order = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25]))
+    invariants = draw(st.sampled_from(invariant_options(p_order))) if always_abelian(p_order) else None
+    p_subgroup = make_info(p_order, invariants)
     lattice = draw(st.permutations([p_subgroup, *draw(st.lists(lattice_infos(), max_size=3))]))
     states = st.sampled_from(["present", None, "unknown"])
     fields = {"derangement": draw(states), "prime_derangement": draw(states)}

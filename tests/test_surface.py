@@ -20,7 +20,6 @@ SCANNED = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 # names that only tests read, each kept for the test that needs it
 ALLOWED = {
-    "fixed_point_square_sum": "the Burnside rank identity of the acceptance tests",
     "read_report": "the report round-trip tests",
     "point_stabilizer": "the stabilizer tests; the stabilizer route to the fixity above the cap builds on it",
 }
