@@ -47,12 +47,16 @@ The conjugacy classes come from one walk of the element codes and a
 conjugation search from each element not yet met.  The search carries
 an element as its code, with the same choice at degree 256 (_codec
 makes it for both): up to that degree a conjugate is two
-bytes.translate calls and the set of elements met holds short byte
-strings with cached hashes; above it, it holds image tuples.
+bytes.translate calls, with the element's table formed once for all
+generators, and the set of elements met holds short byte strings with
+cached hashes; above it, it holds image tuples.  The walk's last level
+is one map per prefix (_products), so no element passes through a
+generator frame.
 """
 
 from __future__ import annotations
 
+import itertools
 from operator import itemgetter
 
 from .config import DEFAULT_CAPS
@@ -83,14 +87,13 @@ def _decode(code):
 
 
 def _products(tables, i, acc, product):
-    """Yield the code of acc * u_i * ... * u_0 for every choice of the
-    table of u_j in tables[j], the deepest level varying slowest."""
+    """The codes of acc * u_i * ... * u_0 for every choice of the table of
+    u_j in tables[j], the deepest level varying slowest.  Only levels
+    above 0 recurse: level 0 is one map per prefix, formed when the walk
+    reaches it, so no element passes through a Python frame."""
     if i == 0:
-        for t in tables[0]:
-            yield product(acc, t)
-    else:
-        for t in tables[i]:
-            yield from _products(tables, i - 1, product(acc, t), product)
+        return map(product, itertools.repeat(acc), tables[0])
+    return itertools.chain.from_iterable(_products(tables, i - 1, product(acc, t), product) for t in tables[i])
 
 
 def _orbit(points, gens):
@@ -403,33 +406,34 @@ class PermGroup:
         element by every generator, on codes.  The table is cached; like
         elements(), it refuses a group whose order exceeds the cap.
         """
-        walk = self._element_codes(cap)
-        if self._classes is None:
-            # x^g = g^-1 x g sends point g(i) to g(x(i)), so its code is
-            # the product g^-1 * x * g, formed from the code of g^-1, the
-            # table of x and the table of g
-            encode, tail, product = _codec(self.degree)
-            gens = [(encode(g.images) + tail, encode(g.inverse().images)) for g in self.generators]
-            seen = set()
-            classes = []
-            left = self.order()
-            for rep in walk:
-                if rep in seen:
-                    continue
-                seen.add(rep)
-                frontier = [rep]
-                size = 1
-                while frontier:
-                    x = frontier.pop()
-                    for g, g_inv in gens:
-                        c = product(product(g_inv, x + tail), g)
-                        if c not in seen:
-                            seen.add(c)
-                            frontier.append(c)
-                            size += 1
-                classes.append((_decode(rep), size))
-                left -= size
-                if not left:
-                    break  # every later element is in a class already found
-            self._classes = classes
-        return self._classes
+        if self._classes is not None and self.order() <= cap:
+            return self._classes
+        walk = self._element_codes(cap)  # refuses an order above the cap
+        # x^g = g^-1 x g sends point g(i) to g(x(i)), so its code is the
+        # product g^-1 * x * g, formed from the code of g^-1, the table of
+        # x and the table of g
+        encode, tail, product = _codec(self.degree)
+        gens = [(encode(g.images) + tail, encode(g.inverse().images)) for g in self.generators]
+        seen = set()
+        classes = []
+        left = self.order()
+        for rep in walk:
+            if rep in seen:
+                continue
+            seen.add(rep)
+            frontier = [rep]
+            size = 1
+            while frontier:
+                x = frontier.pop() + tail
+                for g, g_inv in gens:
+                    c = product(product(g_inv, x), g)
+                    if c not in seen:
+                        seen.add(c)
+                        frontier.append(c)
+                        size += 1
+            classes.append((_decode(rep), size))
+            left -= size
+            if not left:
+                break  # every later element is in a class already found
+        self._classes = classes
+        return classes

@@ -34,7 +34,11 @@ identity's, sum to more than |M| / 2, so does |N(y)|, and the only
 divisor of |M| above |M| / 2 is |M| itself: N(y) = M.  A
 class is recognised only by a cycle type that no other class of G has,
 which is exact as z lies in G; classes that share a type (the split
-classes of A8, M11's 8A/8B and 11A/11B) are not counted.  A certified
+classes of A8, M11's 8A/8B and 11A/11B) are not counted.  A recognised
+class k brings the closure of its representative when an earlier
+certificate or chain has found its key: z lies in N(y), so N(z), the
+closure of class k, lies in N(y) too, and all its classes are met,
+recognisable or not.  A certified
 M that is listed is skipped, as register would drop it; a certified G
 is listed with G's own generators, and is the only subgroup of its
 order, so the sorted listing is unchanged.  The products are drawn from
@@ -279,18 +283,21 @@ def normal_subgroups(
     class_of_type = _classes_by_cycle_type(classes)
     everything = frozenset(range(len(classes)))
     rng = random.Random(_CERTIFICATE_SEED)
+    closure_of = {}  # class index -> key of its representative's closure
     for i, (rep, _) in enumerate(classes):
         if i in trivial:
             continue
         # the smallest listed subgroup holding rep's class, else G itself
         M = min((e for e in lattice if i in e[1]), key=lambda e: e[2], default=None)
         key = everything if M is None else M[1]
-        if _closure_certified(G, rep, i, key, sizes, class_of_type, rng):
+        if _closure_certified(G, rep, i, key, sizes, class_of_type, closure_of, rng):
+            closure_of[i] = key
             if M is None:
                 register(G, everything)
             continue  # a listed M would be dropped by register
         H = normal_closure(G, [rep])
-        register(H, key_of(H))
+        closure_of[i] = key_of(H)
+        register(H, closure_of[i])
 
     # close under pairwise join; a join of normal subgroups is their product,
     # so generating from the union of generator sets is enough
@@ -319,11 +326,12 @@ def _classes_by_cycle_type(classes) -> dict:
     return {t: i for i, t in enumerate(types) if counts[t] == 1}
 
 
-def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
+def _closure_certified(G, y, i, key, sizes, class_of_type, closure_of, rng) -> bool:
     """True when seeded products prove that the normal closure of y, the
     representative of class i, is the normal subgroup M of G with the
     given class key (the module docstring has the argument); False proves
-    nothing.  Products are drawn only when the classes of M that can be
+    nothing.  closure_of maps classes to the keys of their closures, where
+    known.  Products are drawn only when the classes of M that can be
     recognised, with y's, sum to more than |M| / 2."""
     order = sum(sizes[k] for k in key)
     known = set(class_of_type.values())
@@ -345,8 +353,10 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, rng) -> bool:
             if idle == _CERTIFICATE_PATIENCE:
                 return False
         else:
-            met.add(k)
-            total += sizes[k]
+            # z lies in N(y), so N(y) holds N(z), the closure of class k
+            new = closure_of.get(k, {k}) - met
+            met |= new
+            total += sum(sizes[c] for c in new)
             idle = 0
     return 2 * total > order
 

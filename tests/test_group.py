@@ -1,4 +1,6 @@
-from itertools import permutations as all_perms
+from functools import reduce
+from itertools import permutations as all_perms, product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -489,3 +491,35 @@ class TestCodecBoundary:
             H = PermGroup(300, [embed(g, 300, offset) for g in G.generators])
             assert isinstance(next(H._element_codes(H.order())), tuple)
             assert [window(e.images, offset, d) for e in H.elements()] == want, offset
+
+
+def walk_from_levels(G):
+    """G's elements in the order _element_codes documents, built from the
+    chain's levels: the products u_last * ... * u_0 of one transversal
+    element per level, orbit points ascending at each level, the deepest
+    level varying slowest."""
+    levels = [transversal(lvl) for lvl in reversed(G.chain().levels)]
+    choices = [[Permutation(trans[b]) for b in sorted(trans)] for trans in levels]
+    return [reduce(mul, us, Permutation.identity(G.degree)).images for us in product(*choices)]
+
+
+class TestElementWalk:
+    """elements() against the walk spelled out from the chain, at the edges
+    of the walk's recursion: no level, one level, and several levels on
+    byte strings and on image tuples."""
+
+    @pytest.mark.parametrize(
+        "name, degree, levels",
+        [("trivial", 5, 0), ("cyclic_5", 5, 1), ("alternating_6", 6, 4), ("alternating_6", 300, 4)],
+    )
+    def test_elements_follow_the_chain(self, corpus_by_name, name, degree, levels):
+        if name == "trivial":
+            G = PermGroup(degree)
+        else:
+            base = corpus_by_name[name].group
+            G = PermGroup(degree, [embed(g, degree, degree - base.degree) for g in base.generators])
+        assert len(G.chain().levels) == levels
+        assert isinstance(next(G._element_codes(G.order())), bytes if degree <= 256 else tuple)
+        walk = [e.images for e in G.elements()]
+        assert len(walk) == G.order()
+        assert walk == walk_from_levels(G)

@@ -20,6 +20,8 @@ from pga.structure import (
 )
 
 from oracles import all_subgroups, element_order, fixed_count, is_normal
+from test_classes import class_table_groups, small_groups  # fixtures
+from test_group import random_groups
 
 
 SMALL_PRIMES = [p for p in range(2, 151) if all(p % d for d in range(2, p))]
@@ -335,22 +337,37 @@ class TestClosureCertificate:
         normal_subgroups(corpus_by_name["symmetric_8"].group)
         assert 1 <= len(built) <= 2
 
-    def test_corpus_builds_117_closures(self, corpus_entries, monkeypatch):
+    def test_corpus_builds_110_closures(self, corpus_entries, monkeypatch):
         # the figure the README gives for the corpus: the certificate's
         # seeded stream decides which closures need a chain, so a drift in
         # how its uniform elements are drawn moves this count even where
-        # the lattices come out the same
+        # the lattices come out the same; a recognised class brings the
+        # closure found for it, which spares A8 three chains and M11 two
         built = []
 
         def counting(G, seeds):
-            built.append(seeds)
+            built.append(G)
             return normal_closure(G, seeds)
 
         monkeypatch.setattr(structure, "normal_closure", counting)
+        per_group = {}
         for e in corpus_entries:
             normal_subgroups(e.group)
+            per_group[e.name] = sum(G is e.group for G in built)
         assert len(corpus_entries) == 35
-        assert len(built) == 117
+        assert len(built) == 110
+        assert (per_group["alternating_8"], per_group["m11_12"]) == (1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refused_certificate_lists_the_same_lattice_on_small_groups(self, class_table_groups, data):
+        # the certificate reads the closures of earlier classes, so the
+        # lattice must not depend on which closures it spared
+        G = data.draw(st.one_of(random_groups(), st.sampled_from([e.group for e in class_table_groups])))
+        certified = lattice_facts(G)
+        with pytest.MonkeyPatch.context() as refused:
+            refused.setattr(structure, "_closure_certified", lambda *args: False)
+            assert lattice_facts(G) == certified
 
 
 def minimal_normals(G):
