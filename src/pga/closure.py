@@ -5,6 +5,15 @@ the full symmetric group with the same orbits on ordered pairs.  It is
 recovered here as the automorphism group of the complete digraph whose
 arc (x, y) carries the index of the pair orbit containing it.
 
+The pair orbits are read off chains of G: for u_a the transversal
+element taking a first level's base point r to a, (a, b) lies in the
+orbit of (r, u_a^-1(b)), whose color is that of u_a^-1(b)'s G_r-orbit,
+so row a is one map of u_a^-1's code.  G's cached chain gives the rows
+of one orbit of G, a chain on the least point m of each other orbit
+(PermGroup._chain_on) the rest.  Each orbit, by least point, numbers
+its G_r-orbits in the order row m meets them; every row of the orbit
+meets all of them, so colors come in row-major first-encounter order.
+
 The searcher is a purpose-built individualization-refinement backtracker
 over images of a fixed base.  At each level of the principal branch the
 next base point is the least member of the first non-singleton cell; the
@@ -15,6 +24,17 @@ processed image under the automorphisms found so far are skipped.  That
 is the classic descent that yields generators level by level, and it
 keeps 2-transitive inputs (where refinement never splits anything) from
 degenerating into a factorial enumeration.
+
+The principal branch is refined first, fixing the base, and the levels
+are searched from the deepest up.  An image y that G, on a chain on the
+search base, reaches at a level needs no descent: G lies in the closure,
+so u_y lies in the coset of automorphisms taking the level's point to y.
+The descent returns that coset's element with the least images of the
+later base points, in order, as it tries images in cell order, cells
+list their points ascending and an automorphism maps each domain cell
+onto its image cell.  The closure chain's deeper levels, complete by
+then, give that element level by level, so the generators stay those of
+the plain descent.
 
 Refinement splits each cell by the signature of its points: for each
 new cell of the round, how many arcs of each color leave the point into
@@ -45,8 +65,8 @@ pair with.
 
 The points fixed along the principal branch form a base for the
 closure, and the generators found are a strong generating set for it
-(see _color_automorphism_generators), so the closure's stabilizer chain
-is built from them on that base without sifting a Schreier generator.
+(see _color_automorphism_generators), so each level of the closure's
+chain is walked with them once found, and nothing is sifted.
 """
 
 from __future__ import annotations
@@ -56,7 +76,7 @@ from itertools import accumulate, compress
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError
-from .group import PermGroup, StabilizerChain, _orbit
+from .group import PermGroup, StabilizerChain, _decode, _orbit
 from .perm import Permutation
 
 
@@ -75,23 +95,24 @@ class OrbitalPartition:
 def orbitals(G: PermGroup) -> OrbitalPartition:
     """Orbits of G on ordered pairs, as a color matrix."""
     n = G.degree
-    color = [[-1] * n for _ in range(n)]
+    color = [None] * n
     rank = 0
-    for a in range(n):
-        for b in range(n):
-            if color[a][b] != -1:
-                continue
-            color[a][b] = rank
-            queue = [(a, b)]
-            while queue:
-                x, y = queue.pop()
-                for g in G.generators:
-                    u, v = g.images[x], g.images[y]
-                    if color[u][v] == -1:
-                        color[u][v] = rank
-                        queue.append((u, v))
-            rank += 1
-    return OrbitalPartition(color=tuple(tuple(row) for row in color), rank=rank)
+    for m in range(n):
+        if color[m] is not None:
+            continue
+        chain = G.chain()
+        if not (chain.levels and m in chain.levels[0].codes):
+            chain = G._chain_on((m,))
+        codes = chain.levels[0].codes
+        table = [None] * n  # the color of each G_r-orbit's points
+        for c in codes[m][1][:n]:  # u_m^-1(b) for b = 0, 1, ...
+            if table[c] is None:
+                for q in _orbit((c,), chain.strong_generators_below(1)):
+                    table[q] = rank
+                rank += 1
+        for a, (_, inverse) in codes.items():
+            color[a] = tuple(map(table.__getitem__, inverse[:n]))
+    return OrbitalPartition(color=tuple(color), rank=rank)
 
 
 def _arc_weights(color, rank):
@@ -259,56 +280,64 @@ def _find_one(weights, memo, color, pairs):
     return None
 
 
-def _descend(weights, memo, color, pairs, base):
-    """Generators of the automorphisms fixing the individualized prefix;
-    the points it fixes in turn are appended to base."""
-    t = _first_non_singleton(pairs)
-    if t is None:
-        return []
-    cp, cq = pairs[t]
-    x = cp[0]
-    base.append(x)
-    nxt = _refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,))
-    local = _descend(weights, memo, color, nxt, base)
-    # images of x tried so far and all they reach under local; the
-    # set stays closed under local, so a new generator only extends it
-    reached = _orbit({x}, local)
-    for y in cq:
-        if y in reached:
-            continue
-        nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
-        found = _find_one(weights, memo, color, nxt) if nxt is not None else None
-        if found is not None:
-            local.append(found)  # maps x to y, so y is reached now
-            reached = _orbit(reached, local)
-        else:
-            reached |= _orbit({y}, local)
-    return local
-
-
-def _color_automorphism_generators(color, rank, n):
+def _color_automorphism_generators(color, rank, G):
     """Generators of the full group of color-preserving permutations, and
-    the base of the search: the point fixed at each principal-branch level.
+    its chain on the search base: the point fixed at each principal-branch
+    level.  G is a group of color automorphisms on as many points.
 
     The generators are a strong generating set for that base.  Let K be
     the automorphisms fixing the base points above a level, x its point,
-    and H the group of the generators _descend returns there, all in K.
+    and H the group of the generators found at or below it, all in K.
     By induction from the deepest level, where the partition is discrete
-    and K trivial, those of the level below generate K_x, so K_x <= H.
-    When _descend finishes, x's cell, which holds x^K, lies in reached,
-    and a point of reached is in x^H or in no K-image of x; so x^H = x^K
-    and |H| = |x^H| |H_x| >= |K|, that is H = K.  The search's state
-    goes to each step as arguments, so it is freed when the search ends.
+    and K trivial, those below generate K_x, so K_x <= H.  When the level
+    is done, x's cell, which holds x^K, lies in reached, and a point of
+    reached is in x^H or in no K-image of x; so x^H = x^K and
+    |H| = |x^H| |H_x| >= |K|, that is H = K, whichever element of K
+    maps x to each image found, G's among them.  The search's state
+    goes to each step as arguments, so it is freed when it ends.
     """
     weights = _arc_weights(color, rank)
     # every domain side refined is one of the principal branch's, as
     # _find_one individualizes the first point of the first non-singleton
-    # domain cell, the point _descend fixes at that level
+    # domain cell, the point fixed at that level
     memo = {}
-    search_base = []
+    n = G.degree
     unit = tuple(range(n))
-    gens = _descend(weights, memo, color, _refine_pair(weights, [(unit, unit)], memo, (0,)), search_base)
-    return gens, search_base
+    pairs = _refine_pair(weights, [(unit, unit)], memo, (0,))
+    branch = []  # per level, its stable pairs and the index of x's cell
+    while (t := _first_non_singleton(pairs)) is not None:
+        branch.append((pairs, t))
+        x = pairs[t][0][0]
+        pairs = _refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,))
+    base = [p[t][0][0] for p, t in branch]
+    chain = StabilizerChain(n, (), base)
+    _, tail, product = chain._codec
+    known = G._chain_on(base).levels
+    gens = []
+    for i in reversed(range(len(base))):
+        (pairs, t), x = branch[i], base[i]
+        # images of x tried so far and all they reach under gens; the set
+        # stays closed under gens, so a new generator only extends it
+        reached = _orbit({x}, gens)
+        for y in pairs[t][1]:
+            if y in reached:
+                continue
+            if y in known[i].codes:
+                u = known[i].codes[y][0]  # then the least element of its coset
+                for lvl in chain.levels[i + 1 :]:
+                    u = product(lvl.codes[min(lvl.codes, key=u.__getitem__)][0], u + tail)
+                found = _decode(u)
+            else:
+                nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
+                found = _find_one(weights, memo, color, nxt) if nxt is not None else None
+            if found is not None:
+                chain._insert(found)
+                gens.append(found)  # maps x to y, so y is reached now
+                reached = _orbit(reached, gens)
+            else:
+                reached |= _orbit({y}, gens)
+        chain._walk_level(i)
+    return gens, chain
 
 
 def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> PermGroup:
@@ -317,9 +346,8 @@ def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap)
     if n > degree_cap:
         raise CapExceededError(f"degree {n} exceeds closure degree cap {degree_cap}")
     part = orbitals(G)
-    gens, search_base = _color_automorphism_generators(part.color, part.rank, n)
-    # gens are a strong generating set for search_base: nothing to sift
-    return PermGroup._from_chain(StabilizerChain._from_strong_generators(n, search_base, gens), gens)
+    gens, chain = _color_automorphism_generators(part.color, part.rank, G)
+    return PermGroup._from_chain(chain, gens)
 
 
 def is_2_closed(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> bool:

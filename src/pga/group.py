@@ -22,13 +22,14 @@ element equals the level's transversal element, which saves the last.
 A chain is built this way from its generators, and a chain not yet
 owned by a group grows the same way by a new generator
 (StabilizerChain.extend), completing only the levels that changed.
-Where a strong generating set for a known base is at hand, as for the
-2-closure found by the search and for a point stabilizer cut from a
-complete chain, StabilizerChain._from_strong_generators builds the same
-chain by walking each level's orbit once, with the same walk, and sifts
-nothing.  A group is immutable once constructed; its chain is built
-lazily and cached, after which the value can be shared freely between
-threads.
+Where a strong generating set for a known base is at hand, as for a
+point stabilizer or the 2-closure's search, each level's orbit is
+walked once, with the same walk, and nothing is sifted (_walk_level).
+A chain of a group on another base (PermGroup._chain_on) installs the
+residues of seeded uniform elements and is certified complete once its
+orbit sizes multiply to the group's order.  A group is immutable once
+constructed; its chain is built lazily and cached, after which the
+value can be shared freely between threads.
 
 The chain stores each coset representative once, as a code, and the
 walk, the sift and the element walk run on codes.  Up to degree 256 a
@@ -57,11 +58,14 @@ generator frame.
 from __future__ import annotations
 
 import itertools
+import random
 from operator import itemgetter
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, PgaError
 from .perm import Permutation
+
+_REBASE_SEED = 1  # of the elements PermGroup._chain_on grows a chain from
 
 
 def _codec(degree):
@@ -147,21 +151,26 @@ class StabilizerChain:
 
         The generators must be non-identity, and those fixing the first
         i base points must generate the stabilizer of those points, for
-        every i, with only the identity fixing all of base.  Each level's
-        orbit is walked once, as a first Schreier-Sims walk would walk it,
-        and nothing is sifted; every generator of a level is recorded as
-        checked on the whole orbit, as on a complete chain.  The result is
-        the chain StabilizerChain(degree, generators, base_prefix=base)
-        builds, whose sifts would find no residue.
+        every i, with only the identity fixing all of base.  Each level is
+        walked once, as a first Schreier-Sims walk would walk it, and
+        nothing is sifted: the result is the chain StabilizerChain(degree,
+        generators, base_prefix=base) builds, whose sifts find no residue.
         """
         chain = cls(degree, (), base)  # one level per point, orbits trivial
         for g in generators:
             chain._insert(g)
-        for i, lvl in enumerate(chain.levels):
-            tables = chain._tables_below(i)
-            size = len(chain._walk(lvl, tables, tables))
-            lvl.checked = dict.fromkeys(chain.strong_generators_below(i), size)
+        for i in range(len(chain.levels)):
+            chain._walk_level(i)
         return chain
+
+    def _walk_level(self, i):
+        """Walk level i's orbit under the strong generators fixing the first
+        i base points, all of which must be installed, and record each as
+        checked on the whole orbit; no other level is read."""
+        lvl = self.levels[i]
+        tables = self._tables_below(i)
+        size = len(self._walk(lvl, tables, tables))
+        lvl.checked = dict.fromkeys(self.strong_generators_below(i), size)
 
     def _insert(self, g):
         """Attach a non-identity generator at the first level whose base
@@ -393,6 +402,29 @@ class PermGroup:
             for tables in levels:
                 g = product(g, rng.choice(tables))
             yield _decode(g)
+
+    def _chain_on(self, base):
+        """A complete chain of the group whose base begins with base: the
+        cached chain if its base does, else one on base (not cached) that
+        installs each residue of a seeded uniform element where it got
+        stuck and walks on the orbits of that level and those above; no
+        Schreier generator is sifted.  It stops once its orbit sizes
+        multiply to |G|, which is exact: the product is at most the order
+        of the group H <= G the residues generate, so then H = G with
+        every level complete."""
+        chain = self.chain()
+        if chain.base[: len(base)] == list(base):
+            return chain
+        new = StabilizerChain(self.degree, (), base)
+        sample = self._random_elements(random.Random(_REBASE_SEED))
+        while new.order() < chain.order():
+            h = new._strip(next(sample))
+            if not h.is_identity():
+                i = new._insert(h)
+                fresh = new.levels[i].own_tables[-1:]
+                for j in range(i, -1, -1):
+                    new._walk(new.levels[j], new._tables_below(j), fresh)
+        return new
 
     def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration_cap) -> list:
         """(representative, class size) pairs, one per conjugacy class.

@@ -22,8 +22,10 @@ normal subgroups is normal, so nothing extra appears.  A join AB is
 already listed exactly when a listed subgroup of order |AB| contains
 the classes of both, so a chain is built only for a join that is new.
 
-Most closures of single elements are subgroups already listed, and a
-closure's chain is built only when a certificate fails to show that.
+A representative y whose conjugates by G's generators are all powers of
+y has <y> as its closure, listed with no chain.  Most other closures of
+single elements are subgroups already listed, and a closure's chain is
+built only when a certificate fails to show that.
 For a representative y, let M be the smallest listed subgroup whose key
 holds y's class, or G itself when none does; M is normal and contains
 y, so the closure N(y) lies in M and |N(y)| divides |M|.  Seeded
@@ -52,7 +54,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import prod
+from operator import mul
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, PgaError
@@ -287,6 +291,11 @@ def normal_subgroups(
     for i, (rep, _) in enumerate(classes):
         if i in trivial:
             continue
+        key = _cyclic_closure_key(G, rep, classes)
+        if key is not None:  # N(rep) = <rep>: no certificate, no chain
+            closure_of[i] = key
+            register(G if key == everything else PermGroup(G.degree, [rep]), key)
+            continue
         # the smallest listed subgroup holding rep's class, else G itself
         M = min((e for e in lattice if i in e[1]), key=lambda e: e[2], default=None)
         key = everything if M is None else M[1]
@@ -324,6 +333,16 @@ def _classes_by_cycle_type(classes) -> dict:
     types = [rep.cycle_type() for rep, _ in classes]
     counts = Counter(types)
     return {t: i for i, t in enumerate(types) if counts[t] == 1}
+
+
+def _cyclic_closure_key(G, y, classes):
+    """The class key of y's normal closure when every conjugate of y by
+    G's generators is a power of y, else None: then G normalizes <y>,
+    the closure, which holds the classes whose representatives it holds."""
+    powers = {z.images for z in accumulate(repeat(y, y.order()), mul)}
+    if any((g.inverse() * y * g).images not in powers for g in G.generators):
+        return None
+    return frozenset(k for k, (rep, _) in enumerate(classes) if rep.images in powers)
 
 
 def _closure_certified(G, y, i, key, sizes, class_of_type, closure_of, rng) -> bool:

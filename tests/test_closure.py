@@ -18,8 +18,9 @@ from pga.corpus import builtin_family
 from pga.errors import CapExceededError
 from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
+import pga.group
 
-from oracles import brute_two_closure, count_refine_pair
+from oracles import brute_two_closure, count_refine_pair, pair_orbit_ids
 from test_group import assert_every_schreier_generator_checked, assert_every_schreier_generator_sifts, assert_same_chain
 from test_pinned_chains import workload_groups
 
@@ -40,6 +41,10 @@ def wreath(m, inner, k, outer):
     gens = [Permutation([g[x] if x < m else x for x in range(n)]) for g in inner]
     gens += [Permutation([h[x // m] * m + x % m for x in range(n)]) for h in outer]
     return PermGroup(n, gens)
+
+
+def cycle_images(m):
+    return tuple((i + 1) % m for i in range(m))
 
 
 def random_groups(max_degree):
@@ -132,6 +137,27 @@ class TestOrbitals:
             part = orbitals(entry.group)
             assert len({part.color[x][x] for x in range(len(part.color))}) == 1, entry.name
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(9))
+    def test_matches_pair_orbit_oracle(self, G):
+        assert_oracle_orbitals(G)
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            wreath(2, [(1, 0)], 16, [cycle_images(16)]),
+            wreath(3, [cycle_images(3)], 8, [(1, 0, 2, 3, 4, 5, 6, 7), cycle_images(8)]),
+            wreath(4, [cycle_images(4)], 8, [cycle_images(8), tuple((8 - i) % 8 for i in range(8))]),
+            wreath(4, [(1, 0, 2, 3), cycle_images(4)], 6, [cycle_images(6)]),
+            wreath(3, [(1, 0, 2), (1, 2, 0)], 3, [(1, 0, 2), (1, 2, 0)]),
+            PermGroup(32),
+            PermGroup(1),
+        ],
+        ids=["C2wrC16", "C3wrS8", "C4wrD8", "S4wrC6", "S3wrS3", "trivial_32", "degree_1"],
+    )
+    def test_wreath_products_match_pair_orbit_oracle(self, G):
+        assert_oracle_orbitals(G)
+
     def test_colors_invariant_under_generators(self):
         G = group("dihedral", 5)
         part = orbitals(G)
@@ -139,6 +165,18 @@ class TestOrbitals:
             for a in range(5):
                 for b in range(5):
                     assert part.color[g[a]][g[b]] == part.color[a][b]
+
+
+def assert_oracle_orbitals(G):
+    """orbitals against the brute-force pair orbits, renumbered in the
+    order a row-major scan first meets them."""
+    n = G.degree
+    ids = pair_orbit_ids([g.images for g in G.generators], n)
+    renumber = {}
+    expected = tuple(tuple(renumber.setdefault(ids[a, b], len(renumber)) for b in range(n)) for a in range(n))
+    part = orbitals(G)
+    assert part.color == expected
+    assert part.rank == len(renumber)
 
 
 class TestRefinePartition:
@@ -307,8 +345,8 @@ def closure_chains(G):
     """The chain two_closure builds, and the chain Schreier-Sims sifts
     from the search's generators on the search base."""
     part = orbitals(G)
-    gens, base = _color_automorphism_generators(part.color, part.rank, G.degree)
-    return two_closure(G, degree_cap=G.degree).chain(), StabilizerChain(G.degree, gens, base_prefix=base)
+    gens, chain = _color_automorphism_generators(part.color, part.rank, G)
+    return two_closure(G, degree_cap=G.degree).chain(), StabilizerChain(G.degree, gens, base_prefix=chain.base)
 
 
 CHAIN_SOURCES = ["corpus", "workload_seed1", "workload_seed2"]
@@ -375,9 +413,9 @@ def disjoint_union(a, size_a, b):
 class TestColorSearchRejections:
     """Colourings that no group's orbitals give, so that the search meets
     a refinement whose two sides split differently, a branch with no
-    automorphism, and a failed image in _descend.  The rook's graph and
-    the Shrikhande graph share their parameters, so refinement cannot
-    tell their points apart."""
+    automorphism, and a failed image at a level of the search.  The
+    rook's graph and the Shrikhande graph share their parameters, so
+    refinement cannot tell their points apart."""
 
     @pytest.mark.parametrize(
         "n, adjacent, order",
@@ -390,8 +428,8 @@ class TestColorSearchRejections:
     )
     def test_automorphism_group(self, n, adjacent, order):
         color = graph_colors(n, adjacent)
-        gens, base = _color_automorphism_generators(color, 3, n)
-        chain = StabilizerChain._from_strong_generators(n, base, gens)
+        gens, chain = _color_automorphism_generators(color, 3, PermGroup(n))
+        assert_same_chain(chain, StabilizerChain._from_strong_generators(n, chain.base, gens))
         assert chain.order() == order
         assert all(color[g.images[x]][g.images[y]] == color[x][y] for g in gens for x in range(n) for y in range(n))
         assert_every_schreier_generator_sifts(chain)
@@ -454,9 +492,51 @@ class TestClosureLaws:
             assert two_closure(G).order() == factorial(G.degree), entry.name
 
 
+def search_output(gens, chain):
+    """Generators, search base and each level's orbit points in order."""
+    return [g.images for g in gens], chain.base, [list(lvl.codes) for lvl in chain.levels]
+
+
+def closure_output(G):
+    H = two_closure(G, degree_cap=G.degree)
+    return search_output(H.generators, H.chain())
+
+
+def output_without_g(G):
+    """The search given the trivial group in place of G, so that
+    _find_one finds the automorphism for every image tried."""
+    part = orbitals(G)
+    return search_output(*_color_automorphism_generators(part.color, part.rank, PermGroup(G.degree)))
+
+
+class TestSettledImages:
+    """Images that G reaches are settled by the least element of their
+    coset instead of a descent; the search's generators, base and chain
+    must be those of the descent for every image, whichever seed grew
+    G's chain on the search base."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(9))
+    def test_random_groups(self, G):
+        assert closure_output(G) == output_without_g(G)
+
+    def test_corpus(self, corpus_entries):
+        for entry in corpus_entries:
+            assert closure_output(entry.group) == output_without_g(entry.group), entry.name
+
+    def test_changed_rebase_seed(self, corpus_entries, monkeypatch):
+        groups = [e.group for e in corpus_entries] + workload_groups(1)
+        expected = [closure_output(G) for G in groups]
+        monkeypatch.setattr(pga.group, "_REBASE_SEED", 7)
+        for G, output in zip(groups, expected):
+            assert closure_output(PermGroup(G.degree, G.generators)) == output
+
+
 class TestPinnedSearchOutput:
     """Closure generators as the search produced them before its
-    signatures were integer-coded and its chain moved onto the search base."""
+    signatures were integer-coded and its chain moved onto the search
+    base; the degree-24 and degree-32 wreaths as it produced them before
+    it settled the images G reaches without a descent."""
 
     @pytest.mark.parametrize(
         "name, stdout, emitted",
@@ -500,11 +580,30 @@ class TestPinnedSearchOutput:
                 1296,
                 ["(1 2)", "(4 5)", "(7 8)", "(6 7)", "(3 4)", "(3 6)(4 7)(5 8)", "(0 1)", "(0 3)(1 4)(2 5)"],
             ),
+            (
+                wreath(3, [cycle_images(3)], 8, [(1, 0, 2, 3, 4, 5, 6, 7), cycle_images(8)]),
+                264539520,
+                [
+                    "(21 22 23)", "(18 19 20)", "(18 21)(19 22)(20 23)", "(15 16 17)", "(15 18)(16 19)(17 20)",
+                    "(12 13 14)", "(12 15)(13 16)(14 17)", "(9 10 11)", "(9 12)(10 13)(11 14)", "(6 7 8)",
+                    "(6 9)(7 10)(8 11)", "(3 4 5)", "(3 6)(4 7)(5 8)", "(0 1 2)", "(0 3)(1 4)(2 5)",
+                ],
+            ),
+            (
+                wreath(4, [cycle_images(4)], 8, [cycle_images(8), tuple((8 - i) % 8 for i in range(8))]),
+                1048576,
+                [
+                    "(4 5 6 7)", "(28 29 30 31)", "(8 9 10 11)", "(24 25 26 27)", "(20 21 22 23)", "(12 13 14 15)",
+                    "(4 28)(5 29)(6 30)(7 31)(8 24)(9 25)(10 26)(11 27)(12 20)(13 21)(14 22)(15 23)",
+                    "(16 17 18 19)", "(0 1 2 3)",
+                    "(0 4 8 12 16 20 24 28)(1 5 9 13 17 21 25 29)(2 6 10 14 18 22 26 30)(3 7 11 15 19 23 27 31)",
+                ],
+            ),
         ],
-        ids=["C2wrC4", "S3wrS3"],
+        ids=["C2wrC4", "S3wrS3", "C3wrS8", "C4wrD8"],
     )
     def test_wreath_closure_generators(self, G, order, generators):
-        H = two_closure(G)
+        H = two_closure(G, degree_cap=G.degree)
         assert [g.cycle_string() for g in H.generators] == generators
         assert H.order() == order
         # a fresh group of the same generators builds the greedy chain

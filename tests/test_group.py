@@ -401,6 +401,39 @@ class TestFromStrongGenerators:
             assert entry.group.order() == len(entry.group.orbit(0)) * H.order(), entry.name
 
 
+class TestChainOnBase:
+    """PermGroup._chain_on: G's cached chain when its base begins with
+    the requested points, else a chain grown from seeded elements."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(max_degree=8), st.data())
+    def test_order_and_prefix_orbits(self, G, data):
+        prefix = data.draw(st.lists(st.integers(min_value=0, max_value=G.degree - 1), unique=True, max_size=4))
+        chain = G._chain_on(prefix)
+        assert chain.base[: len(prefix)] == prefix
+        assert chain.order() == G.order()
+        forced = StabilizerChain(G.degree, G.generators, base_prefix=prefix)
+        for lvl, expected in zip(chain.levels[: len(prefix)], forced.levels):
+            assert set(lvl.codes) == set(expected.codes), lvl.point
+        # each transversal element maps its level's point where it says,
+        # fixing the base points above, and the chain is complete
+        for i, lvl in enumerate(chain.levels):
+            for b, u in transversal(lvl).items():
+                assert u[lvl.point] == b and all(u[p] == p for p in chain.base[:i])
+        assert_every_schreier_generator_sifts(chain)
+        assert all(chain.contains(g) for g in G.generators)
+
+    def test_cached_chain_when_its_base_begins_so(self, corpus_by_name):
+        G = corpus_by_name["m11_12"].group
+        assert G._chain_on(G.chain().base[:2]) is G.chain()
+        assert G._chain_on(()) is G.chain()
+
+    def test_trivial_group_and_degree_one(self):
+        for n in (1, 5):
+            chain = PermGroup(n)._chain_on((n - 1,))
+            assert chain.base == [n - 1] and chain.order() == 1
+
+
 def embed(g, degree, offset):
     """g moved onto points offset .. offset + g.degree - 1 of degree
     points, every other point fixed."""

@@ -337,12 +337,14 @@ class TestClosureCertificate:
         normal_subgroups(corpus_by_name["symmetric_8"].group)
         assert 1 <= len(built) <= 2
 
-    def test_corpus_builds_110_closures(self, corpus_entries, monkeypatch):
-        # the figure the README gives for the corpus: the certificate's
-        # seeded stream decides which closures need a chain, so a drift in
-        # how its uniform elements are drawn moves this count even where
-        # the lattices come out the same; a recognised class brings the
-        # closure found for it, which spares A8 three chains and M11 two
+    def test_corpus_builds_29_closures(self, corpus_entries, monkeypatch):
+        # the figure the README gives for the corpus: a closure that is
+        # the cyclic group of its representative needs no chain, and the
+        # certificate's seeded stream decides which of the others do, so
+        # a drift in how its uniform elements are drawn moves this count
+        # even where the lattices come out the same; a recognised class
+        # brings the closure found for it, which spares A8 three chains
+        # and M11 two
         built = []
 
         def counting(G, seeds):
@@ -355,7 +357,7 @@ class TestClosureCertificate:
             normal_subgroups(e.group)
             per_group[e.name] = sum(G is e.group for G in built)
         assert len(corpus_entries) == 35
-        assert len(built) == 110
+        assert len(built) == 29
         assert (per_group["alternating_8"], per_group["m11_12"]) == (1, 0)
 
     @settings(max_examples=150, deadline=None)
@@ -368,6 +370,30 @@ class TestClosureCertificate:
         with pytest.MonkeyPatch.context() as refused:
             refused.setattr(structure, "_closure_certified", lambda *args: False)
             assert lattice_facts(G) == certified
+
+
+class TestCyclicClosures:
+    """A representative whose conjugates by G's generators are all its
+    powers has <y> as its normal closure, listed with no certificate and
+    no chain; the lattice must be the one listed without that shortcut."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_lattice_without_the_shortcut(self, class_table_groups, data):
+        G = data.draw(st.one_of(random_groups(), st.sampled_from([e.group for e in class_table_groups])))
+        shortcut = lattice_facts(G)
+        with pytest.MonkeyPatch.context() as off:
+            off.setattr(structure, "_cyclic_closure_key", lambda *args: None)
+            assert lattice_facts(G) == shortcut
+
+    def test_corpus_lattices_keep_their_generators(self, corpus_entries, monkeypatch):
+        def listed(G):
+            return [(i.order.value, [g.images for g in i.subgroup.generators]) for i in normal_subgroups(G)]
+
+        shortcut = {e.name: listed(e.group) for e in corpus_entries}
+        monkeypatch.setattr(structure, "_cyclic_closure_key", lambda *args: None)
+        for e in corpus_entries:
+            assert listed(e.group) == shortcut[e.name], e.name
 
 
 def minimal_normals(G):
