@@ -9,10 +9,11 @@ The pair orbits are read off chains of G: for u_a the transversal
 element taking a first level's base point r to a, (a, b) lies in the
 orbit of (r, u_a^-1(b)), whose color is that of u_a^-1(b)'s G_r-orbit,
 so row a is one map of u_a^-1's code.  G's cached chain gives the rows
-of one orbit of G, a chain on the least point m of each other orbit
-(PermGroup._chain_on) the rest.  Each orbit, by least point, numbers
-its G_r-orbits in the order row m meets them; every row of the orbit
-meets all of them, so colors come in row-major first-encounter order.
+of one orbit of G, G's orbits the row of a point m G fixes, and a chain
+on the least point m of each other orbit (PermGroup._chain_on) the
+rest.  Each orbit, by least point, numbers its G_r-orbits in the order
+row m meets them; every row of the orbit meets all of them, so colors
+come in row-major first-encounter order.
 
 The searcher is a purpose-built individualization-refinement backtracker
 over images of a fixed base.  At each level of the principal branch the
@@ -97,8 +98,21 @@ def orbitals(G: PermGroup) -> OrbitalPartition:
     n = G.degree
     color = [None] * n
     rank = 0
+    number, orbits = None, 0  # each point's G-orbit, numbered by least point
     for m in range(n):
         if color[m] is not None:
+            continue
+        if all(g.images[m] == m for g in G.generators):
+            # G_m = G, so (m, b) has the color of b's G-orbit
+            if number is None:
+                number = [None] * n
+                for p in range(n):
+                    if number[p] is None:
+                        for q in _orbit((p,), G.generators):
+                            number[q] = orbits
+                        orbits += 1
+            color[m] = tuple(rank + k for k in number)
+            rank += orbits
             continue
         chain = G.chain()
         if not (chain.levels and m in chain.levels[0].codes):

@@ -8,7 +8,9 @@ out.  Levels are completed from the deepest upward: a level's orbit is
 extended, its Schreier generators are sifted through the deeper levels,
 and a residue that does not sift is installed as a new strong generator
 at the level where it got stuck, from which completion resumes.  The
-reported order is exact once every level is complete.
+reported order is exact once every level is complete.  A level stops
+sifting once the generators no sift at or below it left are through: by
+Schreier's lemma the rest would sift, and the chain is unchanged.
 
 Levels only grow: a transversal keeps its elements, and each level
 records which generators its orbit has been walked with and which
@@ -115,12 +117,13 @@ def _orbit(points, gens):
 
 
 class _Level:
-    __slots__ = ("point", "own_gens", "own_tables", "codes", "checked")
+    __slots__ = ("point", "own_gens", "own_tables", "origins", "codes", "checked")
 
     def __init__(self, point):
         self.point = point
         self.own_gens = []
         self.own_tables = []  # (table of s, code of s^-1) for s in own_gens
+        self.origins = []  # per s in own_gens, the level whose sift left it, or -1
         self.codes = {}  # orbit point b -> (code of u_b, table of u_b^-1)
         # generator s -> k: the orbit has been walked with s, and the
         # Schreier generators of s with the first k orbit points (in
@@ -172,9 +175,9 @@ class StabilizerChain:
         size = len(self._walk(lvl, tables, tables))
         lvl.checked = dict.fromkeys(self.strong_generators_below(i), size)
 
-    def _insert(self, g):
+    def _insert(self, g, origin=-1):
         """Attach a non-identity generator at the first level whose base
-        point it moves; return that level."""
+        point it moves, recording its origin; return that level."""
         i = 0
         while i < len(self.levels) and g.images[self.levels[i].point] == self.levels[i].point:
             i += 1
@@ -184,6 +187,7 @@ class StabilizerChain:
         encode, tail, _ = self._codec
         self.levels[i].own_gens.append(g)
         self.levels[i].own_tables.append((encode(g.images) + tail, encode(g.inverse().images)))
+        self.levels[i].origins.append(origin)
         return i
 
     def extend(self, g):
@@ -216,6 +220,14 @@ class StabilizerChain:
         sifting got stuck (it fixes every base point above) and return
         that level for reprocessing; return None once every Schreier
         generator of the level is checked.
+
+        Let T be the level's generators whose origin lies above it (-1 for
+        a given one).  T generates the level's group, as a residue left by
+        level k >= i is a product of earlier generators of level k's group.
+        By Schreier's lemma the Schreier generators of T then generate the
+        stabilizer, so once the last of T in list order is through, the rest
+        sift through the complete deeper levels: they are marked checked
+        unsifted, as a full sift would mark them, and the chain is unchanged.
         """
         lvl = self.levels[i]
         gens = self.strong_generators_below(i)
@@ -226,17 +238,20 @@ class StabilizerChain:
         for s, k in zip(gens, done):
             if k is None:
                 checked[s] = 0
+        origins = [o for level in self.levels[i:] for o in level.origins]
+        needed = max((j + 1 for j, o in enumerate(origins) if o < i), default=0)
         product = self._codec[2]
         ident = codes[lvl.point][0]
-        for s, (table, _), start in zip(gens, tables, done):
-            for k in range(start or 0, len(points)):
+        for j, (s, (table, _), start) in enumerate(zip(gens, tables, done)):
+            # past the last generator of T, nothing is sifted
+            for k in range(start or 0, len(points) if j < needed else 0):
                 # u_b s maps the base point to s(b), so its first strip
                 # step at this level forms the Schreier generator
                 # u_b s u_s(b)^-1, and the rest strips that below
                 h = self._sift(product(codes[points[k]][0], table), i)
                 if h != ident:
                     checked[s] = k
-                    return self._insert(_decode(h))
+                    return self._insert(_decode(h), i)
             if start != len(points):
                 checked[s] = len(points)
         return None

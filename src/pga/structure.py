@@ -5,10 +5,10 @@ invariants (by element-order census), normal closures, and the full
 normal-subgroup listing of a group.  Each listed subgroup carries the
 facts the checks read: its order, its abelian invariants, whether it is
 semiregular and whether it is a minimal normal subgroup; whether it is
-abelian, cyclic or a p-group is read off the first two.  The abelian
-invariants and semiregularity are read off G's class table, through the
-classes in the subgroup's key (below): element orders and fixed-point
-counts are class functions, so no subgroup's elements are walked again.
+abelian, cyclic or a p-group is read off the first two.  All four are
+read off G's class table, through the classes in the subgroup's key
+(below): the order is their total size, and element orders and
+fixed-point counts are class functions, so no chain is built for them.
 
 A normal subgroup is a union of conjugacy classes, so the listing keys
 each one by the set of classes it contains (indices into the group's
@@ -198,10 +198,10 @@ def abelian_invariants(G: PermGroup, classes) -> tuple:
     classes lists (representative, class size) pairs whose classes
     partition G's elements, conjugacy classes of G itself or of any group
     G is normal in, since element order is a class function.  Read off
-    the element-order census: when p**c_i elements have order dividing
-    p**i, exactly c_i - c_(i-1) cyclic factors have order divisible by
-    p**i, so the j-th largest invariant factor is the product over the
-    primes p of p**#{i : c_i - c_(i-1) >= j}.
+    the element-order census, which sums to |G|: when p**c_i elements
+    have order dividing p**i, exactly c_i - c_(i-1) cyclic factors have
+    order divisible by p**i, so the j-th largest invariant factor is the
+    product over the primes p of p**#{i : c_i - c_(i-1) >= j}.
     """
     if not is_abelian(G):
         raise PgaError("abelian_invariants needs an abelian group")
@@ -209,7 +209,7 @@ def abelian_invariants(G: PermGroup, classes) -> tuple:
     for g, size in classes:
         census[g.order()] += size
     steps = {}  # steps[p] lists c_i - c_(i-1) for i = 1, 2, ...
-    for p, e in factorize(G.order()).factors:
+    for p, e in factorize(sum(census.values())).factors:
         c = []
         for i in range(e + 1):
             n_i = sum(k for o, k in census.items() if p**i % o == 0)
@@ -382,15 +382,16 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, closure_of, rng) -> b
 
 def _describe_subgroup(H: PermGroup, classes) -> NormalSubgroupInfo:
     """The facts of a normal subgroup H, read off the classes of G that
-    make it up: fixed-point counts and element orders are class functions,
-    so H is semiregular when no non-identity representative fixes a point."""
+    make it up, with no chain of H: its order is their total size, and
+    fixed-point counts and element orders are class functions, so H is
+    semiregular when no non-identity representative fixes a point."""
     try:
         invariants = abelian_invariants(H, classes)
     except PgaError:  # H is not abelian
         invariants = None
     return NormalSubgroupInfo(
         subgroup=H,
-        order=factorize(H.order()),
+        order=factorize(sum(size for _, size in classes)),
         abelian_invariants=invariants,
         is_semiregular=all(g.fixed_point_count() == 0 for g, _ in classes if not g.is_identity()),
     )

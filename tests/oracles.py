@@ -2,10 +2,14 @@
 
 Everything here works on raw image tuples with its own arithmetic, so a
 bug in the library's chain, search or lattice code cannot hide: the
-oracles share no code path with what they check.
+oracles share no code path with what they check.  The one exception is
+FullSiftChain, the library's chain with a level that sifts every
+Schreier generator, which pins down which ones the library may skip.
 """
 
 from itertools import permutations
+
+from pga.group import StabilizerChain, _decode
 
 
 def mul(a, b):
@@ -228,3 +232,35 @@ def count_refine_pair(color, rank, pairs):
         if len(new_pairs) == len(pairs):
             return pairs
         pairs = new_pairs
+
+
+class FullSiftChain(StabilizerChain):
+    """A stabilizer chain whose levels sift the Schreier generators of
+    every strong generator of the level's group.  StabilizerChain stops
+    sifting a level once generators known to generate its group are
+    through, and by Schreier's lemma marks the rest as sifted, so both
+    must build the same chain: base, generators, transversals and the
+    checked record."""
+
+    __slots__ = ()
+
+    def _grow_level(self, i):
+        lvl = self.levels[i]
+        gens = self.strong_generators_below(i)
+        tables = self._tables_below(i)
+        codes, checked = lvl.codes, lvl.checked
+        done = [checked.get(s) for s in gens]
+        points = self._walk(lvl, tables, [t for t, k in zip(tables, done) if k is None])
+        for s, k in zip(gens, done):
+            if k is None:
+                checked[s] = 0
+        product = self._codec[2]
+        ident = codes[lvl.point][0]
+        for s, (table, _), start in zip(gens, tables, done):
+            for k in range(start or 0, len(points)):
+                h = self._sift(product(codes[points[k]][0], table), i)
+                if h != ident:
+                    checked[s] = k
+                    return self._insert(_decode(h))
+            checked[s] = len(points)
+        return None

@@ -152,8 +152,15 @@ class TestOrbitals:
             wreath(3, [(1, 0, 2), (1, 2, 0)], 3, [(1, 0, 2), (1, 2, 0)]),
             PermGroup(32),
             PermGroup(1),
+            # points that every generator fixes, whose rows need no chain
+            PermGroup(144, [perm("(0 1)", 144)]),
+            PermGroup(144, [perm("(0 1)", 144), perm("(0 1 2 3)", 144)]),
+            PermGroup(10, [perm("(0 1)(2 3 4)", 10), perm("(5 6)", 10)]),
         ],
-        ids=["C2wrC16", "C3wrS8", "C4wrD8", "S4wrC6", "S3wrS3", "trivial_32", "degree_1"],
+        ids=[
+            "C2wrC16", "C3wrS8", "C4wrD8", "S4wrC6", "S3wrS3", "trivial_32", "degree_1",
+            "C2_on_144", "S4_on_4_of_144", "three_orbits_of_10",
+        ],
     )
     def test_wreath_products_match_pair_orbit_oracle(self, G):
         assert_oracle_orbitals(G)
@@ -169,14 +176,20 @@ class TestOrbitals:
 
 def assert_oracle_orbitals(G):
     """orbitals against the brute-force pair orbits, renumbered in the
-    order a row-major scan first meets them."""
+    order a row-major scan first meets them, with no chain re-based on a
+    point every generator fixes (G_m = G)."""
     n = G.degree
     ids = pair_orbit_ids([g.images for g in G.generators], n)
     renumber = {}
     expected = tuple(tuple(renumber.setdefault(ids[a, b], len(renumber)) for b in range(n)) for a in range(n))
-    part = orbitals(G)
+    bases = []
+    chain_on = PermGroup._chain_on
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PermGroup, "_chain_on", lambda self, base: bases.append(base) or chain_on(self, base))
+        part = orbitals(G)
     assert part.color == expected
     assert part.rank == len(renumber)
+    assert all(any(g.images[m] != m for g in G.generators) for (m,) in bases), bases
 
 
 class TestRefinePartition:

@@ -10,7 +10,8 @@ from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 
 import oracles
-from oracles import naive_closure, transversal
+from oracles import FullSiftChain, naive_closure, transversal
+from test_pinned_chains import workload_groups
 
 
 @st.composite
@@ -267,10 +268,10 @@ class TestStrip:
         assert chain._strip(member).is_identity()
 
 
-def grown_chain(degree, gens):
+def grown_chain(degree, gens, cls=StabilizerChain):
     """A chain built on the first generator, then grown by extend with
     each later one that is not yet a member."""
-    chain = StabilizerChain(degree, [g for g in gens[:1] if not g.is_identity()])
+    chain = cls(degree, [g for g in gens[:1] if not g.is_identity()])
     for g in gens[1:]:
         if not chain.contains(g):
             chain.extend(g)
@@ -359,6 +360,62 @@ def assert_every_schreier_generator_sifts(chain):
             for b, u in transversal(lvl).items():
                 h = Permutation(u) * s * stored_inverse(lvl, s.images[b])
                 assert chain._strip(h, i + 1).is_identity(), (i, b, s)
+
+
+class TestSchreierCutOff:
+    """A level stops sifting once the generators that no sift at or below
+    it left are through; the chain must be the one built by sifting every
+    Schreier generator (oracles.FullSiftChain), and complete."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists)
+    def test_matches_the_full_sift(self, gens):
+        n = gens[0].degree
+        movers = [g for g in gens if not g.is_identity()]
+        for prefix in ((), (n - 1,)):
+            chain = StabilizerChain(n, movers, base_prefix=prefix)
+            assert_same_chain(chain, FullSiftChain(n, movers, base_prefix=prefix))
+            assert_every_schreier_generator_sifts(chain)
+        grown = grown_chain(n, gens)
+        assert_same_chain(grown, grown_chain(n, gens, FullSiftChain))
+        assert_every_schreier_generator_sifts(grown)
+
+    @pytest.mark.parametrize("source", ["corpus", "workload_seed1", "workload_seed2"])
+    def test_corpus_and_closure_workload(self, corpus_entries, source):
+        if source == "corpus":
+            groups = [e.group for e in corpus_entries]
+        else:
+            groups = workload_groups(int(source[-1]))
+        for G in groups:
+            n, gens = G.degree, list(G.generators)
+            built = StabilizerChain(n, gens), FullSiftChain(n, gens)
+            grown = grown_chain(n, gens), grown_chain(n, gens, FullSiftChain)
+            for chain, expected in (built, grown):
+                assert_same_chain(chain, expected)
+                assert_every_schreier_generator_sifts(chain)
+
+    def test_sift_counts_on_the_closure_workload(self, monkeypatch):
+        # F(11,5)wrS2, S8wrS4, A8wrC4, C2wrC16, D5wrC6, S3wrS8 under the
+        # seed-1 relabeling: the cut-off sifts 5408 Schreier generators
+        # where sifting them all takes 14253
+        groups = workload_groups(1)
+        sift = StabilizerChain._sift
+        count = [0]
+
+        def counting(self, g, start=0):
+            count[0] += 1
+            return sift(self, g, start)
+
+        monkeypatch.setattr(StabilizerChain, "_sift", counting)
+        counts = {}
+        for cls in (StabilizerChain, FullSiftChain):
+            counts[cls] = []
+            for G in groups:
+                count[0] = 0
+                cls(G.degree, G.generators)
+                counts[cls].append(count[0])
+        assert counts[StabilizerChain] == [516, 1739, 1043, 318, 358, 1434]
+        assert counts[FullSiftChain] == [879, 5797, 3508, 766, 923, 2380]
 
 
 def assert_built_from_strong_generators(chain):

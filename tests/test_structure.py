@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import pga.structure as structure
 from pga.corpus import builtin_family
 from pga.errors import PgaError
-from pga.group import PermGroup
+from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
 from pga.structure import (
     abelian_invariants,
@@ -237,6 +237,29 @@ class TestNormalSubgroups:
             order = G.order()
             for info in normal_subgroups(G):
                 assert order % info.order.value == 0, entry.name
+
+    def test_facts_need_no_chain_of_the_subgroup(self, corpus_entries, monkeypatch):
+        # a listed subgroup's order and invariants come off G's class
+        # table, so the only chains built are those of the 29 normal
+        # closures and of the 15 new joins, whose keys need membership
+        built = []
+        init = StabilizerChain.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        infos = {}
+        for e in corpus_entries:
+            e.group.conjugacy_classes()  # G's chain and class table
+            monkeypatch.setattr(StabilizerChain, "__init__", counting)
+            infos[e.name] = normal_subgroups(e.group)
+            monkeypatch.undo()
+        assert len(built) == 44
+        for name, group_infos in infos.items():
+            for info in group_infos:
+                H = PermGroup(info.subgroup.degree, info.subgroup.generators)
+                assert info.order.value == H.order(), name
 
     def test_matches_brute_force_lattice_below_200(self, corpus_entries):
         # the wreath products have many normal subgroups, so most joins
