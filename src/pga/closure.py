@@ -62,7 +62,10 @@ images differ.  So one memo per search holds the domain fragments of
 each refinement round, keyed by the domain cells and the round's new
 cells, and later branches split only the image side, matching each
 image signature against the signature of the domain fragment it must
-pair with.
+pair with.  On the principal branch itself every image cell is its
+domain cell, and the same points count into the same new cells, so
+the image side splits as the domain side does: each cell is split
+once per round, and each domain fragment is its own image.
 
 The points fixed along the principal branch form a base for the
 closure, and the generators found are a strong generating set for it
@@ -146,15 +149,18 @@ def _arc_weights(color, rank):
 
     Counting arcs into x adds nothing: color[z][x] is the paired orbital
     of color[x][z], so those counts are a fixed rearrangement of these.
-    The weights come from one table of rank entries, shared by all rows.
+    The weights come from one table of rank entries, shared by all rows,
+    each block's powers of B from one running product.
     """
     B = len(color) + 1
     blocks = sorted({(min(row), max(row)) for row in color})
     top = B ** max((hi - lo + 1 for lo, hi in blocks), default=0)
     table = [0] * rank
     for h, (lo, hi) in enumerate(reversed(blocks)):
-        for c in range(lo, hi + 1):
-            table[c] = h * top + B ** (hi - c)
+        rank_term, power = h * top, 1
+        for c in range(hi, lo - 1, -1):  # power is B**(hi - c)
+            table[c] = rank_term + power
+            power *= B
     return [[table[c] for c in row] for row in color]
 
 
@@ -224,9 +230,12 @@ def _refine_pair(weights, pairs, memo, new):
 
     memo maps the domain cells and new cells of each round met to the
     round's domain side (see _domain_round); a memo shared by the
-    refinements of one search splits each domain round once.  The image
-    side is split every time, and each of its signatures must be that of
-    the matching domain fragment.
+    refinements of one search splits each domain round once.  On the
+    principal branch, where every image cell is its domain cell, the
+    image side splits as the domain side did, so each domain fragment is
+    its own image and the image side is not split again.  Otherwise the
+    image side is split every time, and each of its signatures must be
+    that of the matching domain fragment.
     """
     pairs = list(pairs)
     while True:
@@ -235,11 +244,15 @@ def _refine_pair(weights, pairs, memo, new):
         if domain is None:
             domain = memo[p_cells, new] = _domain_round(weights, p_cells, new)
         keyed, added = domain
-        q_layout = _layout([pairs[i][1] for i in new])
+        principal = all(cp == cq for cp, cq in pairs)
+        q_layout = None if principal else _layout([pairs[i][1] for i in new])
         new_pairs = []
         for (cp, cq), frags in zip(pairs, keyed):
             if frags is None:
                 new_pairs.append((cp, cq))
+                continue
+            if principal:
+                new_pairs += [(f, f) for _, f in frags]
                 continue
             by_sig_q = _split(weights, cq, q_layout)
             if len(by_sig_q) != len(frags):

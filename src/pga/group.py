@@ -13,13 +13,14 @@ sifting once the generators no sift at or below it left are through: by
 Schreier's lemma the rest would sift, and the chain is unchanged.
 
 Levels only grow: a transversal keeps its elements, and each level
-records which generators its orbit has been walked with and which
-Schreier generators are known to sift, so an orbit point meets an old
-generator once and no Schreier generator is sifted twice.  The Schreier
-generator u_b s u_s(b)^-1 of orbit point b and generator s is sifted as
-u_b s from its own level, whose first strip step forms it, which saves
-one product; and a strip stops with the identity as soon as the running
-element equals the level's transversal element, which saves the last.
+records, by each generator's table (see below), which generators its
+orbit has been walked with and which Schreier generators are known to
+sift, so an orbit point meets an old generator once and no Schreier
+generator is sifted twice.  The Schreier generator u_b s u_s(b)^-1 of
+orbit point b and generator s is sifted as u_b s from its own level,
+whose first strip step forms it, which saves one product; and a strip
+stops with the identity as soon as the running element equals the
+level's transversal element, which saves the last.
 
 A chain is built this way from its generators, and a chain not yet
 owned by a group grows the same way by a new generator
@@ -28,7 +29,8 @@ Where a strong generating set for a known base is at hand, as for a
 point stabilizer or the 2-closure's search, each level's orbit is
 walked once, with the same walk, and nothing is sifted (_walk_level).
 A chain of a group on another base (PermGroup._chain_on) installs the
-residues of seeded uniform elements and is certified complete once its
+residues of seeded uniform elements, walks the orbits of each residue's
+level and those above with it, and is certified complete once its
 orbit sizes multiply to the group's order.  A group is immutable once
 constructed; its chain is built lazily and cached, after which the
 value can be shared freely between threads.
@@ -41,7 +43,9 @@ for every orbit point b, the code of u_b and the table of u_b^-1, and
 each strong generator s has its table and the code of s^-1.  A Schreier
 generator is then one translate, a strip step another, the early exit a
 comparison of byte strings, and the inverse of a new transversal element
-u_b s is s^-1 u_b^-1, one more translate.  Above degree 256, where a
+u_b s is s^-1 u_b^-1, one more translate.  A generator's table also
+keys the levels' checked records: a bytes object caches its hash, so a
+lookup does not hash the images again.  Above degree 256, where a
 point no longer fits in a byte, codes and tables are image tuples and a
 product is an itemgetter call.  A code becomes a Permutation only where
 one is installed as a strong generator or handed to a caller.
@@ -125,9 +129,10 @@ class _Level:
         self.own_tables = []  # (table of s, code of s^-1) for s in own_gens
         self.origins = []  # per s in own_gens, the level whose sift left it, or -1
         self.codes = {}  # orbit point b -> (code of u_b, table of u_b^-1)
-        # generator s -> k: the orbit has been walked with s, and the
-        # Schreier generators of s with the first k orbit points (in
-        # transversal order) are known to sift
+        # table of generator s -> k: the orbit has been walked with s, and
+        # the Schreier generators of s with the first k orbit points (in
+        # transversal order) are known to sift; up to degree 256 a table
+        # is a bytes object, which caches its hash
         self.checked = {}
 
 
@@ -173,7 +178,7 @@ class StabilizerChain:
         lvl = self.levels[i]
         tables = self._tables_below(i)
         size = len(self._walk(lvl, tables, tables))
-        lvl.checked = dict.fromkeys(self.strong_generators_below(i), size)
+        lvl.checked = dict.fromkeys([table for table, _ in tables], size)
 
     def _insert(self, g, origin=-1):
         """Attach a non-identity generator at the first level whose base
@@ -214,12 +219,12 @@ class StabilizerChain:
         The transversal keeps its elements and only gains the new orbit
         points, so a Schreier generator checked before is unchanged and
         still lies in the deeper groups, which only grow.  The orbit is
-        closed under every generator it was walked with (the keys of
-        checked), so only the generators added since are new.  On the
-        first residue that does not sift, install it at the level where
-        sifting got stuck (it fixes every base point above) and return
-        that level for reprocessing; return None once every Schreier
-        generator of the level is checked.
+        closed under every generator it was walked with (whose tables are
+        the keys of checked), so only the generators added since are new.
+        On the first residue that does not sift, install it at the level
+        where sifting got stuck (it fixes every base point above) and
+        return that level for reprocessing; return None once every
+        Schreier generator of the level is checked.
 
         Let T be the level's generators whose origin lies above it (-1 for
         a given one).  T generates the level's group, as a residue left by
@@ -230,19 +235,18 @@ class StabilizerChain:
         unsifted, as a full sift would mark them, and the chain is unchanged.
         """
         lvl = self.levels[i]
-        gens = self.strong_generators_below(i)
         tables = self._tables_below(i)
         codes, checked = lvl.codes, lvl.checked
-        done = [checked.get(s) for s in gens]  # None for a generator new here
+        done = [checked.get(table) for table, _ in tables]  # None for a generator new here
         points = self._walk(lvl, tables, [t for t, k in zip(tables, done) if k is None])
-        for s, k in zip(gens, done):
+        for (table, _), k in zip(tables, done):
             if k is None:
-                checked[s] = 0
+                checked[table] = 0
         origins = [o for level in self.levels[i:] for o in level.origins]
         needed = max((j + 1 for j, o in enumerate(origins) if o < i), default=0)
         product = self._codec[2]
         ident = codes[lvl.point][0]
-        for j, (s, (table, _), start) in enumerate(zip(gens, tables, done)):
+        for j, ((table, _), start) in enumerate(zip(tables, done)):
             # past the last generator of T, nothing is sifted
             for k in range(start or 0, len(points) if j < needed else 0):
                 # u_b s maps the base point to s(b), so its first strip
@@ -250,10 +254,10 @@ class StabilizerChain:
                 # u_b s u_s(b)^-1, and the rest strips that below
                 h = self._sift(product(codes[points[k]][0], table), i)
                 if h != ident:
-                    checked[s] = k
+                    checked[table] = k
                     return self._insert(_decode(h), i)
             if start != len(points):
-                checked[s] = len(points)
+                checked[table] = len(points)
         return None
 
     def _walk(self, lvl, tables, fresh):
@@ -432,13 +436,16 @@ class PermGroup:
             return chain
         new = StabilizerChain(self.degree, (), base)
         sample = self._random_elements(random.Random(_REBASE_SEED))
-        while new.order() < chain.order():
+        order = chain.order()
+        while new.order() < order:
             h = new._strip(next(sample))
             if not h.is_identity():
                 i = new._insert(h)
                 fresh = new.levels[i].own_tables[-1:]
-                for j in range(i, -1, -1):
-                    new._walk(new.levels[j], new._tables_below(j), fresh)
+                tables = new._tables_below(i + 1)
+                for lvl in reversed(new.levels[: i + 1]):
+                    tables = lvl.own_tables + tables  # _tables_below of lvl
+                    new._walk(lvl, tables, fresh)
         return new
 
     def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration_cap) -> list:

@@ -234,33 +234,48 @@ def count_refine_pair(color, rank, pairs):
         pairs = new_pairs
 
 
+def direct_arc_weights(color):
+    """The refinement weight of every arc (x, z), each from its own
+    powers: with B = n + 1, c the color of (x, z) in the block [lo, hi]
+    of the colors in row x, h the number of blocks of larger colors and
+    m the largest block size, h * B**m + B**(hi - c)."""
+    B = len(color) + 1
+    blocks = sorted({(min(row), max(row)) for row in color})
+    m = max(hi - lo + 1 for lo, hi in blocks)
+    weights = []
+    for row in color:
+        lo, hi = min(row), max(row)
+        h = sum(block > (lo, hi) for block in blocks)
+        weights.append([h * B**m + B ** (hi - c) for c in row])
+    return weights
+
+
 class FullSiftChain(StabilizerChain):
     """A stabilizer chain whose levels sift the Schreier generators of
     every strong generator of the level's group.  StabilizerChain stops
     sifting a level once generators known to generate its group are
     through, and by Schreier's lemma marks the rest as sifted, so both
     must build the same chain: base, generators, transversals and the
-    checked record."""
+    checked record, keyed by each generator's table."""
 
     __slots__ = ()
 
     def _grow_level(self, i):
         lvl = self.levels[i]
-        gens = self.strong_generators_below(i)
         tables = self._tables_below(i)
         codes, checked = lvl.codes, lvl.checked
-        done = [checked.get(s) for s in gens]
+        done = [checked.get(table) for table, _ in tables]
         points = self._walk(lvl, tables, [t for t, k in zip(tables, done) if k is None])
-        for s, k in zip(gens, done):
+        for (table, _), k in zip(tables, done):
             if k is None:
-                checked[s] = 0
+                checked[table] = 0
         product = self._codec[2]
         ident = codes[lvl.point][0]
-        for s, (table, _), start in zip(gens, tables, done):
+        for (table, _), start in zip(tables, done):
             for k in range(start or 0, len(points)):
                 h = self._sift(product(codes[points[k]][0], table), i)
                 if h != ident:
-                    checked[s] = k
+                    checked[table] = k
                     return self._insert(_decode(h))
-            checked[s] = len(points)
+            checked[table] = len(points)
         return None

@@ -1,4 +1,5 @@
 import random
+import sys
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ from pga.cli import main
 from pga.closure import (
     _arc_weights,
     _color_automorphism_generators,
+    _first_non_singleton,
     _individualize,
     _refine_pair,
     is_2_closed,
@@ -18,9 +20,10 @@ from pga.corpus import builtin_family
 from pga.errors import CapExceededError
 from pga.group import PermGroup, StabilizerChain
 from pga.perm import Permutation
+import pga.closure
 import pga.group
 
-from oracles import brute_two_closure, count_refine_pair, pair_orbit_ids
+from oracles import brute_two_closure, count_refine_pair, direct_arc_weights, pair_orbit_ids
 from test_group import assert_every_schreier_generator_checked, assert_every_schreier_generator_sifts, assert_same_chain
 from test_pinned_chains import workload_groups
 
@@ -280,6 +283,56 @@ class TestRefinementOracle:
                 assert pairs == expected
 
 
+def assert_principal_branch_splits_once(G):
+    """Refine the principal branch step by step, as the search does, with
+    _split and _domain_round counted.  Every image cell of a principal
+    step is its domain cell, so _split must run only from _domain_round,
+    once per non-singleton domain cell of each round (a fresh memo per
+    step makes every round a _domain_round call); and each step must
+    still equal explicit counting."""
+    part = orbitals(G)
+    weights = _arc_weights(part.color, part.rank)
+    callers, open_cells = [], []
+    split, domain_round = pga.closure._split, pga.closure._domain_round
+
+    def counted_split(weights, cell, layout):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return split(weights, cell, layout)
+
+    def counted_round(weights, cells, new):
+        open_cells.append(sum(len(cell) > 1 for cell in cells))
+        return domain_round(weights, cells, new)
+
+    unit = tuple(range(G.degree))
+    individualized, new = [(unit, unit)], (0,)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pga.closure, "_split", counted_split)
+        patch.setattr(pga.closure, "_domain_round", counted_round)
+        while True:
+            callers.clear()
+            open_cells.clear()
+            pairs = _refine_pair(weights, individualized, {}, new)
+            assert open_cells
+            assert callers == ["_domain_round"] * sum(open_cells)
+            assert pairs == count_refine_pair(part.color, part.rank, individualized)
+            t = _first_non_singleton(pairs)
+            if t is None:
+                break
+            x = pairs[t][0][0]
+            individualized, new = _individualize(pairs, t, x, x), (t,)
+
+
+class TestPrincipalBranchSplitsOnce:
+    def test_corpus(self, corpus_entries):
+        for entry in corpus_entries:
+            assert_principal_branch_splits_once(entry.group)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_groups(9), st.sampled_from(RANK_THREE)))
+    def test_random_groups(self, G):
+        assert_principal_branch_splits_once(G)
+
+
 class TestTwoClosure:
     def test_symmetric_group_is_closed(self):
         G = group("symmetric", 5)
@@ -326,6 +379,18 @@ class TestHighRankInputs:
         assert max(w for row in weights for w in row) < (n + 1) ** (n + 1)
         H = two_closure(G, degree_cap=n)
         assert H.order() == (2 if swap else 1)
+
+    @pytest.mark.parametrize("n", [32, 144])
+    @pytest.mark.parametrize("swap", [False, True], ids=["trivial", "swap01"])
+    def test_weights_match_the_direct_formula(self, n, swap):
+        G = PermGroup(n, [perm("(0 1)", n)]) if swap else PermGroup(n)
+        part = orbitals(G)
+        assert _arc_weights(part.color, part.rank) == direct_arc_weights(part.color)
+
+    def test_corpus_weights_match_the_direct_formula(self, corpus_entries):
+        for entry in corpus_entries:
+            part = orbitals(entry.group)
+            assert _arc_weights(part.color, part.rank) == direct_arc_weights(part.color)
 
     def test_refinement_matches_count_oracle_at_degree_32(self):
         G = PermGroup(32, [perm("(0 1)(2 3 4)", 32)])

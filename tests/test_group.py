@@ -312,11 +312,12 @@ class TestExtend:
 
 def assert_every_schreier_generator_checked(chain):
     """A complete chain records, at every level, each generator of that
-    level's group as checked on the whole orbit, so extend sifts none of
-    those Schreier generators again."""
+    level's group as checked on the whole orbit, keyed by the generator's
+    table, so extend sifts none of those Schreier generators again."""
+    encode, tail, _ = chain._codec
     for i, lvl in enumerate(chain.levels):
         for s in chain.strong_generators_below(i):
-            assert lvl.checked.get(s) == len(lvl.codes), (i, s)
+            assert lvl.checked.get(encode(s.images) + tail) == len(lvl.codes), (i, s)
 
 
 class TestCheckedRecord:
@@ -342,13 +343,15 @@ class TestCheckedRecord:
 def assert_same_chain(chain, expected):
     """Level by level: the base point, the own generators in order, the
     orbit points in order with the stored codes and inverse tables, and the
-    checked record, in order."""
+    checked record, in order, as the images of each generator whose table
+    keys it with its count."""
     assert chain.degree == expected.degree
     assert chain.base == expected.base
     for lvl, exp in zip(chain.levels, expected.levels):
         assert [g.images for g in lvl.own_gens] == [g.images for g in exp.own_gens], lvl.point
         assert list(lvl.codes.items()) == list(exp.codes.items()), lvl.point
-        assert [(s.images, k) for s, k in lvl.checked.items()] == [(s.images, k) for s, k in exp.checked.items()]
+        n = chain.degree
+        assert [(tuple(t[:n]), k) for t, k in lvl.checked.items()] == [(tuple(t[:n]), k) for t, k in exp.checked.items()]
 
 
 def assert_every_schreier_generator_sifts(chain):
