@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .corpus import (
     CorpusEntry,
     builtin_family,
     load_corpus,
-    parse_group_file,
+    read_group_file,
     serialize_entry,
     write_report,
 )
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the check suite over a corpus directory", allow_abbrev=False)
     p.add_argument("dir")
     p.add_argument("--check", default="all", metavar="LIST", help="comma-separated check ids, or 'all'")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--strict", action="store_true", help="exit 3 when any result is skipped")
     p.add_argument("--format", choices=["text", "machine-records"], default="text")
@@ -93,14 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_entry(path, caps) -> CorpusEntry:
-    text = Path(path).read_text()
-    return parse_group_file(text, source=str(path), max_degree=caps.max_degree)
-
-
 def _cmd_analyze(args) -> int:
     caps = _caps_from(args)
-    a = analyze(_load_entry(args.file, caps), caps)
+    a = analyze(read_group_file(args.file, caps.max_degree), caps)
     if args.format == "machine-records":
         print(json.dumps(_analysis_record(a), separators=(",", ":")))
     else:
@@ -204,7 +198,7 @@ def _print_summary(counts, n_groups) -> None:
 
 def _cmd_two_closure(args) -> int:
     caps = _caps_from(args)
-    entry = _load_entry(args.file, caps)
+    entry = read_group_file(args.file, caps.max_degree)
     G = entry.group
     closure = two_closure(G, caps.closure_degree_cap)
     part = orbitals(G)
@@ -221,13 +215,13 @@ def _cmd_two_closure(args) -> int:
             group=closure,
             declared_degree=G.degree,
         )
-        Path(args.emit).write_text(serialize_entry(out))
+        Path(args.emit).write_text(serialize_entry(out), encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_fixity(args) -> int:
     caps = _caps_from(args)
-    result = fixity(_load_entry(args.file, caps).group, caps.enumeration_cap)
+    result = fixity(read_group_file(args.file, caps.max_degree).group, caps.enumeration_cap)
     print(f"fixity: {result.fixity}")
     print(f"witness: {_witness(result)}")
     return EXIT_OK
@@ -235,7 +229,7 @@ def _cmd_fixity(args) -> int:
 
 def _cmd_gen(args) -> int:
     entry = builtin_family(args.family, args.params, _caps_from(args))
-    Path(args.out).write_text(serialize_entry(entry))
+    Path(args.out).write_text(serialize_entry(entry), encoding="utf-8")
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ Group file (.grp), UTF-8, line oriented::
 
 Every integer (the degree, img images, cycle points) is a run of ASCII
 digits.  Comment lines starting with '#' and blank lines are ignored.
-A file with no gen:/img: lines describes the trivial group.
+A file with no gen:/img: lines describes the trivial group.  A file
+that is not UTF-8 is refused with its path and the line of the first
+byte that does not decode.
 
 Reports are line-delimited JSON: one metadata line, then one record per
 (group, check) sorted by group name and check id.  Group orders are
@@ -96,6 +98,16 @@ def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFA
         group=PermGroup(degree, gens),
         declared_degree=degree,
     )
+
+
+def read_group_file(path, max_degree: int = DEFAULT_CAPS.max_degree) -> CorpusEntry:
+    """Read the group file at path as UTF-8 and parse it; errors name the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise GroupFileError(f"not UTF-8: {exc}", line=line, source=str(path)) from exc
+    return parse_group_file(text, source=str(path), max_degree=max_degree)
 
 
 def serialize_entry(entry: CorpusEntry) -> str:
@@ -234,7 +246,7 @@ def load_corpus(directory, caps: Caps = DEFAULT_CAPS) -> list:
         raise GroupFileError(f"corpus directory {root} does not exist")
     entries = []
     for path in sorted(root.glob("*.grp")):
-        entries.append(parse_group_file(path.read_text(), source=str(path), max_degree=caps.max_degree))
+        entries.append(read_group_file(path, caps.max_degree))
     by_name = {}
     for e in entries:
         if e.name in by_name:
@@ -290,12 +302,12 @@ def write_report(report: Report, dest) -> None:
     if hasattr(dest, "write"):
         dest.write(text)
     else:
-        Path(dest).write_text(text)
+        Path(dest).write_text(text, encoding="utf-8")
 
 
 def read_report(source) -> tuple:
     """Parse a report back into (metadata, list of record dicts)."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise PgaError("empty report")

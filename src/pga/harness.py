@@ -125,52 +125,39 @@ class CheckResult:
 def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
     """Compute the full per-group record.
 
-    Rejects intransitive groups; cap overruns never raise, they leave the
-    affected fields None with the reason recorded.
+    Rejects intransitive groups.  One rule turns a failure into a skip:
+    a field that field() computes is fn(G, *args), or None with str(exc)
+    recorded under the field's name in skip_reasons when a
+    CapExceededError or a TrivialGroupError stops the computation.  The
+    fields are computed in the order listed, each function looked up by
+    its name in this module at call time, where perfbench's traced run
+    replaces it.
     """
     G = entry.group
     if not G.is_transitive():
         raise PgaError(f"{entry.name}: the checks assume a transitive group")
     skip_reasons = {}
 
-    fix = elusive = profile = derang = prime_derang = None
-    try:
-        elusive = is_elusive(G, caps.enumeration_cap)
-        profile = prime_fix_profile(G, caps.enumeration_cap)
-        derang = any_derangement(G, caps.enumeration_cap)
-        prime_derang = first_prime_derangement(G, caps.enumeration_cap)
+    def field(name, fn, *args):
         try:
-            fix = fixity(G, caps.enumeration_cap)
-        except TrivialGroupError as exc:
-            skip_reasons["fixity"] = str(exc)
-    except CapExceededError as exc:
-        for f in ("fixity", "elusive", "prime_profile", "derangement", "prime_derangement"):
-            skip_reasons[f] = str(exc)
+            return fn(G, *args)
+        except (CapExceededError, TrivialGroupError) as exc:
+            skip_reasons[name] = str(exc)
+            return None
 
-    two_closed = None
-    try:
-        two_closed = is_2_closed(G, caps.closure_degree_cap)
-    except CapExceededError as exc:
-        skip_reasons["two_closed"] = str(exc)
-
-    lattice = None
-    try:
-        lattice = normal_subgroups(G, caps.enumeration_cap, caps.lattice_cap)
-    except CapExceededError as exc:
-        skip_reasons["normal_lattice"] = str(exc)
-
+    cap = caps.enumeration_cap
     return GroupAnalysis(
         name=entry.name,
         degree=G.degree,
+        elusive=field("elusive", is_elusive, cap),
+        prime_profile=field("prime_profile", prime_fix_profile, cap),
+        derangement=field("derangement", any_derangement, cap),
+        prime_derangement=field("prime_derangement", first_prime_derangement, cap),
+        fixity=field("fixity", fixity, cap),
+        two_closed=field("two_closed", is_2_closed, caps.closure_degree_cap),
+        normal_lattice=field("normal_lattice", normal_subgroups, cap, caps.lattice_cap),
         order=G.order(),
         solvable=is_solvable(G),
-        fixity=fix,
-        elusive=elusive,
-        two_closed=two_closed,
-        prime_profile=profile,
-        normal_lattice=lattice,
-        derangement=derang,
-        prime_derangement=prime_derang,
         skip_reasons=skip_reasons,
     )
 

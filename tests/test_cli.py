@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +339,32 @@ class TestUnwritableOutput:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and missing in err
+
+
+class TestFileEncoding:
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.grp"
+        path.write_bytes(b"\xffname: x\ndegree: 2\n")
+        code, out, err = run(capsys, command, str(path if command == "analyze" else tmp_path))
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+
+    @pytest.mark.parametrize("command", sorted(CAPS_READ))
+    def test_no_file_is_opened_with_the_locale_encoding(self, corpus_dir, tmp_path, command):
+        # run as -m pga.cli, the command line's module is named __main__
+        warnings_as_errors = [
+            f"-Werror::EncodingWarning:{module}" for module in ("__main__", "pga.cli", "pga.corpus")
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = command_argv(command, corpus_dir, tmp_path / "out")
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", *warnings_as_errors, "-m", "pga.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), command
 
 
 class TestCapValues:

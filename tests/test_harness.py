@@ -23,6 +23,7 @@ from pga.harness import (
 )
 from pga.perm import Permutation
 from pga.structure import NormalSubgroupInfo, factorize
+from test_surface import perfbench_layer_calls
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +447,50 @@ class TestAnalyze:
                 assert getattr(a, name) is None, (entry.name, name)
 
     def test_caps_turn_into_skip_reasons(self):
-        entry = builtin_family("symmetric", [5])
-        a = analyze(entry, Caps(enumeration_cap=50, closure_degree_cap=3))
-        assert a.fixity is None
-        assert a.elusive is None
-        assert a.two_closed is None
-        assert a.normal_lattice is None
-        assert a.prime_derangement is None
-        assert {"fixity", "two_closed", "normal_lattice", "prime_derangement"} <= set(a.skip_reasons)
-        assert check("C2_3", a).status == SKIPPED
-        assert check("C2_8", a).status == SKIPPED
-        assert check("L2_6", a).status == SKIPPED
+        capped = "group order 120 exceeds enumeration cap 50"
+        cases = [
+            (
+                builtin_family("symmetric", [5]),
+                Caps(enumeration_cap=50, closure_degree_cap=3),
+                {
+                    "fixity": capped,
+                    "elusive": capped,
+                    "prime_profile": capped,
+                    "derangement": capped,
+                    "prime_derangement": capped,
+                    "two_closed": "degree 5 exceeds closure degree cap 3",
+                    "normal_lattice": capped,
+                },
+            ),
+            (builtin_family("cyclic", [1]), Caps(), {"fixity": "fixity is undefined for the trivial group"}),
+            (builtin_family("symmetric", [4]), Caps(lattice_cap=1), {"normal_lattice": "more than 1 normal subgroups"}),
+        ]
+        analyses = [analyze(entry, caps) for entry, caps, _ in cases]
+        for a, (entry, _, expected) in zip(analyses, cases):
+            assert a.skip_reasons == expected, entry.name
+            for name in expected:
+                assert getattr(a, name) is None, (entry.name, name)
+        for cid in ("C2_3", "C2_8", "L2_6"):
+            assert check(cid, analyses[0]).status == SKIPPED, cid
+
+    def test_each_layer_function_is_called_once(self, monkeypatch, corpus_by_name):
+        # perfbench's traced run times analyze by replacing these names on
+        # pga.harness, so analyze must look each one up there per call
+        import pga.harness
+
+        calls = {}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return call
+
+        names = perfbench_layer_calls()["harness"]
+        for name in names:
+            monkeypatch.setattr(pga.harness, name, counted(name, getattr(pga.harness, name)))
+        analyze(corpus_by_name["symmetric_4"])
+        assert calls == dict.fromkeys(names, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -86,18 +86,23 @@ def test_allowlisted_names_still_exist():
     assert set(ALLOWED) <= set(public_definitions())
 
 
-def test_perfbench_layer_calls_resolve():
-    """perfbench's traced run replaces each function of its LAYER_CALLS
-    table on pga.<module> by name; one that no longer resolves fails
-    every traced operation.  The table is read as a literal, without
-    importing perfbench."""
+def perfbench_layer_calls():
+    """perfbench's LAYER_CALLS table, read as a literal without importing
+    perfbench."""
     tree = _parse(ROOT / "perfbench" / "workloads.py")
     (table,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYER_CALLS"]
     ]
-    layer_calls = ast.literal_eval(table)
+    return ast.literal_eval(table)
+
+
+def test_perfbench_layer_calls_resolve():
+    """perfbench's traced run replaces each function of its LAYER_CALLS
+    table on pga.<module> by name; one that no longer resolves fails
+    every traced operation."""
+    layer_calls = perfbench_layer_calls()
     assert set(layer_calls) == {"harness", "closure"}
     for module, names in layer_calls.items():
         namespace = vars(importlib.import_module(f"pga.{module}"))
