@@ -69,14 +69,23 @@ once per round, and each domain fragment is its own image.
 
 The points fixed along the principal branch form a base for the
 closure, and the generators found are a strong generating set for it
-(see _color_automorphism_generators), so each level of the closure's
-chain is walked with them once found, and nothing is sifted.
+(see _descent), so each level of the closure's chain is walked with
+them once found, and nothing is sifted.
+
+is_2_closed builds no closure.  The cell of each principal-branch
+level's point x holds x's orbit under the closure's stabilizer of the
+points above it, so |G| <= |G^(2)| <= B, the product of those cells'
+sizes, and B = |G| proves G 2-closed.  Otherwise the plain descent
+runs and each automorphism it finds is sifted through G's chain: the
+first that G lacks witnesses that G is not 2-closed; if G holds them
+all, G holds the group they generate, which is G^(2) (see _descent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress
+from math import prod
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError
@@ -307,75 +316,113 @@ def _find_one(weights, memo, color, pairs):
     return None
 
 
-def _color_automorphism_generators(color, rank, G):
-    """Generators of the full group of color-preserving permutations, and
-    its chain on the search base: the point fixed at each principal-branch
-    level.  G is a group of color automorphisms on as many points.
-
-    The generators are a strong generating set for that base.  Let K be
-    the automorphisms fixing the base points above a level, x its point,
-    and H the group of the generators found at or below it, all in K.
-    By induction from the deepest level, where the partition is discrete
-    and K trivial, those below generate K_x, so K_x <= H.  When the level
-    is done, x's cell, which holds x^K, lies in reached, and a point of
-    reached is in x^H or in no K-image of x; so x^H = x^K and
-    |H| = |x^H| |H_x| >= |K|, that is H = K, whichever element of K
-    maps x to each image found, G's among them.  The search's state
-    goes to each step as arguments, so it is freed when it ends.
-    """
-    weights = _arc_weights(color, rank)
-    # every domain side refined is one of the principal branch's, as
-    # _find_one individualizes the first point of the first non-singleton
-    # domain cell, the point fixed at that level
-    memo = {}
-    n = G.degree
-    unit = tuple(range(n))
+def _principal_branch(color, rank):
+    """Arc weights, a memo for one search (see _refine_pair), and per
+    principal-branch level its stable pairs and the index of the cell of
+    the point it fixes."""
+    weights, memo = _arc_weights(color, rank), {}
+    unit = tuple(range(len(color)))
     pairs = _refine_pair(weights, [(unit, unit)], memo, (0,))
-    branch = []  # per level, its stable pairs and the index of x's cell
+    branch = []
     while (t := _first_non_singleton(pairs)) is not None:
         branch.append((pairs, t))
         x = pairs[t][0][0]
         pairs = _refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,))
-    base = [p[t][0][0] for p, t in branch]
-    chain = StabilizerChain(n, (), base)
-    _, tail, product = chain._codec
-    known = G._chain_on(base).levels
+    return weights, memo, branch
+
+
+def _descent(color, weights, memo, branch, settled=lambda i, y: None):
+    """Yields (i, g) for each automorphism g found, deepest level i first,
+    and (i, None) once level i is done; settled(i, y) may give one taking
+    level i's point x to y without a search.  The search's state goes to
+    each step as arguments, so it is freed when it ends.
+
+    The automorphisms are a strong generating set, on the search base,
+    of the full group of color-preserving permutations.  Let K be the
+    automorphisms fixing the base points above a level, and H the group
+    of those found at or below it, all in K.  By induction from the
+    deepest level, where the partition is discrete and K trivial, those
+    below generate K_x, so K_x <= H.  When the level is done, x's cell,
+    which holds x^K, lies in reached, and a point of reached is in x^H or
+    in no K-image of x; so x^H = x^K and |H| = |x^H| |H_x| >= |K|, that
+    is H = K, whichever element of K maps x to each image found, the
+    settled ones among them.
+    """
     gens = []
-    for i in reversed(range(len(base))):
-        (pairs, t), x = branch[i], base[i]
+    for i in reversed(range(len(branch))):
+        pairs, t = branch[i]
+        x = pairs[t][0][0]
         # images of x tried so far and all they reach under gens; the set
         # stays closed under gens, so a new generator only extends it
         reached = _orbit({x}, gens)
         for y in pairs[t][1]:
             if y in reached:
                 continue
-            if y in known[i].codes:
-                u = known[i].codes[y][0]  # then the least element of its coset
-                for lvl in chain.levels[i + 1 :]:
-                    u = product(lvl.codes[min(lvl.codes, key=u.__getitem__)][0], u + tail)
-                found = _decode(u)
-            else:
+            found = settled(i, y)
+            if found is None:
                 nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
                 found = _find_one(weights, memo, color, nxt) if nxt is not None else None
             if found is not None:
-                chain._insert(found)
+                yield i, found
                 gens.append(found)  # maps x to y, so y is reached now
                 reached = _orbit(reached, gens)
             else:
                 reached |= _orbit({y}, gens)
-        chain._walk_level(i)
+        yield i, None
+
+
+def _color_automorphism_generators(color, rank, G):
+    """Generators of the full group of color-preserving permutations, and
+    its chain on the search base (see _descent).  G is a group of color
+    automorphisms on as many points; an image G reaches is settled by
+    the least element of its coset, read off the chain's deeper levels.
+    """
+    weights, memo, branch = _principal_branch(color, rank)
+    chain = StabilizerChain(G.degree, (), [p[t][0][0] for p, t in branch])
+    _, tail, product = chain._codec
+    known = G._chain_on(chain.base).levels
+
+    def settled(i, y):
+        if y not in known[i].codes:
+            return None
+        u = known[i].codes[y][0]  # then the least element of its coset
+        for lvl in chain.levels[i + 1 :]:
+            u = product(lvl.codes[min(lvl.codes, key=u.__getitem__)][0], u + tail)
+        return _decode(u)
+
+    gens = []
+    for i, found in _descent(color, weights, memo, branch, settled):
+        if found is None:
+            chain._walk_level(i)
+        else:
+            chain._insert(found)
+            gens.append(found)
     return gens, chain
+
+
+def _pair_orbits(G, degree_cap):
+    if G.degree > degree_cap:
+        raise CapExceededError(f"degree {G.degree} exceeds closure degree cap {degree_cap}")
+    return orbitals(G)
 
 
 def two_closure(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> PermGroup:
     """The full group of permutations preserving every pair orbit of G."""
-    n = G.degree
-    if n > degree_cap:
-        raise CapExceededError(f"degree {n} exceeds closure degree cap {degree_cap}")
-    part = orbitals(G)
+    part = _pair_orbits(G, degree_cap)
     gens, chain = _color_automorphism_generators(part.color, part.rank, G)
     return PermGroup._from_chain(chain, gens)
 
 
+def _outside_automorphism(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap):
+    """A permutation preserving every pair orbit of G that G lacks, or
+    None when G is 2-closed (see the module docstring)."""
+    part = _pair_orbits(G, degree_cap)
+    weights, memo, branch = _principal_branch(part.color, part.rank)
+    if prod(len(p[t][1]) for p, t in branch) == G.order():
+        return None
+    found = (g for _, g in _descent(part.color, weights, memo, branch) if g is not None)
+    return next((g for g in found if not G.contains(g)), None)
+
+
 def is_2_closed(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_degree_cap) -> bool:
-    return two_closure(G, degree_cap).order() == G.order()
+    return _outside_automorphism(G, degree_cap) is None

@@ -1,6 +1,7 @@
 """Group files, builtin families, corpus loading, and report output.
 
-Group file (.grp), UTF-8, line oriented::
+Group file (.grp), UTF-8 (a leading byte-order mark is skipped), line
+oriented::
 
     name: <token>         (required, first)
     degree: <int>         (required, second)
@@ -101,9 +102,10 @@ def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFA
 
 
 def read_group_file(path, max_degree: int = DEFAULT_CAPS.max_degree) -> CorpusEntry:
-    """Read the group file at path as UTF-8 and parse it; errors name the path."""
+    """Read the group file at path as UTF-8, a leading byte-order mark
+    skipped, and parse it; errors name the path and give file offsets."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise GroupFileError(f"not UTF-8: {exc}", line=line, source=str(path)) from exc

@@ -11,6 +11,9 @@ from pga.closure import (
     _color_automorphism_generators,
     _first_non_singleton,
     _individualize,
+    _outside_automorphism,
+    _preserves_colors,
+    _principal_branch,
     _refine_pair,
     is_2_closed,
     orbitals,
@@ -64,6 +67,14 @@ def product_wreath_s2(K):
     m = K.degree
     gens = [Permutation([g[x // m] * m + x % m for x in range(m * m)]) for g in K.generators]
     gens.append(Permutation([(x % m) * m + x // m for x in range(m * m)]))
+    return PermGroup(m * m, gens)
+
+
+def product_square(K):
+    """K x K in product action on m*m points, (i, j) -> i*m + j."""
+    m = K.degree
+    gens = [Permutation([g[x // m] * m + x % m for x in range(m * m)]) for g in K.generators]
+    gens += [Permutation([x // m * m + g[x % m] for x in range(m * m)]) for g in K.generators]
     return PermGroup(m * m, gens)
 
 
@@ -363,6 +374,90 @@ class TestTwoClosure:
         H = two_closure(G)
         assert H.order() == 2
         assert H.contains(perm("(0 1)", 4))
+
+
+def assert_two_closed_decision(G):
+    """is_2_closed(G) is whether the 2-closure has G's order, and so, at
+    degree <= 6, whether filtering all n! permutations keeps |G| of them.
+    A witness preserves every pair colour and G rejects it, also when the
+    cell-product certificate is switched off and the descent alone
+    decides.  Returns whether G is 2-closed."""
+    closed = two_closure(G, degree_cap=G.degree).order() == G.order()
+    if G.degree <= 6:
+        assert closed == (len(brute_two_closure([g.images for g in G.generators], G.degree)) == G.order())
+    assert is_2_closed(G, degree_cap=G.degree) == closed
+    with pytest.MonkeyPatch.context() as patch:
+        witnesses = [_outside_automorphism(G, degree_cap=G.degree)]
+        patch.setattr(pga.closure, "prod", lambda sizes: 0)
+        witnesses.append(_outside_automorphism(G, degree_cap=G.degree))
+    for witness in witnesses:
+        assert (witness is None) == closed
+        if witness is not None:
+            assert _preserves_colors(orbitals(G).color, witness.images)
+            assert not G.contains(witness)
+    return closed
+
+
+NOT_TWO_CLOSED = [
+    "alternating_4", "alternating_5", "alternating_6", "alternating_7", "alternating_8",
+    "frobenius_5_4", "frobenius_7_6", "m11_12",
+]
+# per group of workload_groups(1); only A8 wr C4 is not 2-closed
+WORKLOAD_TWO_CLOSED = [True, True, False, True, True, True]
+
+
+class TestTwoClosedDecision:
+    """is_2_closed decides without building the 2-closure: by the product
+    of the principal branch's cell sizes, else by the first automorphism
+    of the descent that G lacks."""
+
+    def test_corpus(self, corpus_entries):
+        assert [e.name for e in corpus_entries if not assert_two_closed_decision(e.group)] == NOT_TWO_CLOSED
+
+    def test_closure_workload(self):
+        assert [assert_two_closed_decision(G) for G in workload_groups(1)] == WORKLOAD_TWO_CLOSED
+
+    def test_m11_squared_in_product_action(self, corpus_by_name):
+        G = product_square(corpus_by_name["m11_12"].group)
+        assert G.order() == 7920**2
+        assert not assert_two_closed_decision(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(8))
+    def test_random_groups(self, G):
+        assert_two_closed_decision(G)
+
+    def test_degree_one(self):
+        G = PermGroup(1)
+        part = orbitals(G)
+        assert _principal_branch(part.color, part.rank)[2] == []
+        assert _outside_automorphism(G) is None
+        assert is_2_closed(G)
+
+    def test_degree_cap(self):
+        with pytest.raises(CapExceededError, match="degree 12 exceeds closure degree cap 10"):
+            is_2_closed(group("cyclic", 12), degree_cap=10)
+
+    def test_builds_no_closure_chain(self, corpus_entries, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the decision built a chain")
+
+        expected = [e.name not in NOT_TWO_CLOSED for e in corpus_entries]
+        for e in corpus_entries:
+            e.group.order()  # G's own chain, which the decision sifts through
+        monkeypatch.setattr(pga.closure, "_color_automorphism_generators", refuse)
+        monkeypatch.setattr(PermGroup, "_chain_on", refuse)
+        monkeypatch.setattr(StabilizerChain, "_insert", refuse)
+        assert [is_2_closed(e.group) for e in corpus_entries] == expected
+
+    def test_cell_product_settles_the_two_closed_groups(self, corpus_entries, monkeypatch):
+        """On the corpus and the closure workload every 2-closed group has
+        |G| equal to the product of its principal branch's cell sizes, so
+        no descent runs."""
+        groups = [e.group for e in corpus_entries if e.name not in NOT_TWO_CLOSED]
+        groups += [G for G, closed in zip(workload_groups(1), WORKLOAD_TWO_CLOSED) if closed]
+        monkeypatch.setattr(pga.closure, "_descent", None)
+        assert all(is_2_closed(G, degree_cap=G.degree) for G in groups)
 
 
 class TestHighRankInputs:

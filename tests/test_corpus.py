@@ -11,6 +11,7 @@ from pga.corpus import (
     corpus_digest,
     load_corpus,
     parse_group_file,
+    read_group_file,
     read_report,
     render_report_lines,
     report_metadata,
@@ -218,6 +219,16 @@ class TestLoadCorpus:
         with pytest.raises(GroupFileError) as err:
             load_corpus(tmp_path)
         assert "broken.grp" in str(err.value)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "name: x\ndegree: 3\ngen: (0 1 2)\n"
+        (tmp_path / "plain.grp").write_bytes(text.encode())
+        (tmp_path / "bom.grp").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain, bom = (read_group_file(tmp_path / f"{name}.grp") for name in ("plain", "bom"))
+        assert serialize_entry(bom) == serialize_entry(plain) == text
+        (tmp_path / "bad.grp").write_bytes(b"\xef\xbb\xbfname: x\n\xffdegree: 3\n")
+        with pytest.raises(GroupFileError, match=r"bad\.grp:2: not UTF-8: .* position 11:"):
+            read_group_file(tmp_path / "bad.grp")
 
 
 class TestReportFormat:
