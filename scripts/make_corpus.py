@@ -59,7 +59,7 @@ def main():
     for family, params in FAMILIES:
         entry = builtin_family(family, params)
         path = out_dir / f"{entry.name}.grp"
-        path.write_text(serialize_entry(entry))
+        path.write_text(serialize_entry(entry), encoding="utf-8")
         print(f"wrote {path}  (degree {entry.declared_degree}, order {entry.group.order()})")
 
 

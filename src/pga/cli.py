@@ -4,7 +4,9 @@ Subcommands: analyze, verify, two-closure, fixity, gen.  Exit codes:
 0 success (verify: no violated results), 1 violated results, 2 parse or
 parameter errors and files that cannot be read or written, 3 some result
 skipped, because a resource cap was hit or a quantity is undefined
-(verify: only with --strict).  Commands raise; only main turns
+(verify: only with --strict), 141 (128 + SIGPIPE, as a shell reports a
+process that signal ended) with nothing on stderr when the reader of
+stdout closes it early.  Commands raise; only main turns
 an error into its one "error: ..." line and exit code.  Each
 subcommand takes the flags of only the caps it reads; a cap not given
 keeps its default.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -245,7 +248,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # stdout now on devnull, so the interpreter's final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED if isinstance(exc, (CapExceededError, TrivialGroupError)) else EXIT_USAGE

@@ -3,14 +3,14 @@
 Order, membership and element enumeration go through a deterministic
 (non-randomized) Schreier-Sims stabilizer chain.  Base points are chosen
 greedily as the least point moved by the generator being installed; a
-caller may force a base prefix, which is how point stabilizers are cut
-out.  Levels are completed from the deepest upward: a level's orbit is
-extended, its Schreier generators are sifted through the deeper levels,
-and a residue that does not sift is installed as a new strong generator
-at the level where it got stuck, from which completion resumes.  The
-reported order is exact once every level is complete.  A level stops
-sifting once the generators no sift at or below it left are through: by
-Schreier's lemma the rest would sift, and the chain is unchanged.
+caller may force a base prefix.  Levels are completed from the deepest
+upward: a level's orbit is extended, its Schreier generators are sifted
+through the deeper levels, and a residue that does not sift is installed
+as a new strong generator at the level where it got stuck, from which
+completion resumes.  The reported order is exact once every level is
+complete.  A level stops sifting once the generators no sift at or below
+it left are through: by Schreier's lemma the rest would sift, and the
+chain is unchanged.
 
 Levels only grow: a transversal keeps its elements, and each level
 records, by each generator's table (see below), which generators its
@@ -25,13 +25,14 @@ level's transversal element, which saves the last.
 A chain is built this way from its generators, and a chain not yet
 owned by a group grows the same way by a new generator
 (StabilizerChain.extend), completing only the levels that changed.
-Where a strong generating set for a known base is at hand, as for a
-point stabilizer or the 2-closure's search, each level's orbit is
-walked once, with the same walk, and nothing is sifted (_walk_level).
-A chain of a group on another base (PermGroup._chain_on) installs the
-residues of seeded uniform elements, walks the orbits of each residue's
-level and those above with it, and is certified complete once its
-orbit sizes multiply to the group's order.  A group is immutable once
+Where a strong generating set for a known base is at hand, as in the
+2-closure's search, each level's orbit is walked once, with the same
+walk, and nothing is sifted (_walk_level).  A chain of a group on
+another base (PermGroup._chain_on) installs the residues of seeded
+uniform elements, walks the orbits of each residue's level and those
+above with it, and is certified complete once its orbit sizes multiply
+to the group's order; a point stabilizer is the levels below the first
+of the chain on a base starting at its point.  A group is immutable once
 constructed; its chain is built lazily and cached, after which the
 value can be shared freely between threads.
 
@@ -152,24 +153,6 @@ class StabilizerChain:
         for g in generators:
             self._insert(g)
         self._complete(len(self.levels) - 1)
-
-    @classmethod
-    def _from_strong_generators(cls, degree, base, generators):
-        """The chain of a group given by a strong generating set for base.
-
-        The generators must be non-identity, and those fixing the first
-        i base points must generate the stabilizer of those points, for
-        every i, with only the identity fixing all of base.  Each level is
-        walked once, as a first Schreier-Sims walk would walk it, and
-        nothing is sifted: the result is the chain StabilizerChain(degree,
-        generators, base_prefix=base) builds, whose sifts find no residue.
-        """
-        chain = cls(degree, (), base)  # one level per point, orbits trivial
-        for g in generators:
-            chain._insert(g)
-        for i in range(len(chain.levels)):
-            chain._walk_level(i)
-        return chain
 
     def _walk_level(self, i):
         """Walk level i's orbit under the strong generators fixing the first
@@ -353,8 +336,8 @@ class PermGroup:
 
     @classmethod
     def _from_chain(cls, chain: StabilizerChain, generators) -> "PermGroup":
-        """The group of the given generators, taking as its chain one
-        already built from exactly those generators (not copied)."""
+        """The group of the given generators, taking as its chain a
+        complete chain of the group they generate (not copied)."""
         G = cls(chain.degree, generators)
         G._chain = chain
         return G
@@ -381,14 +364,15 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, via a chain whose base is forced to start
-        there; the levels below the first give the stabilizer its chain."""
+        """Stabilizer of a point: the levels below the first of the group's
+        chain on a base starting there (_chain_on, which builds nothing when
+        the cached chain's base does), shared, as a group's chain never grows."""
         if not 0 <= point < self.degree:
             raise PgaError(f"point {point} out of range")
-        chain = StabilizerChain(self.degree, self.generators, base_prefix=(point,))
-        gens = chain.strong_generators_below(1)
-        stab = StabilizerChain._from_strong_generators(self.degree, chain.base[1:], gens)
-        return PermGroup._from_chain(stab, gens)
+        chain = self._chain_on((point,))
+        stab = StabilizerChain(self.degree, ())
+        stab.levels = chain.levels[1:]
+        return PermGroup._from_chain(stab, chain.strong_generators_below(1))
 
     def elements(self, cap: int = DEFAULT_CAPS.enumeration_cap):
         """Iterate all elements; refuses to start if the order exceeds the cap."""

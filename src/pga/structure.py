@@ -138,15 +138,11 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup of G containing the seeds and closed under
     conjugation by G's generators."""
-    gens = []
-    seen = set()
+    seeds = list(seeds)
     for s in seeds:
         if not G.contains(s):
             raise PgaError(f"{s!r} is not an element of the group")
-        if s.is_identity() or s.images in seen:
-            continue
-        seen.add(s.images)
-        gens.append(s)
+    gens = list(PermGroup(G.degree, seeds).generators)  # no identity, no repeat
     chain = StabilizerChain(G.degree, gens)
     conjugators = [(g.inverse(), g) for g in G.generators]
     queue = list(gens)

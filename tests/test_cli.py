@@ -367,6 +367,32 @@ class TestFileEncoding:
         assert (done.returncode, done.stderr) == (0, ""), command
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "fixity", "two-closure"])
+    def test_exits_141_saying_nothing(self, corpus_dir, command, buffered):
+        # the read end is closed before the command writes: a buffered
+        # stdout first writes in the interpreter's final flush
+        argv = {
+            "analyze": ["analyze", str(corpus_dir / "symmetric_4.grp")],
+            "verify": ["verify", str(corpus_dir), "--format", "machine-records"],
+            "fixity": ["fixity", str(corpus_dir / "symmetric_4.grp")],
+            "two-closure": ["two-closure", str(corpus_dir / "symmetric_4.grp")],
+        }[command]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "pga.cli", *argv], env=env, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+
 class TestCapValues:
     @pytest.mark.parametrize("field", sorted(Caps().as_dict()))
     @pytest.mark.parametrize("value", [0, -1, 2.5, "8", True])

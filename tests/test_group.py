@@ -421,44 +421,52 @@ class TestSchreierCutOff:
         assert counts[FullSiftChain] == [879, 5797, 3508, 766, 923, 2380]
 
 
-def assert_built_from_strong_generators(chain):
-    """A chain built by _from_strong_generators on a base and strong
-    generators is the chain Schreier-Sims sifts from them on that base."""
-    gens = chain.strong_generators_below(0)
-    assert_same_chain(chain, StabilizerChain(chain.degree, gens, base_prefix=chain.base))
-    assert_every_schreier_generator_checked(chain)
-    assert_every_schreier_generator_sifts(chain)
+def level_contents(levels):
+    """Each level's base point, own generators and codes, in order."""
+    return [(lvl.point, [g.images for g in lvl.own_gens], list(lvl.codes.items())) for lvl in levels]
 
 
-class TestFromStrongGenerators:
-    @settings(max_examples=120, deadline=None)
-    @given(generator_lists)
-    def test_matches_the_sifted_chain(self, gens):
-        n = gens[0].degree
-        movers = [g for g in gens if not g.is_identity()]
-        closure = naive_closure([g.images for g in gens])
-        for complete in (PermGroup(n, gens).chain(), StabilizerChain(n, movers, base_prefix=(n - 1,))):
-            chain = StabilizerChain._from_strong_generators(n, complete.base, complete.strong_generators_below(0))
-            assert chain.base == complete.base
-            assert_built_from_strong_generators(chain)
-            assert chain.order() == len(closure)
+def assert_point_stabilizer(G, point, elements):
+    """G.point_stabilizer(point) has the order of the stabilizer among
+    elements (all of G's), generators fixing the point, a complete chain,
+    and as its levels those of G's chain on a base starting at the point,
+    below the first."""
+    H = G.point_stabilizer(point)
+    assert H.order() == sum(1 for x in elements if x[point] == point)
+    assert all(g.images[point] == point for g in H.generators)
+    assert_every_schreier_generator_sifts(H.chain())
+    assert level_contents(H.chain().levels) == level_contents(G._chain_on((point,)).levels[1:])
 
+
+class TestPointStabilizerChain:
     @settings(max_examples=80, deadline=None)
     @given(random_groups(), st.data())
     def test_point_stabilizer_chain(self, G, data):
         point = data.draw(st.integers(min_value=0, max_value=G.degree - 1))
-        H = G.point_stabilizer(point)
-        assert_built_from_strong_generators(H.chain())
         closure = naive_closure([g.images for g in G.generators] or [tuple(range(G.degree))])
-        assert H.order() == sum(1 for x in closure if x[point] == point)
-        # the stabilizer's chain is the forced chain's levels below the first
-        assert H.chain().base == StabilizerChain(G.degree, G.generators, base_prefix=(point,)).base[1:]
+        assert_point_stabilizer(G, point, closure)
 
     def test_corpus_point_stabilizers(self, corpus_entries):
         for entry in corpus_entries:
-            H = entry.group.point_stabilizer(0)
-            assert_built_from_strong_generators(H.chain())
-            assert entry.group.order() == len(entry.group.orbit(0)) * H.order(), entry.name
+            G = entry.group
+            elements = [g.images for g in G.elements()]
+            for point in range(G.degree):
+                assert_point_stabilizer(G, point, elements)
+
+    def test_base_point_builds_no_chain(self, corpus_entries, monkeypatch):
+        # the cached chain's base starts at base[0], so the stabilizer takes
+        # its levels below the first: no orbit is walked, no element drawn
+        def refuse(*args):
+            raise AssertionError("a chain was built")
+
+        for entry in corpus_entries:
+            G = entry.group
+            G.order()
+            with monkeypatch.context() as patch:
+                patch.setattr(StabilizerChain, "_walk", refuse)
+                patch.setattr(PermGroup, "_random_elements", refuse)
+                H = G.point_stabilizer(G.chain().base[0])
+            assert H.chain().levels == G.chain().levels[1:], entry.name
 
 
 class TestChainOnBase:

@@ -213,6 +213,13 @@ class TestNormalClosure:
     def test_empty_seed(self):
         assert normal_closure(group("symmetric", 4), []).order() == 1
 
+    def test_seeds_from_an_iterator(self):
+        G = group("symmetric", 4)
+        seeds = [Permutation.identity(4), perm("(0 1)(2 3)", 4), perm("(0 1)(2 3)", 4), perm("(1 2 3)", 4)]
+        N, M = normal_closure(G, iter(seeds)), normal_closure(G, seeds)
+        assert [g.images for g in N.generators] == [g.images for g in M.generators]
+        assert N.order() == M.order() == 12
+
     def test_rejects_foreign_elements(self):
         with pytest.raises(PgaError, match="is not an element of the group"):
             normal_closure(group("alternating", 4), [perm("(0 1)", 4)])
