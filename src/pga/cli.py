@@ -9,7 +9,7 @@ process that signal ended) with nothing on stderr when the reader of
 stdout closes it early.  Commands raise; only main turns
 an error into its one "error: ..." line and exit code.  Each
 subcommand takes the flags of only the caps it reads; a cap not given
-keeps its default.
+keeps its default, and a cap or verify's --jobs below 1 exits 2.
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ def _print_analysis(a) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise PgaError(f"--jobs must be at least 1, got {args.jobs}")
     caps = _caps_from(args)
     if args.check.strip() == "all":
         selection = CHECK_IDS
@@ -166,7 +168,7 @@ def _cmd_verify(args) -> int:
         if not selection:
             raise PgaError(f"--check {args.check!r} names no check id")
     entries = load_corpus(args.dir, caps)
-    report = run_all(entries, selection, caps, jobs=max(1, args.jobs))
+    report = run_all(entries, selection, caps, jobs=args.jobs)
     if not entries:
         print("warning: corpus directory has no .grp files", file=sys.stderr)
     _emit_report(report, args)

@@ -11,7 +11,9 @@ witness comes from the first element in that walk with a property
 conjugation preserves, so the witnesses are the ones a scan of every
 element in walk order finds.  The prime fix-profile is a plain dict
 {p: frozenset of fixed-point counts}.  Nothing is cached here: the
-table belongs to the group, and reading it is cheap enough to repeat.
+table belongs to the group, and each representative computes its cycle
+type, which its order and fixed-point count read, once (perm.py), so
+every function here reads the table afresh.
 """
 
 from __future__ import annotations

@@ -225,8 +225,12 @@ class StabilizerChain:
         for (table, _), k in zip(tables, done):
             if k is None:
                 checked[table] = 0
-        origins = [o for level in self.levels[i:] for o in level.origins]
-        needed = max((j + 1 for j, o in enumerate(origins) if o < i), default=0)
+        needed = count = 0  # tables[:needed] ends with the last of T
+        for level in self.levels[i:]:
+            for o in level.origins:
+                count += 1
+                if o < i:
+                    needed = count
         product = self._codec[2]
         ident = codes[lvl.point][0]
         for j, ((table, _), start) in enumerate(zip(tables, done)):

@@ -6,6 +6,11 @@ images[i] = image of point i.  Composition is left-to-right everywhere,
 application order.  Degree is part of the value: the same cycles on 4
 and on 5 points are different permutations, because fixed-point counts
 depend on the size of the point set.
+
+A permutation computes its cycle type once, on first use, in one pass
+over its images, and keeps it; order and fixed-point count read it.
+Products, inverses and parsed input start without it, so making a
+permutation costs no more than its image tuple.
 """
 
 from __future__ import annotations
@@ -24,10 +29,26 @@ def _ascii_int(text: str):
     return int(text) if text.isascii() and text.isdigit() else None
 
 
+def _cycle_type(images) -> tuple:
+    """The sorted cycle lengths of images, in one pass that counts each
+    cycle's length and builds no cycle.  A cycle is walked from its least
+    point, whose later points are marked, so no point starts a second walk."""
+    seen, lengths = [False] * len(images), []
+    for i, j in enumerate(images):
+        if not seen[i]:
+            length = 1
+            while j != i:
+                seen[j] = True
+                j = images[j]
+                length += 1
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 class Permutation:
     """A bijection of {0, ..., degree-1}."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_type")  # _type: the cycle type, unset until read
 
     def __init__(self, images):
         images = tuple(images)
@@ -150,18 +171,15 @@ class Permutation:
         return frozenset(i for i, v in enumerate(self.images) if i == v)
 
     def fixed_point_count(self) -> int:
-        return sum(1 for i, v in enumerate(self.images) if i == v)
+        return self.cycle_type().count(1)
 
     def cycles(self) -> list:
         """Nontrivial cycles, each rotated least-point-first, sorted by least point."""
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if seen[i] or self.images[i] == i:
+        seen, out = [False] * self.degree, []
+        for i, j in enumerate(self.images):
+            if j == i or seen[i]:
                 continue
             cyc = [i]
-            seen[i] = True
-            j = self.images[i]
             while j != i:
                 seen[j] = True
                 cyc.append(j)
@@ -170,10 +188,11 @@ class Permutation:
         return out
 
     def cycle_type(self) -> tuple:
-        """Multiset of cycle lengths, fixed points included, sorted ascending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths.extend([1] * (self.degree - sum(lengths)))
-        return tuple(sorted(lengths))
+        """Multiset of cycle lengths, fixed points included, sorted
+        ascending; computed on first use and kept."""
+        if not hasattr(self, "_type"):
+            self._type = _cycle_type(self.images)
+        return self._type
 
     def cycle_string(self) -> str:
         cycs = self.cycles()

@@ -7,7 +7,9 @@ FullSiftChain, the library's chain with a level that sifts every
 Schreier generator, which pins down which ones the library may skip.
 """
 
+from collections import Counter
 from itertools import permutations
+from math import lcm
 
 from pga.group import StabilizerChain, _decode
 
@@ -178,6 +180,30 @@ def element_order(img):
         x = mul(x, img)
         k += 1
     return k
+
+
+def return_times(img):
+    """For each point, how many applications of img bring it back."""
+    times = []
+    for x in range(len(img)):
+        k, y = 1, img[x]
+        while y != x:
+            k, y = k + 1, img[y]
+        times.append(k)
+    return times
+
+
+def cycle_type(img):
+    """Sorted cycle lengths, fixed points included: a point comes back
+    after its cycle's length, and a cycle of length L has L points."""
+    counts = Counter(return_times(img))
+    return tuple(sorted(length for length, c in counts.items() for _ in range(c // length)))
+
+
+def order(img):
+    """Least k with img**k the identity: each point comes back exactly at
+    the multiples of its return time, so k is their lcm."""
+    return lcm(*return_times(img))
 
 
 def power(img, k):

@@ -169,6 +169,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: --check {selection!r} names no check id\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, capsys, corpus_dir, tmp_path, jobs):
+        out_path = tmp_path / "out"
+        code, out, err = run(capsys, "verify", str(corpus_dir), "--jobs", jobs, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out_path.exists()
+
     def test_strict_with_forced_skips_exits_3(self, capsys, corpus_dir, tmp_path):
         code, _, _ = run(
             capsys, "verify", str(corpus_dir), "--jobs", "1", "--strict",

@@ -1,7 +1,9 @@
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+import pga.perm
 from pga.corpus import builtin_family
 from pga.errors import CapExceededError, PgaError, TrivialGroupError
 from pga.fixity import (
@@ -222,3 +224,27 @@ class TestAnyDerangement:
             g = any_derangement(entry.group)
             assert g is not None, entry.name
             assert not g.fixed_points(), entry.name
+
+
+class TestOneCycleWalkPerRepresentative:
+    def test_symmetric_8(self, corpus_by_name, monkeypatch):
+        # once the class table exists, the fixity functions and the lattice
+        # read each representative's cycle type, which it computes once
+        G = PermGroup(8, [Permutation(g.images) for g in corpus_by_name["symmetric_8"].group.generators])
+        reps = {id(rep.images) for rep, _ in G.conjugacy_classes()}
+        walks = Counter()
+        walk = pga.perm._cycle_type
+
+        def counted(images):
+            walks[id(images)] += 1
+            return walk(images)
+
+        monkeypatch.setattr(pga.perm, "_cycle_type", counted)
+        fixity(G)
+        prime_fix_profile(G)
+        is_elusive(G)
+        any_derangement(G)
+        first_prime_derangement(G)
+        normal_subgroups(G)
+        assert len(reps) == 22
+        assert {key: walks[key] for key in reps} == dict.fromkeys(reps, 1)

@@ -1,3 +1,4 @@
+import pickle
 from math import factorial
 
 import pytest
@@ -235,3 +236,42 @@ class TestUncheckedProducts:
         if a.degree != b.degree:
             with pytest.raises(PgaError, match="cannot compose degree"):
                 a * b
+
+
+QUERIES = {
+    "cycle_type": oracles.cycle_type,
+    "order": oracles.order,
+    "fixed_point_count": oracles.fixed_count,
+}
+
+
+def assert_matches_oracle(g):
+    for name, oracle in QUERIES.items():
+        assert getattr(g, name)() == oracle(g.images), name
+
+
+class TestCachedCycleType:
+    """A permutation computes its cycle type once and keeps it; order and
+    the fixed-point count read it.  Every answer must be the oracle's,
+    whichever is asked first, and nothing made from a permutation may
+    inherit its type."""
+
+    @given(permutations_st(max_degree=300), st.permutations(list(QUERIES)))
+    def test_any_call_order_matches_oracle(self, g, names):
+        for name in names + names:  # the first round fills the type, the second reads it
+            assert getattr(g, name)() == QUERIES[name](g.images), name
+
+    @given(same_degree_perms(2, max_degree=300), st.integers(min_value=-3, max_value=7))
+    def test_derived_permutations_carry_no_stale_type(self, perms, k):
+        g, h = perms
+        g.cycle_type()
+        for derived in (g * h, h * g, g.inverse(), g**k, pickle.loads(pickle.dumps(g))):
+            assert_matches_oracle(derived)
+
+    @given(permutations_st(max_degree=300))
+    def test_filled_type_keeps_equality_and_hash(self, g):
+        g.order()
+        fresh = Permutation(g.images)
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert len({g, fresh}) == 1
