@@ -55,11 +55,15 @@ The conjugacy classes come from one walk of the element codes and a
 conjugation search from each element not yet met.  The search carries
 an element as its code, with the same choice at degree 256 (_codec
 makes it for both): up to that degree a conjugate is two
-bytes.translate calls, with the element's table formed once for all
-generators, and the set of elements met holds short byte strings with
-cached hashes; above it, it holds image tuples.  The walk's last level
-is one map per prefix (_products), so no element passes through a
-generator frame.
+bytes.translate calls, and the set of elements met holds short byte
+strings with cached hashes; above it, it holds image tuples.  The
+search goes one breadth-first layer at a time: the tables of the
+layer's elements are formed once, the whole layer is conjugated by one
+generator and then by the next, and the class size is the growth of
+the set met, so no generator is unpacked and no counter bumped per
+element.  The layer is a list, and the set only answers membership, so
+no result depends on string hashing.  The walk's last level is one map
+per prefix (_products), so no element passes through a generator frame.
 """
 
 from __future__ import annotations
@@ -442,11 +446,15 @@ class PermGroup:
         One walk of the elements: each element not yet seen starts a
         conjugation search over the generators, so the classes come in
         the order the walk first meets them and each representative is
-        the first element of its class in that walk.  The walk stops once
-        the class sizes found sum to the order, as every later element
-        lies in a class already found; the searches still conjugate every
-        element by every generator, on codes.  The table is cached; like
-        elements(), it refuses a group whose order exceeds the cap.
+        the first element of its class in that walk.  The search runs one
+        breadth-first layer at a time, conjugating the whole layer by each
+        generator in turn, and a class's size is how much the set of
+        elements met grew; every element is still conjugated by every
+        generator, on codes, so the classes are those of an element-wise
+        search.  The walk stops once the class sizes found sum to the
+        order, as every later element lies in a class already found.  The
+        table is cached; like elements(), it refuses a group whose order
+        exceeds the cap.
         """
         if self._classes is not None and self.order() <= cap:
             return self._classes
@@ -457,22 +465,26 @@ class PermGroup:
         encode, tail, product = _codec(self.degree)
         gens = [(encode(g.images) + tail, encode(g.inverse().images)) for g in self.generators]
         seen = set()
+        add = seen.add
         classes = []
         left = self.order()
         for rep in walk:
             if rep in seen:
                 continue
-            seen.add(rep)
-            frontier = [rep]
-            size = 1
-            while frontier:
-                x = frontier.pop() + tail
+            start = len(seen)
+            add(rep)
+            layer = [rep]
+            while layer:
+                tables = [x + tail for x in layer]
+                layer = []
+                append = layer.append
                 for g, g_inv in gens:
-                    c = product(product(g_inv, x), g)
-                    if c not in seen:
-                        seen.add(c)
-                        frontier.append(c)
-                        size += 1
+                    for x in tables:
+                        c = product(product(g_inv, x), g)
+                        if c not in seen:
+                            add(c)
+                            append(c)
+            size = len(seen) - start
             classes.append((_decode(rep), size))
             left -= size
             if not left:

@@ -2,7 +2,13 @@
 
 Covers integer factorization, derived series and solvability, abelian
 invariants (by element-order census), normal closures, and the full
-normal-subgroup listing of a group.  Each listed subgroup carries the
+normal-subgroup listing of a group.  A normal closure grows one chain
+by the conjugates of its generators and stops with G itself once that
+chain's order passes |G| / 2: the chain is complete for the subgroup it
+generates, which lies in the closure, and the only divisor of |G|
+above |G| / 2 is |G|.  So the derived step of a perfect group, where
+solvability is decided false, and every lattice closure that comes out
+as G end early.  Each listed subgroup carries the
 facts the checks read: its order, its abelian invariants, whether it is
 semiregular and whether it is a minimal normal subgroup; whether it is
 abelian, cyclic or a p-group is read off the first two.  All four are
@@ -137,16 +143,25 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup of G containing the seeds and closed under
-    conjugation by G's generators."""
+    conjugation by G's generators.
+
+    G itself is returned as soon as the chain being grown has order
+    above |G| / 2, which is exact: that chain is complete for the
+    subgroup K its generators make, K <= N <= G for the closure N, and
+    |N| divides |G| with |N| >= |K| > |G| / 2, so N = G.  A closure of
+    index 2 never passes |G| / 2 and is grown in full."""
     seeds = list(seeds)
     for s in seeds:
         if not G.contains(s):
             raise PgaError(f"{s!r} is not an element of the group")
     gens = list(PermGroup(G.degree, seeds).generators)  # no identity, no repeat
     chain = StabilizerChain(G.degree, gens)
+    half = G.order() // 2
     conjugators = [(g.inverse(), g) for g in G.generators]
     queue = list(gens)
     while queue:
+        if chain.order() > half:
+            return G
         h = queue.pop(0)
         for g_inv, g in conjugators:
             c = g_inv * h * g

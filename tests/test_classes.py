@@ -7,14 +7,16 @@ Witnesses are compared exactly: the scan walks the elements in the
 order of the group's element walk, whose set is checked against the
 naive closure first.  Besides the small corpus groups, the oracle
 checks a group moving few points at degrees 256 and 257, on either side
-of the switch from byte strings to image tuples in the class search, and
-the two heaviest corpus tables are checked against the class sizes of
-S_n and A_n in closed form.
+of the switch from byte strings to image tuples in the class search,
+random groups of degree at most 7 with up to 4 generators and trivial
+groups, and the two heaviest corpus tables are checked against the class
+sizes of S_n and A_n in closed form.
 """
 
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
 
 from pga.corpus import CorpusEntry, builtin_family
 from pga.errors import CapExceededError
@@ -29,6 +31,7 @@ from pga.group import PermGroup
 from pga.perm import Permutation
 
 from oracles import element_order, fixed_count, naive_classes, naive_closure
+from test_group import random_groups
 
 ORDER_LIMIT = 5040
 
@@ -115,6 +118,25 @@ def _walk(G):
     return walk
 
 
+def naive_elements(G):
+    """G's elements as image tuples; naive_closure of no generators is {()}."""
+    return naive_closure([g.images for g in G.generators]) if G.generators else {tuple(range(G.degree))}
+
+
+def _check_against_oracle(G):
+    """G's class table against oracles.naive_classes: one entry per
+    class, in the order G.elements() first meets the classes, each with
+    the first element of its class in that order and the class size."""
+    oracle = naive_classes([g.images for g in G.generators]) if G.generators else [frozenset(naive_elements(G))]
+    class_of = {x: cls for cls in oracle for x in cls}
+    walk = [e.images for e in G.elements()]
+    assert sorted(walk) == sorted(class_of)
+    firsts = {}
+    for x in walk:
+        firsts.setdefault(class_of[x], x)
+    assert [(rep.images, size) for rep, size in G.conjugacy_classes()] == [(x, len(c)) for c, x in firsts.items()]
+
+
 class TestClassTable:
     def test_partitions_the_group_like_the_oracle(self, class_table_groups):
         for entry in class_table_groups:
@@ -141,6 +163,17 @@ class TestClassTable:
                     seen.add(class_of[x])
                     firsts.append(x)
             assert [rep.images for rep, _ in G.conjugacy_classes()] == firsts, entry.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_groups(max_gens=4))
+    def test_random_groups_match_the_oracle(self, G):
+        # up to 4 generators, so the search conjugates a layer by more
+        # generators in turn than any corpus group has
+        _check_against_oracle(G)
+
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_trivial_group(self, degree):
+        _check_against_oracle(PermGroup(degree))
 
     def test_walk_stops_once_every_class_is_found(self, monkeypatch):
         G = builtin_family("symmetric", [7]).group

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial, gcd, prod
 
 import pytest
@@ -19,8 +20,8 @@ from pga.structure import (
     normal_subgroups,
 )
 
-from oracles import all_subgroups, element_order, fixed_count, is_normal
-from test_classes import class_table_groups, small_groups  # fixtures
+from oracles import all_subgroups, element_order, fixed_count, inverse, is_normal, mul, naive_closure
+from test_classes import class_table_groups, naive_elements, small_groups  # fixtures
 from test_group import random_groups
 
 
@@ -47,6 +48,26 @@ def cyclic_wreath(m, k):
     base = Permutation([(x + 1) % m if x < m else x for x in range(n)])
     top = Permutation([(x + m) % n for x in range(n)])
     return PermGroup(n, [base, top])
+
+
+def closure_oracle(G, seeds):
+    """The elements of the normal closure of the seeds (image tuples) by
+    brute force: the subgroup generated by every conjugate g^-1 s g of a
+    seed s by an element g of G, regrown by each conjugate not yet in it."""
+    gens, N = [], {tuple(range(G.degree))}
+    for g in sorted(naive_elements(G)):
+        g_inv = inverse(g)
+        for s in seeds:
+            c = mul(mul(g_inv, s), g)
+            if c not in N:
+                gens.append(c)
+                N = naive_closure(gens)
+    return N
+
+
+def closure_elements(G, seeds):
+    N = normal_closure(G, [Permutation(s) for s in seeds])
+    return {g.images for g in N.elements()}
 
 
 class TestFactorize:
@@ -223,6 +244,30 @@ class TestNormalClosure:
     def test_rejects_foreign_elements(self):
         with pytest.raises(PgaError, match="is not an element of the group"):
             normal_closure(group("alternating", 4), [perm("(0 1)", 4)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_brute_force_closure(self, data):
+        G = data.draw(random_groups(max_gens=4))
+        seeds = data.draw(st.lists(st.sampled_from(sorted(naive_elements(G))), max_size=3))
+        assert closure_elements(G, seeds) == closure_oracle(G, seeds)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_closure_that_is_the_group_stops_with_the_group(self, n):
+        # a transposition's conjugates pass |S_n| / 2 before they are all met
+        G = group("symmetric", n)
+        seed = perm("(0 1)", n)
+        assert normal_closure(G, [seed]) is G
+        assert closure_elements(G, [seed.images]) == closure_oracle(G, [seed.images])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_closure_of_index_two_is_grown_in_full(self, n):
+        # A_n is exactly half of S_n, which does not pass |G| / 2
+        G = group("symmetric", n)
+        seed = perm("(0 1 2)", n)
+        N = normal_closure(G, [seed])
+        assert N is not G and N.order() == factorial(n) // 2
+        assert closure_elements(G, [seed.images]) == closure_oracle(G, [seed.images])
 
 
 class TestNormalSubgroups:
@@ -424,6 +469,30 @@ class TestCyclicClosures:
         monkeypatch.setattr(structure, "_cyclic_closure_key", lambda *args: None)
         for e in corpus_entries:
             assert listed(e.group) == shortcut[e.name], e.name
+
+
+class TestSolvabilityStop:
+    def test_perfect_step_sifts_less(self, monkeypatch):
+        # S5 wr S2 on 10 points is not solvable: its derived series goes
+        # 28 800 > 7 200 > 3 600 = |A5 x A5|, which is perfect, and the
+        # closure of A5 x A5's commutators passes half of it and stops;
+        # grown in full it sifted 132 elements, with the same 3 extends
+        G = PermGroup(10, [perm("(0 1)", 10), perm("(0 1 2 3 4)", 10), perm("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)])
+        calls = Counter()
+        real_contains, real_extend = StabilizerChain.contains, StabilizerChain.extend
+
+        def contains(chain, g):
+            calls["contains"] += 1
+            return real_contains(chain, g)
+
+        def extend(chain, g):
+            calls["extend"] += 1
+            return real_extend(chain, g)
+
+        monkeypatch.setattr(StabilizerChain, "contains", contains)
+        monkeypatch.setattr(StabilizerChain, "extend", extend)
+        assert not is_solvable(G)
+        assert calls == {"contains": 48, "extend": 3}
 
 
 def minimal_normals(G):
