@@ -83,7 +83,6 @@ all, G holds the group they generate, which is G^(2) (see _descent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import prod
 
@@ -93,7 +92,6 @@ from .group import PermGroup, StabilizerChain, _decode, _orbit
 from .perm import Permutation
 
 
-@dataclass(frozen=True)
 class OrbitalPartition:
     """Coloring of ordered pairs by orbit index.
 
@@ -101,8 +99,11 @@ class OrbitalPartition:
     pairs row-major, so equal pair partitions get byte-equal matrices.
     """
 
-    color: tuple  # n x n matrix, color[x][y] is the orbit id of (x, y)
-    rank: int
+    __slots__ = ("color", "rank")
+
+    def __init__(self, color: tuple, rank: int):
+        self.color = color  # n x n matrix, color[x][y] is the orbit id of (x, y)
+        self.rank = rank
 
 
 def orbitals(G: PermGroup) -> OrbitalPartition:

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 
-
-@dataclass(frozen=True)
 class Caps:
     """Limits that turn runaway computations into explicit "skipped" outcomes.
 
@@ -15,22 +12,29 @@ class Caps:
     max_degree        largest degree accepted when loading or generating groups
     """
 
-    enumeration_cap: int = 1_000_000
-    lattice_cap: int = 512
-    closure_degree_cap: int = 32
-    max_degree: int = 64
+    __slots__ = ("enumeration_cap", "lattice_cap", "closure_degree_cap", "max_degree")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        enumeration_cap: int = 1_000_000,
+        lattice_cap: int = 512,
+        closure_degree_cap: int = 32,
+        max_degree: int = 64,
+    ):
+        self.enumeration_cap = enumeration_cap
+        self.lattice_cap = lattice_cap
+        self.closure_degree_cap = closure_degree_cap
+        self.max_degree = max_degree
         for key, value in self.as_dict().items():
             if type(value) is not int or value < 1:
                 raise ValueError(f"cap {key} must be an integer of at least 1, got {value!r}")
 
     def with_overrides(self, **kwargs) -> "Caps":
         updates = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **updates) if updates else self
+        return Caps(**{**self.as_dict(), **updates}) if updates else self
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {key: getattr(self, key) for key in self.__slots__}
 
 
 DEFAULT_CAPS = Caps()

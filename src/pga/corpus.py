@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import Caps, DEFAULT_CAPS
@@ -35,12 +34,14 @@ from .structure import is_prime, smallest_primitive_root
 TOOL_NAME = "pga"
 
 
-@dataclass
 class CorpusEntry:
-    name: str
-    source: str
-    group: PermGroup
-    declared_degree: int
+    __slots__ = ("name", "source", "group", "declared_degree")
+
+    def __init__(self, name: str, source: str, group: PermGroup, declared_degree: int):
+        self.name = name
+        self.source = source
+        self.group = group
+        self.declared_degree = declared_degree
 
 
 def parse_group_file(text: str, source: str = "<string>", max_degree: int = DEFAULT_CAPS.max_degree) -> CorpusEntry:
@@ -266,12 +267,14 @@ def corpus_digest(entries) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
 class Report:
     """Check results plus the metadata needed to reproduce them."""
 
-    metadata: dict
-    entries: list  # CheckResult records
+    __slots__ = ("metadata", "entries")
+
+    def __init__(self, metadata: dict, entries: list):
+        self.metadata = metadata
+        self.entries = entries  # CheckResult records
 
 
 def report_metadata(version: str, caps: Caps, entries) -> dict:
@@ -283,8 +286,12 @@ def report_metadata(version: str, caps: Caps, entries) -> dict:
     }
 
 
+# json.dumps with separators builds a new encoder on every call
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def render_report_lines(report: Report) -> list:
-    lines = [json.dumps(report.metadata, separators=(",", ":"))]
+    lines = [_COMPACT.encode(report.metadata)]
     for r in sorted(report.entries, key=lambda r: (r.group, r.check_id)):
         record = {
             "group": r.group,
@@ -294,7 +301,7 @@ def render_report_lines(report: Report) -> list:
             "status": r.status,
             "witness": r.witness,
         }
-        lines.append(json.dumps(record, separators=(",", ":")))
+        lines.append(_COMPACT.encode(record))
     return lines
 
 

@@ -18,8 +18,6 @@ every function here reads the table afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import DEFAULT_CAPS
 from .errors import PgaError, TrivialGroupError
 from .group import PermGroup
@@ -27,12 +25,14 @@ from .perm import Permutation
 from .structure import factorize, is_prime
 
 
-@dataclass(frozen=True)
 class FixityResult:
     """Largest fixed-point count of a non-identity element, with a witness."""
 
-    fixity: int
-    witness: Permutation | None
+    __slots__ = ("fixity", "witness")
+
+    def __init__(self, fixity: int, witness: Permutation | None):
+        self.fixity = fixity
+        self.witness = witness
 
 
 def fixity(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> FixityResult:

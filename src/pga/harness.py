@@ -26,8 +26,6 @@ line.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -76,7 +74,6 @@ CHECK_IDS = (
 )
 
 
-@dataclass
 class GroupAnalysis:
     """Aggregate per-group record consumed by the checks.
 
@@ -86,18 +83,38 @@ class GroupAnalysis:
     (no such element exists).
     """
 
-    name: str
-    degree: int
-    order: int
-    solvable: bool
-    fixity: FixityResult | None
-    elusive: bool | None
-    two_closed: bool | None
-    prime_profile: dict | None
-    normal_lattice: list | None
-    derangement: Permutation | None
-    prime_derangement: Permutation | None
-    skip_reasons: dict
+    __slots__ = (
+        "name", "degree", "order", "solvable", "fixity", "elusive", "two_closed",
+        "prime_profile", "normal_lattice", "derangement", "prime_derangement", "skip_reasons",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        order: int,
+        solvable: bool,
+        fixity: FixityResult | None,
+        elusive: bool | None,
+        two_closed: bool | None,
+        prime_profile: dict | None,
+        normal_lattice: list | None,
+        derangement: Permutation | None,
+        prime_derangement: Permutation | None,
+        skip_reasons: dict,
+    ):
+        self.name = name
+        self.degree = degree
+        self.order = order
+        self.solvable = solvable
+        self.fixity = fixity
+        self.elusive = elusive
+        self.two_closed = two_closed
+        self.prime_profile = prime_profile
+        self.normal_lattice = normal_lattice
+        self.derangement = derangement
+        self.prime_derangement = prime_derangement
+        self.skip_reasons = skip_reasons
 
     @property
     def degree_factored(self) -> FactoredInteger:
@@ -112,14 +129,16 @@ class GroupAnalysis:
         return factorize(self.order // self.degree)
 
 
-@dataclass
 class CheckResult:
-    group: str
-    degree: int
-    order: int
-    check_id: str
-    status: str
-    witness: dict | None = None
+    __slots__ = ("group", "degree", "order", "check_id", "status", "witness")
+
+    def __init__(self, group: str, degree: int, order: int, check_id: str, status: str, witness: dict | None = None):
+        self.group = group
+        self.degree = degree
+        self.order = order
+        self.check_id = check_id
+        self.status = status
+        self.witness = witness
 
 
 def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
@@ -481,6 +500,8 @@ def run_all(
     entries = sorted(corpus, key=lambda e: e.name)
     tasks = [(e, selection, caps) for e in entries]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so one process never loads multiprocessing
+
         # fork starts every worker on the first submit, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_worker, tasks))

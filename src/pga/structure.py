@@ -3,12 +3,13 @@
 Covers integer factorization, derived series and solvability, abelian
 invariants (by element-order census), normal closures, and the full
 normal-subgroup listing of a group.  A normal closure grows one chain
-by the conjugates of its generators and stops with G itself once that
-chain's order passes |G| / 2: the chain is complete for the subgroup it
-generates, which lies in the closure, and the only divisor of |G|
-above |G| / 2 is |G|.  So the derived step of a perfect group, where
-solvability is decided false, and every lattice closure that comes out
-as G end early.  Each listed subgroup carries the
+by its seeds and the conjugates of its generators, keeping as a
+generator only an element the chain does not yet hold, and stops with
+G itself once that chain's order passes |G| / 2: the chain is complete
+for the subgroup it generates, which lies in the closure, and the only
+divisor of |G| above |G| / 2 is |G|.  So the derived step of a
+perfect group, where solvability is decided false, and every lattice
+closure that comes out as G end early.  Each listed subgroup carries the
 facts the checks read: its order, its abelian invariants, whether it is
 semiregular and whether it is a minimal normal subgroup; whether it is
 abelian, cyclic or a p-group is read off the first two.  All four are
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import prod
 from operator import mul
@@ -76,12 +76,14 @@ _CERTIFICATE_PATIENCE = 8
 _CERTIFICATE_SEED = 1
 
 
-@dataclass(frozen=True)
 class FactoredInteger:
     """A positive integer with its prime factorization, primes ascending."""
 
-    value: int
-    factors: tuple  # ((prime, exponent), ...)
+    __slots__ = ("value", "factors")
+
+    def __init__(self, value: int, factors: tuple):
+        self.value = value
+        self.factors = factors  # ((prime, exponent), ...)
 
     @property
     def primes(self) -> tuple:
@@ -143,7 +145,9 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup of G containing the seeds and closed under
-    conjugation by G's generators.
+    conjugation by G's generators.  Unless it is G itself, each of its
+    generators, a seed or a conjugate, lies outside the group generated
+    by those before it.
 
     G itself is returned as soon as the chain being grown has order
     above |G| / 2, which is exact: that chain is complete for the
@@ -154,8 +158,12 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     for s in seeds:
         if not G.contains(s):
             raise PgaError(f"{s!r} is not an element of the group")
-    gens = list(PermGroup(G.degree, seeds).generators)  # no identity, no repeat
-    chain = StabilizerChain(G.degree, gens)
+    chain = StabilizerChain(G.degree, ())
+    gens = []
+    for s in seeds:
+        if not chain.contains(s):
+            gens.append(s)
+            chain.extend(s)
     half = G.order() // 2
     conjugators = [(g.inverse(), g) for g in G.generators]
     queue = list(gens)
@@ -234,7 +242,6 @@ def abelian_invariants(G: PermGroup, classes) -> tuple:
     return tuple(prod(p ** sum(k >= j for k in m) for p, m in steps.items()) for j in range(width, 0, -1))
 
 
-@dataclass
 class NormalSubgroupInfo:
     """Per-subgroup summary consumed by the fact checks.
 
@@ -242,11 +249,21 @@ class NormalSubgroupInfo:
     abelian; the other structural flags are read off them and the order.
     """
 
-    subgroup: PermGroup
-    order: FactoredInteger
-    abelian_invariants: tuple | None
-    is_semiregular: bool
-    is_minimal_normal: bool = False
+    __slots__ = ("subgroup", "order", "abelian_invariants", "is_semiregular", "is_minimal_normal")
+
+    def __init__(
+        self,
+        subgroup: PermGroup,
+        order: FactoredInteger,
+        abelian_invariants: tuple | None,
+        is_semiregular: bool,
+        is_minimal_normal: bool = False,
+    ):
+        self.subgroup = subgroup
+        self.order = order
+        self.abelian_invariants = abelian_invariants
+        self.is_semiregular = is_semiregular
+        self.is_minimal_normal = is_minimal_normal
 
     @property
     def is_abelian(self) -> bool:

@@ -401,6 +401,18 @@ class TestClosedStdout:
         assert (done.returncode, done.stderr) == (141, b"")
 
 
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_the_worker_pool(self):
+        # a run with --jobs 1 never uses the pool; -S keeps site's imports out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import pga.cli, pga.harness; "
+            "print([m for m in ('dataclasses', 'concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 class TestCapValues:
     @pytest.mark.parametrize("field", sorted(Caps().as_dict()))
     @pytest.mark.parametrize("value", [0, -1, 2.5, "8", True])

@@ -10,11 +10,11 @@ it to collect: it must find nothing.
 """
 
 import gc
-from dataclasses import replace
 
 import pytest
 
 from pga.closure import two_closure
+from pga.corpus import CorpusEntry
 from pga.group import PermGroup
 from pga.harness import analyze
 from pga.perm import Permutation
@@ -52,5 +52,5 @@ class TestNoCyclicGarbage:
 
     def test_analyze(self, corpus_by_name, name):
         entry = corpus_by_name[name]
-        entry = replace(entry, group=fresh(entry.group))
+        entry = CorpusEntry(entry.name, entry.source, fresh(entry.group), entry.declared_degree)
         assert cyclic_garbage_after(lambda: analyze(entry)) == 0

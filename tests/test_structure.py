@@ -65,6 +65,12 @@ def closure_oracle(G, seeds):
     return N
 
 
+def assert_irredundant(N):
+    """Each generator of N lies outside the group of the generators before it."""
+    for i, g in enumerate(N.generators):
+        assert not PermGroup(N.degree, N.generators[:i]).contains(g), i
+
+
 def closure_elements(G, seeds):
     N = normal_closure(G, [Permutation(s) for s in seeds])
     return {g.images for g in N.elements()}
@@ -251,6 +257,27 @@ class TestNormalClosure:
         G = data.draw(random_groups(max_gens=4))
         seeds = data.draw(st.lists(st.sampled_from(sorted(naive_elements(G))), max_size=3))
         assert closure_elements(G, seeds) == closure_oracle(G, seeds)
+
+    def test_redundant_seeds_are_left_out(self):
+        # the third involution of the Klein group is the product of the first two
+        G = group("symmetric", 4)
+        seeds = [perm(c, 4) for c in ("(0 1)(2 3)", "(0 2)(1 3)", "(0 3)(1 2)")]
+        N = normal_closure(G, seeds)
+        assert N.order() == 4
+        assert_irredundant(N)
+        # S4's three commutators of its Coxeter generators: A4 needs two
+        D = derived_subgroup(PermGroup(4, [perm("(0 1)", 4), perm("(1 2)", 4), perm("(2 3)", 4)]))
+        assert D.order() == 12
+        assert_irredundant(D)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_generator_enlarges_the_group_before_it(self, data):
+        G = data.draw(random_groups(max_gens=4))
+        seeds = data.draw(st.lists(st.sampled_from(sorted(naive_elements(G))), max_size=4))
+        N = normal_closure(G, [Permutation(s) for s in seeds])
+        if N is not G:  # G itself keeps its own generators
+            assert_irredundant(N)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_closure_that_is_the_group_stops_with_the_group(self, n):
@@ -476,7 +503,8 @@ class TestSolvabilityStop:
         # S5 wr S2 on 10 points is not solvable: its derived series goes
         # 28 800 > 7 200 > 3 600 = |A5 x A5|, which is perfect, and the
         # closure of A5 x A5's commutators passes half of it and stops;
-        # grown in full it sifted 132 elements, with the same 3 extends
+        # grown in full it sifts 105 elements, with the same 15 extends,
+        # one per seed or conjugate that enlarges a chain
         G = PermGroup(10, [perm("(0 1)", 10), perm("(0 1 2 3 4)", 10), perm("(0 5)(1 6)(2 7)(3 8)(4 9)", 10)])
         calls = Counter()
         real_contains, real_extend = StabilizerChain.contains, StabilizerChain.extend
@@ -492,7 +520,7 @@ class TestSolvabilityStop:
         monkeypatch.setattr(StabilizerChain, "contains", contains)
         monkeypatch.setattr(StabilizerChain, "extend", extend)
         assert not is_solvable(G)
-        assert calls == {"contains": 48, "extend": 3}
+        assert calls == {"contains": 69, "extend": 15}
 
 
 def minimal_normals(G):
