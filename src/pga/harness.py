@@ -19,6 +19,13 @@ check vacuous.  A check that reaches its conclusion returns (status,
 witness); check() alone turns that, or the early ending, into a
 CheckResult.
 
+analyze computes a field of the record on its first read, with the
+layer functions it looked up in this module when it was called, so a
+check computes only the fields its hypotheses reach.  In run_all, a
+failure while a check computes a field skips every check of that group,
+as a failure in analyze does; a field that no check reads is never
+computed.
+
 Bounds are evaluated in exact rational arithmetic; no floating point.
 Check ids are stable opaque labels used in reports and on the command
 line.
@@ -85,7 +92,7 @@ class GroupAnalysis:
 
     __slots__ = (
         "name", "degree", "order", "solvable", "fixity", "elusive", "two_closed",
-        "prime_profile", "normal_lattice", "derangement", "prime_derangement", "skip_reasons",
+        "prime_profile", "normal_lattice", "derangement", "prime_derangement", "_skips", "_pending",
     )
 
     def __init__(
@@ -114,7 +121,31 @@ class GroupAnalysis:
         self.normal_lattice = normal_lattice
         self.derangement = derangement
         self.prime_derangement = prime_derangement
-        self.skip_reasons = skip_reasons
+        self._skips = skip_reasons
+        self._pending = {}  # field -> (fn, *args) for the fields left unset
+
+    def __getattr__(self, name):
+        """Compute an unset field as fn(*args), or None with str(exc) as its
+        skip reason when a CapExceededError or a TrivialGroupError stops it."""
+        if name == "_pending":  # unset while copy or pickle rebuilds a record
+            raise AttributeError(name)
+        try:
+            fn, *args = self._pending[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        try:
+            value = fn(*args)
+        except (CapExceededError, TrivialGroupError) as exc:
+            self._skips[name] = str(exc)
+            value = None
+        setattr(self, name, value)
+        return value
+
+    @property
+    def skip_reasons(self) -> dict:
+        for name in self._pending:
+            getattr(self, name)
+        return self._skips
 
     @property
     def degree_factored(self) -> FactoredInteger:
@@ -142,43 +173,30 @@ class CheckResult:
 
 
 def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
-    """Compute the full per-group record.
+    """The per-group record, with every field but name, degree and order
+    computed on its first read (GroupAnalysis.__getattr__).
 
-    Rejects intransitive groups.  One rule turns a failure into a skip:
-    a field that field() computes is fn(G, *args), or None with str(exc)
-    recorded under the field's name in skip_reasons when a
-    CapExceededError or a TrivialGroupError stops the computation.  The
-    fields are computed in the order listed, each function looked up by
-    its name in this module at call time, where perfbench's traced run
-    replaces it.
+    Rejects intransitive groups.  Each layer function is looked up by its
+    name in this module when analyze is called, where perfbench's traced
+    run replaces it; reading skip_reasons computes every field.
     """
     G = entry.group
     if not G.is_transitive():
         raise PgaError(f"{entry.name}: the checks assume a transitive group")
-    skip_reasons = {}
-
-    def field(name, fn, *args):
-        try:
-            return fn(G, *args)
-        except (CapExceededError, TrivialGroupError) as exc:
-            skip_reasons[name] = str(exc)
-            return None
-
+    a = GroupAnalysis.__new__(GroupAnalysis)
+    a.name, a.degree, a.order, a._skips = entry.name, G.degree, G.order(), {}
     cap = caps.enumeration_cap
-    return GroupAnalysis(
-        name=entry.name,
-        degree=G.degree,
-        elusive=field("elusive", is_elusive, cap),
-        prime_profile=field("prime_profile", prime_fix_profile, cap),
-        derangement=field("derangement", any_derangement, cap),
-        prime_derangement=field("prime_derangement", first_prime_derangement, cap),
-        fixity=field("fixity", fixity, cap),
-        two_closed=field("two_closed", is_2_closed, caps.closure_degree_cap),
-        normal_lattice=field("normal_lattice", normal_subgroups, cap, caps.lattice_cap),
-        order=G.order(),
-        solvable=is_solvable(G),
-        skip_reasons=skip_reasons,
-    )
+    a._pending = {
+        "elusive": (is_elusive, G, cap),
+        "prime_profile": (prime_fix_profile, G, cap),
+        "derangement": (any_derangement, G, cap),
+        "prime_derangement": (first_prime_derangement, G, cap),
+        "fixity": (fixity, G, cap),
+        "two_closed": (is_2_closed, G, caps.closure_degree_cap),
+        "normal_lattice": (normal_subgroups, G, cap, caps.lattice_cap),
+        "solvable": (is_solvable, G),
+    }
+    return a
 
 
 class _Ended(Exception):
@@ -186,10 +204,12 @@ class _Ended(Exception):
 
 
 def _need(a: GroupAnalysis, field: str):
-    """The field's value; the check is skipped when skip_reasons names it."""
-    if field in a.skip_reasons:
-        raise _Ended(SKIPPED, {"missing": field, "reason": a.skip_reasons[field]})
-    return getattr(a, field)
+    """The field's value; the check is skipped when the field has a skip
+    reason.  Computes no other field."""
+    value = getattr(a, field)
+    if field in a._skips:
+        raise _Ended(SKIPPED, {"missing": field, "reason": a._skips[field]})
+    return value
 
 
 def _assume(hypothesis) -> None:
@@ -456,8 +476,10 @@ def check(check_id: str, a: GroupAnalysis) -> CheckResult:
 def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
     try:
         a = analyze(entry, caps)
+        return [check(cid, a) for cid in selection]
     except Exception as exc:
-        # any failure stays with its group, so the other groups' results survive
+        # any failure stays with its group, so the other groups' results
+        # survive; a check that reads a field computes it here
         reason = str(exc) if isinstance(exc, PgaError) else f"{type(exc).__name__}: {exc}"
         try:
             order = entry.group.order()
@@ -474,7 +496,6 @@ def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
             )
             for cid in selection
         ]
-    return [check(cid, a) for cid in selection]
 
 
 def _worker(args):

@@ -316,10 +316,10 @@ def normal_subgroups(
     everything = frozenset(range(len(classes)))
     rng = random.Random(_CERTIFICATE_SEED)
     closure_of = {}  # class index -> key of its representative's closure
-    for i, (rep, _) in enumerate(classes):
+    for i, (rep, size) in enumerate(classes):
         if i in trivial:
             continue
-        key = _cyclic_closure_key(G, rep, classes)
+        key = _cyclic_closure_key(G, rep, size, classes)
         if key is not None:  # N(rep) = <rep>: no certificate, no chain
             closure_of[i] = key
             register(G if key == everything else PermGroup(G.degree, [rep]), key)
@@ -363,11 +363,16 @@ def _classes_by_cycle_type(classes) -> dict:
     return {t: i for i, t in enumerate(types) if counts[t] == 1}
 
 
-def _cyclic_closure_key(G, y, classes):
+def _cyclic_closure_key(G, y, size, classes):
     """The class key of y's normal closure when every conjugate of y by
     G's generators is a power of y, else None: then G normalizes <y>,
-    the closure, which holds the classes whose representatives it holds."""
-    powers = {z.images for z in accumulate(repeat(y, y.order()), mul)}
+    the closure, which holds the classes whose representatives it holds.
+    Then too y's class, of the given size, lies among the phi(o(y))
+    generators of <y>, so a larger class is None with no power formed."""
+    o = y.order()
+    if size > prod(p ** (e - 1) * (p - 1) for p, e in factorize(o).factors):
+        return None
+    powers = {z.images for z in accumulate(repeat(y, o), mul)}
     if any((g.inverse() * y * g).images not in powers for g in G.generators):
         return None
     return frozenset(k for k, (rep, _) in enumerate(classes) if rep.images in powers)

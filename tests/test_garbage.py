@@ -53,4 +53,5 @@ class TestNoCyclicGarbage:
     def test_analyze(self, corpus_by_name, name):
         entry = corpus_by_name[name]
         entry = CorpusEntry(entry.name, entry.source, fresh(entry.group), entry.declared_degree)
-        assert cyclic_garbage_after(lambda: analyze(entry)) == 0
+        # reading skip_reasons computes every field of the record
+        assert cyclic_garbage_after(lambda: analyze(entry).skip_reasons) == 0

@@ -475,21 +475,170 @@ class TestAnalyze:
     def test_each_layer_function_is_called_once(self, monkeypatch, corpus_by_name):
         # perfbench's traced run times analyze by replacing these names on
         # pga.harness, so analyze must look each one up there per call
+        calls = record_layer_calls(monkeypatch)
+        a = analyze(corpus_by_name["symmetric_4"])
+        for _ in range(2):
+            for name in FIELDS:
+                getattr(a, name)
+        assert sorted(name for name, _ in calls) == sorted(perfbench_layer_calls()["harness"])
+
+
+# ---------------------------------------------------------------------------
+# fields computed on first read
+
+# the fields analyze leaves to their first read, in slot order
+FIELDS = GroupAnalysis.__slots__[3:11]
+
+ON_DEMAND_CAPS = [Caps(), Caps(enumeration_cap=50, closure_degree_cap=3), Caps(lattice_cap=1)]
+
+
+def record_layer_calls(monkeypatch) -> list:
+    """Replace each layer function on pga.harness, as perfbench's traced
+    run does, by one that records (name, G) for every call to it."""
+    import pga.harness
+
+    calls = []
+
+    def recorded(name, fn):
+        def call(G, *args):
+            calls.append((name, G))
+            return fn(G, *args)
+        return call
+
+    for name in perfbench_layer_calls()["harness"]:
+        monkeypatch.setattr(pga.harness, name, recorded(name, getattr(pga.harness, name)))
+    return calls
+
+
+def fresh_entry(entry) -> CorpusEntry:
+    """The entry with a new copy of its group, so no chain, class table or
+    scan of another record's group is reused."""
+    G = entry.group
+    return CorpusEntry(entry.name, entry.source, PermGroup(G.degree, G.generators), entry.declared_degree)
+
+
+def comparable(name, value):
+    """A field's value in a form that compares by value."""
+    if value is None or name in ("solvable", "elusive", "two_closed", "prime_profile"):
+        return value
+    if name == "fixity":
+        return value.fixity, value.witness.images if value.witness else None
+    if name == "normal_lattice":
+        return [
+            (i.order.value, i.abelian_invariants, i.is_semiregular, i.is_minimal_normal,
+             [g.images for g in i.subgroup.generators])
+            for i in value
+        ]
+    return value.images  # a derangement
+
+
+def fully_read(entry, caps, order):
+    """The fields of a record of a fresh copy of the entry, read in the
+    given order, then its skip reasons and its check results; each layer
+    function is called at most once."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = record_layer_calls(monkeypatch)
+        a = analyze(fresh_entry(entry), caps)
+        fields = {name: comparable(name, getattr(a, name)) for name in order}
+        results = [(r.check_id, r.status, r.witness) for r in (check(cid, a) for cid in CHECK_IDS)]
+        reasons = dict(a.skip_reasons)
+    names = [name for name, _ in calls]
+    assert len(names) == len(set(names)), (entry.name, names)
+    return fields, reasons, results
+
+
+def transitive_entries():
+    """Random groups made transitive by adding the n-cycle (0 1 ... n-1)."""
+    from test_group import random_groups
+
+    def entry(G):
+        cycle = Permutation(list(range(1, G.degree)) + [0])
+        return CorpusEntry("drawn", "hypothesis", PermGroup(G.degree, [*G.generators, cycle]), G.degree)
+
+    return random_groups(max_degree=8).map(entry)
+
+
+class TestOnDemand:
+    """A record that computes its fields on first read must hold what it
+    would hold were every field computed up front, whatever the order of
+    the reads, though the fields share the chain, class table and scan
+    cached on the group."""
+
+    def assert_order_free(self, entry, caps, order):
+        assert fully_read(entry, caps, order) == fully_read(entry, caps, FIELDS), (entry.name, order)
+
+    @pytest.mark.parametrize("caps", ON_DEMAND_CAPS, ids=["defaults", "enumeration_closure", "lattice"])
+    def test_corpus(self, corpus_entries, caps):
+        for entry in corpus_entries:
+            self.assert_order_free(entry, caps, FIELDS[::-1])
+            # the order the checks read in, then the rest
+            self.assert_order_free(entry, caps, ("fixity", "normal_lattice", "elusive", *FIELDS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(transitive_entries(), st.permutations(FIELDS), st.sampled_from(ON_DEMAND_CAPS))
+    def test_drawn_groups(self, entry, order, caps):
+        self.assert_order_free(entry, caps, order)
+
+    def test_verify_computes_only_what_the_checks_read(self, corpus_entries, monkeypatch):
+        # these groups reach the lattice: C2_2 and the checks after it read
+        # it once a group is elusive, and L2_1b once the fixity is at least 2
+        lattice_readers = {
+            "alternating_5", "alternating_6", "alternating_7", "alternating_8",
+            "dihedral_4", "dihedral_6", "dihedral_8", "dihedral_10", "dihedral_12", "m11_12",
+            "symmetric_4", "symmetric_5", "symmetric_6", "symmetric_7", "symmetric_8",
+        }
+        calls = record_layer_calls(monkeypatch)
+        run_all(corpus_entries, jobs=1)
+        assert len(corpus_entries) == 35
+        counts = {name: 0 for name in perfbench_layer_calls()["harness"]}
+        for name, _ in calls:
+            counts[name] += 1
+        assert counts == {
+            "is_solvable": 0,
+            "any_derangement": 0,
+            "first_prime_derangement": 0,
+            "prime_fix_profile": 1,
+            "is_elusive": 35,
+            "fixity": 35,
+            "is_2_closed": 35,
+            "normal_subgroups": 15,
+        }
+        name_of = {id(e.group): e.name for e in corpus_entries}
+        assert {name_of[id(G)] for name, G in calls if name == "normal_subgroups"} == lattice_readers
+
+    def test_crash_in_a_read_field_skips_the_group(self, monkeypatch):
+        # C2_3 and A1 both read elusive first, and cyclic_3 is not elusive,
+        # so neither of them reads the prime profile
         import pga.harness
 
-        calls = {}
+        def boom(G, cap):
+            raise RuntimeError("boom")
 
-        def counted(name, fn):
-            def call(*args):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args)
-            return call
+        entries = [builtin_family("cyclic", [3])]
+        monkeypatch.setattr(pga.harness, "prime_fix_profile", boom)
+        assert [r.status for r in run_all(entries, selection=("C2_3", "A1")).entries] == [VACUOUS, VACUOUS]
+        monkeypatch.setattr(pga.harness, "is_elusive", boom)
+        assert [(r.status, r.witness) for r in run_all(entries, selection=("C2_3", "A1")).entries] == [
+            (SKIPPED, {"missing": "analysis", "reason": "RuntimeError: boom"})
+        ] * 2
 
-        names = perfbench_layer_calls()["harness"]
-        for name in names:
-            monkeypatch.setattr(pga.harness, name, counted(name, getattr(pga.harness, name)))
-        analyze(corpus_by_name["symmetric_4"])
-        assert calls == dict.fromkeys(names, 1)
+    def test_copy_and_pickle_keep_the_pending_fields(self, corpus_by_name):
+        import copy
+        import pickle
+
+        entry = corpus_by_name["symmetric_4"]
+        expected = fully_read(entry, Caps(), FIELDS)
+        for duplicate in (copy.copy, lambda a: pickle.loads(pickle.dumps(a))):
+            a = duplicate(analyze(fresh_entry(entry)))
+            fields = {name: comparable(name, getattr(a, name)) for name in FIELDS}
+            results = [(r.check_id, r.status, r.witness) for r in (check(cid, a) for cid in CHECK_IDS)]
+            assert (fields, a.skip_reasons, results) == expected
+
+    def test_records_built_directly_stay_plain(self):
+        a = make_analysis(missing=("fixity",))
+        assert a.fixity is None and a.skip_reasons == {"fixity": "synthetic cap"}
+        with pytest.raises(AttributeError):
+            a.no_such_field
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,19 @@ class TestCyclicClosures:
             off.setattr(structure, "_cyclic_closure_key", lambda *args: None)
             assert lattice_facts(G) == shortcut
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_class_size_bound_rejects_only_what_the_powers_reject(self, class_table_groups, data):
+        # size 0 passes the bound, so the powers decide alone
+        G = data.draw(st.one_of(random_groups(), st.sampled_from([e.group for e in class_table_groups])))
+        classes = G.conjugacy_classes()
+        for rep, size in classes:
+            full = structure._cyclic_closure_key(G, rep, 0, classes)
+            o = element_order(rep.images)
+            if full is not None:
+                assert size <= sum(1 for k in range(o) if gcd(k, o) == 1), (rep.images, size)
+            assert structure._cyclic_closure_key(G, rep, size, classes) == full
+
     def test_corpus_lattices_keep_their_generators(self, corpus_entries, monkeypatch):
         def listed(G):
             return [(i.order.value, [g.images for g in i.subgroup.generators]) for i in normal_subgroups(G)]
