@@ -41,7 +41,12 @@ Refinement splits each cell by the signature of its points: for each
 new cell of the round, how many arcs of each color leave the point into
 the cell (the counts of arcs entering the point follow from these).  A
 first round counts into every cell, and the first round after a point
-is individualized into that singleton alone.  Each later round counts
+is individualized into that singleton alone, where a point's signature
+is one weight.  The principal branch starts from the single cell of all
+points.  When the group of color automorphisms the search is given (G
+itself, for the 2-closure) is transitive, every row holds each color
+equally often, so a first round could not split that cell, and it is
+skipped.  Each later round counts
 into the fragments the previous round split off, all but the last of
 each split cell: two points of a cell already had equal counts into
 every older cell, and their count into a last fragment is their count
@@ -187,8 +192,14 @@ def _signature(weights, x, layout):
     The running sums of x's weights at the cell ends; they compare as
     the per-cell sums do, since the first cell where two points differ
     is the first end where their running sums differ, by the same amount.
+    Into a single point z, as after a point is individualized, it is the
+    bare weight of (x, z): every signature of a round has the same layout
+    shape, the image side's included, so bare weights sort and match as
+    the 1-tuples holding them would.
     """
     flat, ends = layout
+    if len(flat) == 1:
+        return weights[x][flat[0]]
     # via a list, the tuple is made at its final size; tuple() of the
     # iterator would resize as it goes and fill the tuple free lists
     return tuple(list(compress(accumulate(map(weights[x].__getitem__, flat)), ends)))
@@ -317,13 +328,21 @@ def _find_one(weights, memo, color, pairs):
     return None
 
 
-def _principal_branch(color, rank):
+def _principal_branch(color, rank, transitive):
     """Arc weights, a memo for one search (see _refine_pair), and per
     principal-branch level its stable pairs and the index of the cell of
-    the point it fixes."""
+    the point it fixes.
+
+    transitive says that a transitive group preserves the colors; then
+    every row holds each color equally often, the first round cannot
+    split the unit cell, and it is skipped.  A uniform diagonal would not
+    do: the colors of a graph that is not regular have one too.
+    """
     weights, memo = _arc_weights(color, rank), {}
     unit = tuple(range(len(color)))
-    pairs = _refine_pair(weights, [(unit, unit)], memo, (0,))
+    pairs = [(unit, unit)]
+    if not transitive:
+        pairs = _refine_pair(weights, pairs, memo, (0,))
     branch = []
     while (t := _first_non_singleton(pairs)) is not None:
         branch.append((pairs, t))
@@ -378,7 +397,7 @@ def _color_automorphism_generators(color, rank, G):
     automorphisms on as many points; an image G reaches is settled by
     the least element of its coset, read off the chain's deeper levels.
     """
-    weights, memo, branch = _principal_branch(color, rank)
+    weights, memo, branch = _principal_branch(color, rank, G.is_transitive())
     chain = StabilizerChain(G.degree, (), [p[t][0][0] for p, t in branch])
     _, tail, product = chain._codec
     known = G._chain_on(chain.base).levels
@@ -418,7 +437,7 @@ def _outside_automorphism(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_d
     """A permutation preserving every pair orbit of G that G lacks, or
     None when G is 2-closed (see the module docstring)."""
     part = _pair_orbits(G, degree_cap)
-    weights, memo, branch = _principal_branch(part.color, part.rank)
+    weights, memo, branch = _principal_branch(part.color, part.rank, G.is_transitive())
     if prod(len(p[t][1]) for p, t in branch) == G.order():
         return None
     found = (g for _, g in _descent(part.color, weights, memo, branch) if g is not None)

@@ -28,13 +28,14 @@ owned by a group grows the same way by a new generator
 Where a strong generating set for a known base is at hand, as in the
 2-closure's search, each level's orbit is walked once, with the same
 walk, and nothing is sifted (_walk_level).  A chain of a group on
-another base (PermGroup._chain_on) installs the residues of seeded
-uniform elements, walks the orbits of each residue's level and those
-above with it, and is certified complete once its orbit sizes multiply
-to the group's order; a point stabilizer is the levels below the first
-of the chain on a base starting at its point.  A group is immutable once
-constructed; its chain is built lazily and cached, after which the
-value can be shared freely between threads.
+another base (PermGroup._chain_on) sifts the codes of seeded uniform
+elements, drawn off the group's own chain, decodes and installs each
+residue that is not the identity, walks the orbits of its level and
+those above with it, and is certified complete once its orbit sizes
+multiply to the group's order; a point stabilizer is the levels below
+the first of the chain on a base starting at its point.  A group is
+immutable once constructed; its chain is built lazily and cached, after
+which the value can be shared freely between threads.
 
 The chain stores each coset representative once, as a code, and the
 walk, the sift and the element walk run on codes.  Up to degree 256 a
@@ -256,7 +257,9 @@ class StabilizerChain:
         tables are fresh, every point it gains under all of tables.  A
         point c first met from b by s gets the code of the transversal
         element u_b s and the table of its inverse s^-1 u_b^-1, and the old
-        codes stay.  Return the orbit points in transversal order."""
+        codes stay; b's codes are read only then, as most walks of old
+        points meet no new one.  Return the orbit points in transversal
+        order."""
         encode, tail, product = self._codec
         codes = lvl.codes
         points = list(codes)
@@ -266,10 +269,10 @@ class StabilizerChain:
             codes[lvl.point] = (ident, ident + tail)
             points.append(lvl.point)
         for k, b in enumerate(points):  # grows while it is walked
-            u, u_inv = codes[b]
             for table, s_inv in fresh if k < old else tables:
                 c = table[b]
                 if c not in codes:
+                    u, u_inv = codes[b]
                     codes[c] = (product(u, table), product(s_inv, u_inv) + tail)
                     points.append(c)
         return points
@@ -401,9 +404,10 @@ class PermGroup:
         return _products(tables, len(tables) - 1, ident, product)
 
     def _random_elements(self, rng):
-        """Seeded uniform elements without end, each the product u_last
-        ... u_0 of one transversal element per level, drawn deepest first
-        by rng.choice over the level's orbit points in transversal order."""
+        """The codes of seeded uniform elements without end, each the
+        product u_last ... u_0 of one transversal element per level, drawn
+        deepest first by rng.choice over the level's orbit points in
+        transversal order.  The caller decodes what it keeps (_decode)."""
         chain = self.chain()
         encode, tail, product = chain._codec
         ident = encode(range(self.degree))
@@ -412,27 +416,28 @@ class PermGroup:
             g = ident
             for tables in levels:
                 g = product(g, rng.choice(tables))
-            yield _decode(g)
+            yield g
 
     def _chain_on(self, base):
         """A complete chain of the group whose base begins with base: the
         cached chain if its base does, else one on base (not cached) that
-        installs each residue of a seeded uniform element where it got
-        stuck and walks on the orbits of that level and those above; no
-        Schreier generator is sifted.  It stops once its orbit sizes
-        multiply to |G|, which is exact: the product is at most the order
-        of the group H <= G the residues generate, so then H = G with
-        every level complete."""
+        sifts the codes of seeded uniform elements, installs each residue
+        other than the identity where it got stuck and walks on the orbits
+        of that level and those above; no Schreier generator is sifted.
+        It stops once its orbit sizes multiply to |G|, which is exact: the
+        product is at most the order of the group H <= G the residues
+        generate, so then H = G with every level complete."""
         chain = self.chain()
         if chain.base[: len(base)] == list(base):
             return chain
         new = StabilizerChain(self.degree, (), base)
         sample = self._random_elements(random.Random(_REBASE_SEED))
+        ident = chain._codec[0](range(self.degree))
         order = chain.order()
         while new.order() < order:
-            h = new._strip(next(sample))
-            if not h.is_identity():
-                i = new._insert(h)
+            h = new._sift(next(sample))
+            if h != ident:
+                i = new._insert(_decode(h))
                 fresh = new.levels[i].own_tables[-1:]
                 tables = new._tables_below(i + 1)
                 for lvl in reversed(new.levels[: i + 1]):

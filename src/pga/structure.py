@@ -66,7 +66,7 @@ from operator import mul
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, PgaError
-from .group import PermGroup, StabilizerChain
+from .group import PermGroup, StabilizerChain, _decode
 from .perm import Permutation
 
 # a closure's certificate draws at most this many products, and gives up
@@ -397,7 +397,7 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, closure_of, rng) -> b
     for _ in range(_CERTIFICATE_SAMPLES):
         if 2 * total > order:
             return True
-        g = next(sample)
+        g = _decode(next(sample))
         z = z * g.inverse() * y * g  # z * y^g
         k = class_of_type.get(z.cycle_type())
         if k is None or k in met:

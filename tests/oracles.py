@@ -158,6 +158,22 @@ def strip(levels, g, start=0):
     return g
 
 
+def seeded_uniform_elements(degree, transversals, rng, count):
+    """count seeded uniform elements of a group of the given degree, as
+    image tuples, given its chain's transversals (see transversal) from
+    the first level to the last.  Each element takes one rng.choice per
+    level over that level's transversal elements in the order the orbit
+    was found, the deepest level first, and is the product u_last ...
+    u_0 of the choices, composed left to right."""
+    drawn = []
+    for _ in range(count):
+        g = tuple(range(degree))
+        for trans in reversed(transversals):
+            g = mul(g, rng.choice(list(trans.values())))
+        drawn.append(g)
+    return drawn
+
+
 def naive_classes(gens):
     """Conjugacy classes of the group generated by gens, as a list of
     element frozensets: each class is {g^-1 x g} over every element g."""

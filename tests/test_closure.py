@@ -344,6 +344,89 @@ class TestPrincipalBranchSplitsOnce:
         assert_principal_branch_splits_once(G)
 
 
+def transitive_groups(max_degree):
+    """Random groups that hold an n-cycle through a random order of the
+    points, so they are transitive."""
+
+    def build(n, order, extra):
+        img = [0] * n
+        for i, p in enumerate(order):
+            img[p] = order[(i + 1) % n]
+        return PermGroup(n, [Permutation(img), *extra])
+
+    return st.integers(min_value=1, max_value=max_degree).flatmap(
+        lambda n: st.builds(
+            build,
+            st.just(n),
+            st.permutations(list(range(n))),
+            st.lists(st.permutations(list(range(n))).map(Permutation), max_size=2),
+        )
+    )
+
+
+def assert_first_round_cannot_split(G):
+    """A transitive G preserves its pair colors, so every row holds each
+    color equally often: a first round leaves the unit pair as it is,
+    and the principal branch with that round skipped is the one with it."""
+    assert G.is_transitive()
+    part = orbitals(G)
+    weights = _arc_weights(part.color, part.rank)
+    unit = tuple(range(G.degree))
+    assert _refine_pair(weights, [(unit, unit)], {}, (0,)) == [(unit, unit)]
+    assert _principal_branch(part.color, part.rank, True)[2] == _principal_branch(part.color, part.rank, False)[2]
+
+
+def path(x, y):
+    return abs(x - y) == 1
+
+
+def broom(x, y):
+    """A star on 0..3 centred at 0, with a path 3 - 4 - 5 - 6 - 7 hanging
+    off its leaf 3."""
+    return {x, y} in ({0, 1}, {0, 2}, {0, 3}) or (min(x, y) >= 3 and path(x, y))
+
+
+class TestFirstRound:
+    """The principal branch skips its first round when the group it is
+    given is transitive, and only then."""
+
+    def test_corpus(self, corpus_entries):
+        for entry in corpus_entries:
+            assert_first_round_cannot_split(entry.group)
+
+    def test_closure_workload(self):
+        for G in workload_groups(1):
+            assert_first_round_cannot_split(G)
+
+    @settings(max_examples=100, deadline=None)
+    @given(transitive_groups(9))
+    def test_random_transitive_groups(self, G):
+        assert_first_round_cannot_split(G)
+
+    @pytest.mark.parametrize("n, adjacent, order", [(6, path, 2), (8, broom, 2)], ids=["path", "broom"])
+    def test_irregular_graph_with_one_diagonal_color(self, n, adjacent, order, monkeypatch):
+        """Every diagonal pair of a graph coloring has color 0, yet a
+        graph that is not regular has points of different degrees, which
+        the first round splits apart; the search, handed the trivial group,
+        which is not transitive, must run that round."""
+        color = graph_colors(n, adjacent)
+        unit = tuple(range(n))
+        expected = count_refine_pair(color, 3, [(unit, unit)])
+        assert expected != [(unit, unit)]
+        branches = []
+        principal_branch = pga.closure._principal_branch
+
+        def recorded(*args):
+            branches.append(principal_branch(*args))
+            return branches[-1]
+
+        monkeypatch.setattr(pga.closure, "_principal_branch", recorded)
+        gens, chain = _color_automorphism_generators(color, 3, PermGroup(n))
+        assert branches[0][2][0][0] == expected
+        assert chain.order() == order
+        assert all(color[g.images[x]][g.images[y]] == color[x][y] for g in gens for x in range(n) for y in range(n))
+
+
 class TestTwoClosure:
     def test_symmetric_group_is_closed(self):
         G = group("symmetric", 5)
@@ -430,7 +513,7 @@ class TestTwoClosedDecision:
     def test_degree_one(self):
         G = PermGroup(1)
         part = orbitals(G)
-        assert _principal_branch(part.color, part.rank)[2] == []
+        assert _principal_branch(part.color, part.rank, G.is_transitive())[2] == []
         assert _outside_automorphism(G) is None
         assert is_2_closed(G)
 

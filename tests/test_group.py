@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 from itertools import permutations as all_perms, product
 from operator import mul
@@ -11,7 +12,7 @@ from pga.perm import Permutation
 
 import oracles
 from oracles import FullSiftChain, naive_closure, transversal
-from test_pinned_chains import workload_groups
+from test_pinned_chains import chain_digest, workload_groups
 
 
 @st.composite
@@ -500,6 +501,30 @@ class TestChainOnBase:
         for n in (1, 5):
             chain = PermGroup(n)._chain_on((n - 1,))
             assert chain.base == [n - 1] and chain.order() == 1
+
+    def test_rebased_chains_are_pinned(self, corpus_entries):
+        """The chains on each group's last point, of every corpus group and
+        the closure workload's groups, by the digest of
+        tests/test_pinned_chains.py: the seeded elements, the residues
+        installed and the order of every walk decide them."""
+        groups = [e.group for e in corpus_entries] + workload_groups(1)
+        digest = chain_digest(G._chain_on((G.degree - 1,)) for G in groups)
+        assert digest == "288366ffdbbf6fc73bb566b25323595655886ce12bcfca5ca6cc36e4bb33a1c9"
+
+
+class TestSeededSampler:
+    """PermGroup._random_elements draws the codes of the elements that
+    one rng.choice per level gives, deepest level first, so a re-based
+    chain and the normal-closure certificate see the same elements on
+    every Python version."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_first_draws_match_the_oracle(self, corpus_entries, seed):
+        for G in [e.group for e in corpus_entries] + workload_groups(1):
+            sample = G._random_elements(random.Random(seed))
+            drawn = [tuple(next(sample)) for _ in range(50)]
+            transversals = [transversal(lvl) for lvl in G.chain().levels]
+            assert drawn == oracles.seeded_uniform_elements(G.degree, transversals, random.Random(seed), 50)
 
 
 def embed(g, degree, offset):
