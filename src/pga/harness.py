@@ -19,8 +19,12 @@ check vacuous.  A check that reaches its conclusion returns (status,
 witness); check() alone turns that, or the early ending, into a
 CheckResult.
 
-analyze computes a field of the record on its first read, with the
-layer functions it looked up in this module when it was called, so a
+A record has one constructor, GroupAnalysis(name, degree, order,
+pending), where pending maps each other field to (fn, *args).  A field
+is set in one place, __getattr__, which computes it on its first read,
+and a skip reason is written in one place, the except clause there that
+catches a cap or an undefined quantity.  analyze fills pending with the
+layer functions it looks up in this module when it is called, so a
 check computes only the fields its hypotheses reach.  In run_all, a
 failure while a check computes a field skips every check of that group,
 as a failure in analyze does; a field that no check reads is never
@@ -34,6 +38,7 @@ line.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .closure import is_2_closed
@@ -41,14 +46,12 @@ from .config import Caps, DEFAULT_CAPS
 from .corpus import CorpusEntry, Report, report_metadata
 from .errors import CapExceededError, PgaError, TrivialGroupError
 from .fixity import (
-    FixityResult,
     any_derangement,
     first_prime_derangement,
     fixity,
     is_elusive,
     prime_fix_profile,
 )
-from .perm import Permutation
 from .structure import (
     FactoredInteger,
     factorize,
@@ -84,7 +87,9 @@ CHECK_IDS = (
 class GroupAnalysis:
     """Aggregate per-group record consumed by the checks.
 
-    A field that scans or searches could not populate is None and named
+    GroupAnalysis(name, degree, order, pending) is the only constructor:
+    pending maps each of the eight other fields to (fn, *args), computed
+    on the field's first read.  A field that a cap stops is None and named
     in skip_reasons, with the reason; skip_reasons alone marks a field
     unavailable, as None is a value of derangement and prime_derangement
     (no such element exists).
@@ -95,34 +100,10 @@ class GroupAnalysis:
         "prime_profile", "normal_lattice", "derangement", "prime_derangement", "_skips", "_pending",
     )
 
-    def __init__(
-        self,
-        name: str,
-        degree: int,
-        order: int,
-        solvable: bool,
-        fixity: FixityResult | None,
-        elusive: bool | None,
-        two_closed: bool | None,
-        prime_profile: dict | None,
-        normal_lattice: list | None,
-        derangement: Permutation | None,
-        prime_derangement: Permutation | None,
-        skip_reasons: dict,
-    ):
-        self.name = name
-        self.degree = degree
-        self.order = order
-        self.solvable = solvable
-        self.fixity = fixity
-        self.elusive = elusive
-        self.two_closed = two_closed
-        self.prime_profile = prime_profile
-        self.normal_lattice = normal_lattice
-        self.derangement = derangement
-        self.prime_derangement = prime_derangement
-        self._skips = skip_reasons
-        self._pending = {}  # field -> (fn, *args) for the fields left unset
+    def __init__(self, name: str, degree: int, order: int, pending: dict):
+        self.name, self.degree, self.order = name, degree, order
+        self._skips = {}
+        self._pending = pending  # field -> (fn, *args), each picklable
 
     def __getattr__(self, name):
         """Compute an unset field as fn(*args), or None with str(exc) as its
@@ -183,10 +164,8 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
     G = entry.group
     if not G.is_transitive():
         raise PgaError(f"{entry.name}: the checks assume a transitive group")
-    a = GroupAnalysis.__new__(GroupAnalysis)
-    a.name, a.degree, a.order, a._skips = entry.name, G.degree, G.order(), {}
     cap = caps.enumeration_cap
-    a._pending = {
+    return GroupAnalysis(entry.name, G.degree, G.order(), {
         "elusive": (is_elusive, G, cap),
         "prime_profile": (prime_fix_profile, G, cap),
         "derangement": (any_derangement, G, cap),
@@ -195,8 +174,7 @@ def analyze(entry: CorpusEntry, caps: Caps = DEFAULT_CAPS) -> GroupAnalysis:
         "two_closed": (is_2_closed, G, caps.closure_degree_cap),
         "normal_lattice": (normal_subgroups, G, cap, caps.lattice_cap),
         "solvable": (is_solvable, G),
-    }
-    return a
+    })
 
 
 class _Ended(Exception):
@@ -357,7 +335,7 @@ def _check_L2_7(a: GroupAnalysis):
 def _check_C2_8(a: GroupAnalysis):
     """A 2-closed elusive solvable group has fixity at least 6."""
     _assume(_need(a, "elusive"))
-    _assume(_need(a, "two_closed") and a.solvable)
+    _assume(_need(a, "two_closed") and _need(a, "solvable"))
     f = _need(a, "fixity").fixity
     if f < 6:
         return VIOLATED, {"fixity": f}
@@ -498,10 +476,6 @@ def _entry_results(entry: CorpusEntry, selection, caps: Caps) -> list:
         ]
 
 
-def _worker(args):
-    return _entry_results(*args)
-
-
 def run_all(
     corpus,
     selection=CHECK_IDS,
@@ -519,15 +493,15 @@ def run_all(
         raise PgaError(f"unknown check ids {sorted(unknown)}")
     selection = tuple(cid for cid in CHECK_IDS if cid in requested)
     entries = sorted(corpus, key=lambda e: e.name)
-    tasks = [(e, selection, caps) for e in entries]
-    if jobs > 1 and len(tasks) > 1:
+    results_of = partial(_entry_results, selection=selection, caps=caps)
+    if jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so one process never loads multiprocessing
 
         # fork starts every worker on the first submit, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_worker, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
+            chunks = list(pool.map(results_of, entries))
     else:
-        chunks = [_worker(t) for t in tasks]
+        chunks = [results_of(e) for e in entries]
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.group, r.check_id))
     return Report(metadata=report_metadata(__version__, caps, entries), entries=results)

@@ -351,9 +351,9 @@ def normal_subgroups(
             frontier.append(register(J, key_of(J)))
 
     lattice.sort(key=lambda e: (e[2], tuple(g.images for g in e[0].generators)))
-    infos = [_describe_subgroup(H, [classes[i] for i in sorted(key)]) for H, key, _ in lattice]
-    _mark_minimal(infos, [key for _, key, _ in lattice])
-    return infos
+    # H is minimal when it is nontrivial and no nontrivial key lies inside its own
+    minimal = [order > 1 and not any(trivial < k < key for k in keys) for _, key, order in lattice]
+    return [_describe_subgroup(H, [classes[i] for i in sorted(key)], m) for (H, key, _), m in zip(lattice, minimal)]
 
 
 def _classes_by_cycle_type(classes) -> dict:
@@ -413,7 +413,7 @@ def _closure_certified(G, y, i, key, sizes, class_of_type, closure_of, rng) -> b
     return 2 * total > order
 
 
-def _describe_subgroup(H: PermGroup, classes) -> NormalSubgroupInfo:
+def _describe_subgroup(H: PermGroup, classes, minimal: bool) -> NormalSubgroupInfo:
     """The facts of a normal subgroup H, read off the classes of G that
     make it up, with no chain of H: its order is their total size, and
     fixed-point counts and element orders are class functions, so H is
@@ -427,13 +427,6 @@ def _describe_subgroup(H: PermGroup, classes) -> NormalSubgroupInfo:
         order=factorize(sum(size for _, size in classes)),
         abelian_invariants=invariants,
         is_semiregular=all(g.fixed_point_count() == 0 for g, _ in classes if not g.is_identity()),
+        is_minimal_normal=minimal,
     )
 
-
-def _mark_minimal(infos, keys) -> None:
-    """A nontrivial normal subgroup is minimal when no other nontrivial
-    one's class key is a proper subset of its key; infos[0] is trivial."""
-    trivial = keys[0]
-    for info, key in zip(infos, keys):
-        if info.order.value > 1:
-            info.is_minimal_normal = not any(trivial < other < key for other in keys)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pga.config import Caps
 from pga.corpus import CorpusEntry, builtin_family
-from pga.errors import PgaError
+from pga.errors import CapExceededError, PgaError
 from pga.fixity import FixityResult
 from pga.group import PermGroup
 from pga.harness import (
@@ -39,6 +39,14 @@ def make_info(order, invariants=None, is_semiregular=False):
     )
 
 
+def _given(value):
+    return value
+
+
+def _capped():
+    raise CapExceededError("synthetic cap")
+
+
 def make_analysis(
     degree=6,
     order=12,
@@ -49,30 +57,25 @@ def make_analysis(
     lattice=(),
     derangement="auto",
     prime_derangement=None,
+    prime_profile=None,
     missing=(),
 ):
+    """A record built as analyze builds one: a given field is computed by
+    _given, and a missing one by a function that a cap stops."""
     if derangement == "auto":
         derangement = Permutation(list(range(1, degree)) + [0])
-    fix = FixityResult(fixity_value, None)
-    profile = {p: frozenset({0}) for p in factorize(order).primes}
-    a = GroupAnalysis(
-        name="synthetic",
-        degree=degree,
-        order=order,
-        solvable=solvable,
-        fixity=fix,
-        elusive=elusive,
-        two_closed=two_closed,
-        prime_profile=profile,
-        normal_lattice=list(lattice),
-        derangement=derangement,
-        prime_derangement=prime_derangement,
-        skip_reasons={},
-    )
-    for field in missing:
-        setattr(a, field, None)
-        a.skip_reasons[field] = "synthetic cap"
-    return a
+    values = {
+        "solvable": solvable,
+        "fixity": FixityResult(fixity_value, None),
+        "elusive": elusive,
+        "two_closed": two_closed,
+        "prime_profile": prime_profile or {p: frozenset({0}) for p in factorize(order).primes},
+        "normal_lattice": list(lattice),
+        "derangement": derangement,
+        "prime_derangement": prime_derangement,
+    }
+    pending = {name: (_capped,) if name in missing else (_given, value) for name, value in values.items()}
+    return GroupAnalysis("synthetic", degree, order, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,11 @@ def hyp_C2_8(a):
         return False
     if a.two_closed is None:
         return None
-    if not a.two_closed or not a.solvable:
+    if not a.two_closed:
+        return False
+    if a.solvable is None:
+        return None
+    if not a.solvable:
         return False
     return None if a.fixity is None else True
 
@@ -486,8 +493,8 @@ class TestAnalyze:
 # ---------------------------------------------------------------------------
 # fields computed on first read
 
-# the fields analyze leaves to their first read, in slot order
-FIELDS = GroupAnalysis.__slots__[3:11]
+# the fields analyze leaves to their first read, in the order it lists them
+FIELDS = tuple(analyze(builtin_family("cyclic", [3]))._pending)
 
 ON_DEMAND_CAPS = [Caps(), Caps(enumeration_cap=50, closure_degree_cap=3), Caps(lattice_cap=1)]
 
@@ -634,9 +641,21 @@ class TestOnDemand:
             results = [(r.check_id, r.status, r.witness) for r in (check(cid, a) for cid in CHECK_IDS)]
             assert (fields, a.skip_reasons, results) == expected
 
-    def test_records_built_directly_stay_plain(self):
-        a = make_analysis(missing=("fixity",))
-        assert a.fixity is None and a.skip_reasons == {"fixity": "synthetic cap"}
+    def test_synthetic_missing_field_takes_the_skip_path(self):
+        # a missing field is computed once, on its first read, and leaves
+        # the message of the cap that stopped it, as on a real record
+        calls = []
+
+        def capped():
+            calls.append("fixity")
+            _capped()
+
+        a = GroupAnalysis("synthetic", 6, 12, {"fixity": (capped,)})
+        assert [a.fixity, a.fixity, calls] == [None, None, ["fixity"]]
+        assert a.skip_reasons == make_analysis(missing=("fixity",)).skip_reasons == {"fixity": "synthetic cap"}
+        real = analyze(builtin_family("symmetric", [5]), Caps(enumeration_cap=50))
+        assert real.fixity is None
+        assert real.skip_reasons["fixity"] == "group order 120 exceeds enumeration cap 50"
         with pytest.raises(AttributeError):
             a.no_such_field
 
@@ -725,6 +744,14 @@ class TestCheckSemantics:
         assert result.status == SKIPPED
         assert result.witness["missing"] == "normal_lattice"
 
+    def test_c2_8_reads_solvable_through_need(self):
+        a = make_analysis(elusive=True, two_closed=True, fixity_value=6, missing=("solvable",))
+        result = check("C2_8", a)
+        assert result.status == SKIPPED
+        assert result.witness == {"missing": "solvable", "reason": "synthetic cap"}
+        b = make_analysis(elusive=True, two_closed=False, missing=("solvable",))
+        assert check("C2_8", b).status == VACUOUS
+
     def test_vacuous_beats_skip_when_hypothesis_already_failed(self):
         # not elusive is decidable without the lattice
         a = make_analysis(elusive=False, missing=("normal_lattice",))
@@ -766,7 +793,7 @@ def lattice_infos():
 def synthetic_analyses(draw):
     degree = draw(st.integers(min_value=4, max_value=24))
     order = degree * draw(st.integers(min_value=1, max_value=60))
-    a = make_analysis(
+    return make_analysis(
         degree=degree,
         order=order,
         fixity_value=draw(st.integers(min_value=0, max_value=degree - 1)),
@@ -775,26 +802,20 @@ def synthetic_analyses(draw):
         solvable=draw(st.booleans()),
         lattice=draw(st.lists(lattice_infos(), max_size=4)),
         derangement=draw(st.sampled_from(["auto", None])),
+        prime_profile={
+            p: frozenset(draw(st.sets(st.sampled_from([0, p, 2 * p, 3, 4, 1]), min_size=1, max_size=3)))
+            for p in factorize(order).primes
+        },
+        missing=draw(
+            st.sets(
+                st.sampled_from(
+                    ["fixity", "elusive", "two_closed", "solvable", "normal_lattice", "prime_profile",
+                     "derangement", "prime_derangement"]
+                ),
+                max_size=2,
+            )
+        ),
     )
-    fac = factorize(order)
-    profile = {}
-    for p in fac.primes:
-        profile[p] = frozenset(
-            draw(st.sets(st.sampled_from([0, p, 2 * p, 3, 4, 1]), min_size=1, max_size=3))
-        )
-    a.prime_profile = profile
-    missing = draw(
-        st.sets(
-            st.sampled_from(
-                ["fixity", "elusive", "two_closed", "normal_lattice", "prime_profile", "derangement", "prime_derangement"]
-            ),
-            max_size=2,
-        )
-    )
-    for field in missing:
-        setattr(a, field, None)
-        a.skip_reasons[field] = "synthetic cap"
-    return a
 
 
 @st.composite
