@@ -31,7 +31,7 @@ from .corpus import (
     serialize_entry,
     write_report,
 )
-from .errors import CapExceededError, PgaError, TrivialGroupError
+from .errors import CapExceededError, PgaError
 from .fixity import fixity
 from .harness import CHECK_IDS, SKIPPED, VIOLATED, analyze, run_all, summarize
 
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPPED if isinstance(exc, (CapExceededError, TrivialGroupError)) else EXIT_USAGE
+        return EXIT_CAPPED if isinstance(exc, CapExceededError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

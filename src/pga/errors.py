@@ -1,11 +1,10 @@
 """Exception types shared across the package.
 
 Each class is kept because some caller reacts to it differently: the
-command line exits 3 on `CapExceededError` and `TrivialGroupError` and
-2 on any other `PgaError`, the harness turns a cap or a trivial group
-into a `skipped` result, and `GroupFileError` carries where in a file
-the fault is.  Any other failure is a plain `PgaError` whose message says
-what went wrong.
+command line exits 3 on `CapExceededError` and 2 on any other
+`PgaError`, the harness turns a `CapExceededError` into a `skipped`
+result, and `GroupFileError` carries where in a file the fault is.  Any
+other failure is a plain `PgaError` whose message says what went wrong.
 """
 
 
@@ -14,15 +13,12 @@ class PgaError(ValueError):
 
 
 class CapExceededError(PgaError):
-    """A configured resource cap would be exceeded.
+    """A configured resource cap would be exceeded, or the input leaves
+    the quantity undefined (the fixity of the trivial group).
 
     Callers must surface this as a distinct "skipped" outcome rather than
     silently truncating the computation.
     """
-
-
-class TrivialGroupError(PgaError):
-    """Operation defined only for nontrivial groups."""
 
 
 class GroupFileError(PgaError):

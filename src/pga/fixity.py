@@ -19,7 +19,7 @@ every function here reads the table afresh.
 from __future__ import annotations
 
 from .config import DEFAULT_CAPS
-from .errors import PgaError, TrivialGroupError
+from .errors import CapExceededError, PgaError
 from .group import PermGroup
 from .perm import Permutation
 from .structure import factorize, is_prime
@@ -39,7 +39,7 @@ def fixity(G: PermGroup, cap: int = DEFAULT_CAPS.enumeration_cap) -> FixityResul
     """Largest number of points fixed by a non-identity element."""
     reps = [g for g, _ in G.conjugacy_classes(cap) if not g.is_identity()]
     if not reps:
-        raise TrivialGroupError("fixity is undefined for the trivial group")
+        raise CapExceededError("fixity is undefined for the trivial group")
     witness = max(reps, key=Permutation.fixed_point_count)  # the first of the most
     return FixityResult(fixity=witness.fixed_point_count(), witness=witness)
 

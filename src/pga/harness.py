@@ -7,7 +7,7 @@ on synthetic records.  Statuses form a closed set:
     verified   hypotheses held and the conclusion held
     vacuous    some hypothesis failed
     violated   hypotheses held, conclusion failed; a witness is attached
-    skipped    a field the check needs was unavailable (resource caps)
+    skipped    a field the check needs hit a cap or is undefined for the input
 
 A check states its hypotheses in order, then its conclusion.  It reads
 each field it needs through _need, and a check is skipped exactly when
@@ -44,7 +44,7 @@ from . import __version__
 from .closure import is_2_closed
 from .config import Caps, DEFAULT_CAPS
 from .corpus import CorpusEntry, Report, report_metadata
-from .errors import CapExceededError, PgaError, TrivialGroupError
+from .errors import CapExceededError, PgaError
 from .fixity import (
     any_derangement,
     first_prime_derangement,
@@ -107,7 +107,7 @@ class GroupAnalysis:
 
     def __getattr__(self, name):
         """Compute an unset field as fn(*args), or None with str(exc) as its
-        skip reason when a CapExceededError or a TrivialGroupError stops it."""
+        skip reason when a CapExceededError (a cap or an undefined quantity) stops it."""
         if name == "_pending":  # unset while copy or pickle rebuilds a record
             raise AttributeError(name)
         try:
@@ -116,7 +116,7 @@ class GroupAnalysis:
             raise AttributeError(name) from None
         try:
             value = fn(*args)
-        except (CapExceededError, TrivialGroupError) as exc:
+        except CapExceededError as exc:
             self._skips[name] = str(exc)
             value = None
         setattr(self, name, value)
@@ -280,12 +280,13 @@ def _check_L2_4i(a: GroupAnalysis):
 
 def _check_L2_4ii(a: GroupAnalysis):
     """For p dividing the degree, nontrivial p-power-order elements fix
-    either no points or a positive multiple of p within the fixity."""
+    either no points or a positive multiple of p within the fixity; a
+    nonzero multiple of p is at least p, so only count <= f is tested."""
     f = _lemma_2_4_fixity(a)
     counts_by_prime = _need(a, "prime_profile")
     for p in a.degree_factored.primes:
         for count in sorted(counts_by_prime.get(p, ())):
-            if count != 0 and (count % p != 0 or not p <= count <= f):
+            if count != 0 and (count % p != 0 or count > f):
                 return VIOLATED, {"prime": p, "fix_count": count, "fixity": f}
     return VERIFIED, None
 
@@ -314,7 +315,9 @@ def _check_L2_6(a: GroupAnalysis):
 
 def _check_L2_7(a: GroupAnalysis):
     """A nontrivial normal abelian subgroup N with least prime p has order
-    at most p*f, and the degree is at most f(pf-1)/(p-1) <= f(2f-1)."""
+    at most p*f, and the degree is at most f(pf-1)/(p-1) <= f(2f-1).  The
+    last bound needs no test: f(pf-1)/(p-1) - f(2f-1) = -f(f-1)(p-2)/(p-1),
+    which is at most 0 for every integer f >= 0 and p >= 2."""
     _assume(_need(a, "elusive"))
     abelians = _abelian_normals(_need(a, "normal_lattice"))
     _assume(abelians)
@@ -326,9 +329,6 @@ def _check_L2_7(a: GroupAnalysis):
         degree_bound = Fraction(f * (p * f - 1), p - 1)
         if Fraction(a.degree) > degree_bound:
             return VIOLATED, {"clause": 2, "degree": a.degree, "bound": str(degree_bound)}
-        outer = f * (2 * f - 1)
-        if degree_bound > outer:
-            return VIOLATED, {"clause": 3, "bound": str(degree_bound), "outer_bound": outer}
     return VERIFIED, None
 
 
@@ -362,7 +362,9 @@ def _fixity_4_types(factors) -> list:
 def _check_C2_9(a: GroupAnalysis):
     """Constraints on a nontrivial normal abelian subgroup of an elusive
     group: never squarefree order, least prime power bound, and exact
-    isomorphism types when the fixity is 3 or 4."""
+    isomorphism types when the fixity is 3 or 4.  Clause 3 need not test
+    that the least prime p1 is 2 or 3: past clause 1 the total exponent
+    is at least 2, so past clause 2, p1 <= p1**(total-1) <= f = 3."""
     _assume(_need(a, "elusive"))
     abelians = _abelian_normals(_need(a, "normal_lattice"))
     _assume(abelians)
@@ -376,7 +378,7 @@ def _check_C2_9(a: GroupAnalysis):
         if p1 ** (total - 1) > f:
             return VIOLATED, {"clause": 2, "subgroup_order": order, "fixity": f}
         invariants = info.abelian_invariants
-        if f == 3 and (p1 not in (2, 3) or invariants != (p1, p1)):
+        if f == 3 and invariants != (p1, p1):
             return VIOLATED, {"clause": 3, "subgroup_order": order, "invariants": list(invariants)}
         if f == 4 and invariants not in _fixity_4_types(factors):
             return VIOLATED, {"clause": 4, "subgroup_order": order, "invariants": list(invariants)}

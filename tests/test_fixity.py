@@ -5,7 +5,7 @@ import pytest
 
 import pga.perm
 from pga.corpus import builtin_family
-from pga.errors import CapExceededError, PgaError, TrivialGroupError
+from pga.errors import CapExceededError, PgaError
 from pga.fixity import (
     any_derangement,
     first_prime_derangement,
@@ -64,7 +64,7 @@ class TestFixity:
         assert fixity(group("dihedral", 5)).fixity == 1
 
     def test_trivial_group_rejected(self):
-        with pytest.raises(TrivialGroupError):
+        with pytest.raises(CapExceededError):
             fixity(PermGroup(3))
 
     def test_cap(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -699,6 +700,14 @@ class TestCheckSemantics:
                           lattice=[make_info(4, invariants=(2, 2))])
         assert check("L2_7", a).status == VERIFIED
 
+    def test_l2_7_degree_above_its_bound(self):
+        # |N| = 4 <= 2 * 3, but the degree exceeds 3 * (2 * 3 - 1) / (2 - 1) = 15
+        a = make_analysis(degree=16, order=48, elusive=True, fixity_value=3,
+                          lattice=[make_info(4, invariants=(2, 2))])
+        result = check("L2_7", a)
+        assert result.status == VIOLATED
+        assert result.witness == {"clause": 2, "degree": 16, "bound": "15"}
+
     def test_c2_9_squarefree_abelian_normal_is_violation(self):
         a = make_analysis(elusive=True, fixity_value=3,
                           lattice=[make_info(6, invariants=(6,))])
@@ -710,6 +719,15 @@ class TestCheckSemantics:
         a = make_analysis(elusive=True, fixity_value=3,
                           lattice=[make_info(9, invariants=(3, 3))])
         assert check("C2_9", a).status == VERIFIED
+
+    @pytest.mark.parametrize("order", [4, 9])
+    def test_c2_9_fixity3_cyclic_is_violation(self, order):
+        # past clauses 1 and 2, but cyclic where fixity 3 allows only (Z_p)^2
+        a = make_analysis(elusive=True, fixity_value=3,
+                          lattice=[make_info(order, invariants=(order,))])
+        result = check("C2_9", a)
+        assert result.status == VIOLATED
+        assert result.witness == {"clause": 3, "subgroup_order": order, "invariants": [order]}
 
     def test_c2_9_fixity4_types(self):
         ok = make_analysis(elusive=True, fixity_value=4,
@@ -842,6 +860,23 @@ def c2_10_analyses(draw):
     )
 
 
+def assert_agrees(cid, a):
+    """check(cid, a) ends as the independent evaluators say; returns the result."""
+    result = check(cid, a)
+    assert result.status in (VERIFIED, VACUOUS, VIOLATED, SKIPPED)
+    hyp = INDEPENDENT_HYPS[cid](a)
+    if result.status == SKIPPED:
+        assert hyp is None
+        assert result.witness and "missing" in result.witness
+    elif result.status == VACUOUS:
+        assert hyp is False
+    else:
+        assert hyp is True
+        assert INDEPENDENT_CONCLS[cid](a) is (result.status == VERIFIED)
+        assert result.status == VERIFIED or result.witness is not None
+    return result
+
+
 class TestStatusSoundness:
     @settings(max_examples=200, deadline=None)
     @given(c2_10_analyses())
@@ -863,23 +898,22 @@ class TestStatusSoundness:
     @settings(max_examples=400, deadline=None)
     @given(synthetic_analyses(), st.sampled_from(CHECK_IDS))
     def test_status_agrees_with_independent_evaluators(self, a, cid):
-        result = check(cid, a)
-        assert result.status in (VERIFIED, VACUOUS, VIOLATED, SKIPPED)
-        hyp = INDEPENDENT_HYPS[cid](a)
-        if result.status == SKIPPED:
-            assert hyp is None
-            assert result.witness and "missing" in result.witness
-            return
-        if result.status == VACUOUS:
-            assert hyp is False
-            return
-        assert hyp is True
-        concl = INDEPENDENT_CONCLS[cid](a)
-        if result.status == VERIFIED:
-            assert concl is True
-        else:
-            assert concl is False
-            assert result.witness is not None
+        assert_agrees(cid, a)
+
+    @pytest.mark.parametrize("cid", CHECK_IDS)
+    def test_skip_grid(self, cid):
+        """Each field missing alone, on records that hold the elusive,
+        2-closed and solvable hypotheses and have abelian normal p-subgroups
+        Z2^2 and Z5^2: the status agrees with the independent evaluators,
+        and a skip names the missing field.  This catches a check that reads
+        a field directly instead of through _need."""
+        lattice = [make_info(4, invariants=(2, 2)), make_info(25, invariants=(5, 5))]
+        for field, degree, f in product(FIELDS, (12, 15), (2, 4, 6)):
+            a = make_analysis(degree=degree, order=7 * degree, fixity_value=f, elusive=True, two_closed=True,
+                              solvable=True, lattice=lattice, missing=(field,))
+            result = assert_agrees(cid, a)
+            if result.status == SKIPPED:
+                assert result.witness == {"missing": field, "reason": "synthetic cap"}, (field, degree, f)
 
     def test_no_verified_with_false_hypothesis_on_corpus(self, corpus_entries, analysis_of):
         for entry in corpus_entries:
