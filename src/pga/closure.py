@@ -63,14 +63,13 @@ and their order are those of explicit counting.
 The domain side of every refinement in a search is a partition of the
 principal branch: a branch individualizes the first point of the first
 non-singleton domain cell, as the principal branch does, and only the
-images differ.  So one memo per search holds the domain fragments of
-each refinement round, keyed by the domain cells and the round's new
-cells, and later branches split only the image side, matching each
-image signature against the signature of the domain fragment it must
-pair with.  On the principal branch itself every image cell is its
-domain cell, and the same points count into the same new cells, so
-the image side splits as the domain side does: each cell is split
-once per round, and each domain fragment is its own image.
+images differ.  So the principal branch records, per level, the rounds
+of the refinement after its point is fixed: each round's new cells, and
+each cell's domain fragments with their signatures.  Every other branch
+holds only its image cells and splits them by replaying its level's
+rounds; each domain fragment's signature must be met by as many image
+points of its cell.  The principal branch itself, where every image
+cell is its domain cell, refines its cells alone, each once per round.
 
 The points fixed along the principal branch form a base for the
 closure, and the generators found are a strong generating set for it
@@ -213,95 +212,72 @@ def _split(weights, cell, layout):
     return by_sig
 
 
-def _domain_round(weights, cells, new):
-    """One refinement round of the domain cells, counting into cells[new].
-
-    Returns, per cell, None for a singleton or its fragments in signature
-    order, each with its signature; and the indices, in the refined cell
-    list, of the fragments that count in the next round: every fragment
-    of a split cell but its last.
-    """
-    layout = _layout([cells[i] for i in new])
-    keyed = []
-    added = []
-    at = 0
-    for cell in cells:
-        if len(cell) == 1:
-            keyed.append(None)
-            at += 1
-            continue
-        by_sig = _split(weights, cell, layout)
-        keyed.append(sorted((k, tuple(f)) for k, f in by_sig.items()))
-        added += range(at, at + len(by_sig) - 1)
-        at += len(by_sig)
-    return keyed, tuple(added)
-
-
-def _refine_pair(weights, pairs, memo, new):
-    """Refine matched (domain, image) cell lists to a stable partition pair.
-
-    Returns the refined pair list, or None when the two sides split
-    incompatibly, which proves no automorphism respects the pairing.
+def _refine(weights, cells, new):
+    """Refine cells to a stable partition.
 
     The first round counts arcs into the cells at the indices new, each
-    later round into the fragments the round before split off (see the
-    module docstring).  Unless new lists every cell, the pairs must have
-    been stable and matched before those cells split off, as
-    _individualize's output is with new = (t,).
+    later round into the fragments the round before split off: every
+    fragment of a split cell but its last (see the module docstring).
+    Unless new lists every cell, the cells must have been stable before
+    those cells split off, as _individualize's output is with new = (t,).
 
-    memo maps the domain cells and new cells of each round met to the
-    round's domain side (see _domain_round); a memo shared by the
-    refinements of one search splits each domain round once.  On the
-    principal branch, where every image cell is its domain cell, the
-    image side splits as the domain side did, so each domain fragment is
-    its own image and the image side is not split again.  Otherwise the
-    image side is split every time, and each of its signatures must be
-    that of the matching domain fragment.
+    Returns the stable cells and the rounds made, each as its new and,
+    per cell, None for a singleton or its fragments in signature order,
+    each with its signature; _match replays them on image cells.
     """
-    pairs = list(pairs)
-    while True:
-        p_cells = tuple(p for p, _ in pairs)
-        domain = memo.get((p_cells, new))
-        if domain is None:
-            domain = memo[p_cells, new] = _domain_round(weights, p_cells, new)
-        keyed, added = domain
-        principal = all(cp == cq for cp, cq in pairs)
-        q_layout = None if principal else _layout([pairs[i][1] for i in new])
-        new_pairs = []
-        for (cp, cq), frags in zip(pairs, keyed):
+    rounds = []
+    while new:
+        layout = _layout([cells[i] for i in new])
+        keyed, refined, added = [], [], []
+        for cell in cells:
+            if len(cell) == 1:
+                keyed.append(None)
+                refined.append(cell)
+                continue
+            frags = sorted((k, tuple(f)) for k, f in _split(weights, cell, layout).items())
+            keyed.append(frags)
+            added += range(len(refined), len(refined) + len(frags) - 1)
+            refined += [f for _, f in frags]
+        rounds.append((new, keyed))
+        cells, new = refined, added
+    return cells, rounds
+
+
+def _match(weights, images, rounds):
+    """Split image cells, matched to the domain cells that _refine made
+    rounds from, as those rounds split the domain cells.
+
+    Returns the image cells matched to the stable domain cells, or None
+    at the first image cell whose points do not take each domain
+    fragment's signature as often as the fragment has points, which
+    proves no automorphism respects the matching.  When they do, those
+    points fill the image cell, so no other signature needs checking.
+    """
+    for new, keyed in rounds:
+        layout = _layout([images[i] for i in new])
+        split = []
+        for cell, frags in zip(images, keyed):
             if frags is None:
-                new_pairs.append((cp, cq))
+                split.append(cell)
                 continue
-            if principal:
-                new_pairs += [(f, f) for _, f in frags]
-                continue
-            by_sig_q = _split(weights, cq, q_layout)
-            if len(by_sig_q) != len(frags):
-                return None
+            by_sig = _split(weights, cell, layout)
             for key, f in frags:
-                fq = by_sig_q.get(key)
-                if fq is None or len(fq) != len(f):
+                fq = by_sig.get(key, ())
+                if len(fq) != len(f):
                     return None
-                new_pairs.append((f, tuple(fq)))
-        pairs = new_pairs
-        if not added:
-            return pairs
-        new = added
+                split.append(tuple(fq))
+        images = split
+    return images
 
 
-def _individualize(pairs, t, x, y):
-    cp, cq = pairs[t]
-    rest_p = tuple(z for z in cp if z != x)
-    rest_q = tuple(z for z in cq if z != y)
-    mid = [((x,), (y,))]
-    if rest_p:
-        mid.append((rest_p, rest_q))
-    return pairs[:t] + mid + pairs[t + 1 :]
+def _individualize(cells, t, x):
+    """cells with x, a point of the cell at t, split off before the rest."""
+    return [*cells[:t], (x,), tuple(z for z in cells[t] if z != x), *cells[t + 1 :]]
 
 
-def _first_non_singleton(pairs):
-    for idx, (cp, _) in enumerate(pairs):
-        if len(cp) > 1:
+def _first_non_singleton(cells):
+    for idx, cell in enumerate(cells):
+        if len(cell) > 1:
             return idx
     return None
 
@@ -310,48 +286,54 @@ def _preserves_colors(color, img):
     return all(tuple(map(color[ia].__getitem__, img)) == row for row, ia in zip(color, img))
 
 
-def _find_one(weights, memo, color, pairs):
-    """First automorphism consistent with the pairing, or None."""
-    t = _first_non_singleton(pairs)
+def _find_one(weights, color, branch, d, images):
+    """First automorphism mapping the principal branch's cells at depth
+    d onto the matched image cells, or None; images is None when the
+    matching already failed."""
+    if images is None:
+        return None
+    cells, t, rounds = branch[d]
     if t is None:
         img = [0] * len(color)
-        for cp, cq in pairs:
-            img[cp[0]] = cq[0]
+        for (x,), (y,) in zip(cells, images):
+            img[x] = y
         return Permutation(img) if _preserves_colors(color, img) else None
-    cp, cq = pairs[t]
-    x = cp[0]
-    for y in cq:
-        nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
-        found = _find_one(weights, memo, color, nxt) if nxt is not None else None
+    for y in images[t]:
+        found = _find_one(weights, color, branch, d + 1, _match(weights, _individualize(images, t, y), rounds))
         if found is not None:
             return found
     return None
 
 
 def _principal_branch(color, rank, transitive):
-    """Arc weights, a memo for one search (see _refine_pair), and per
-    principal-branch level its stable pairs and the index of the cell of
-    the point it fixes.
+    """Arc weights, and per principal-branch level its stable cells, the
+    index t of the cell of the point x it fixes (the cell's first) and
+    the rounds that refining after fixing x made; a last level holds the
+    discrete cells, with t and the rounds None.
+
+    Every other branch of the search individualizes the same points of
+    the same cells and only their images differ, so it holds only its
+    image cells, and _match splits them by replaying the level's rounds.
 
     transitive says that a transitive group preserves the colors; then
     every row holds each color equally often, the first round cannot
     split the unit cell, and it is skipped.  A uniform diagonal would not
     do: the colors of a graph that is not regular have one too.
     """
-    weights, memo = _arc_weights(color, rank), {}
-    unit = tuple(range(len(color)))
-    pairs = [(unit, unit)]
+    weights = _arc_weights(color, rank)
+    cells = [tuple(range(len(color)))]
     if not transitive:
-        pairs = _refine_pair(weights, pairs, memo, (0,))
+        cells = _refine(weights, cells, (0,))[0]
     branch = []
-    while (t := _first_non_singleton(pairs)) is not None:
-        branch.append((pairs, t))
-        x = pairs[t][0][0]
-        pairs = _refine_pair(weights, _individualize(pairs, t, x, x), memo, (t,))
-    return weights, memo, branch
+    while (t := _first_non_singleton(cells)) is not None:
+        refined, rounds = _refine(weights, _individualize(cells, t, cells[t][0]), (t,))
+        branch.append((cells, t, rounds))
+        cells = refined
+    branch.append((cells, None, None))
+    return weights, branch
 
 
-def _descent(color, weights, memo, branch, settled=lambda i, y: None):
+def _descent(color, weights, branch, settled=lambda i, y: None):
     """Yields (i, g) for each automorphism g found, deepest level i first,
     and (i, None) once level i is done; settled(i, y) may give one taking
     level i's point x to y without a search.  The search's state goes to
@@ -369,19 +351,17 @@ def _descent(color, weights, memo, branch, settled=lambda i, y: None):
     settled ones among them.
     """
     gens = []
-    for i in reversed(range(len(branch))):
-        pairs, t = branch[i]
-        x = pairs[t][0][0]
+    for i in reversed(range(len(branch) - 1)):
+        cells, t, rounds = branch[i]
         # images of x tried so far and all they reach under gens; the set
         # stays closed under gens, so a new generator only extends it
-        reached = _orbit({x}, gens)
-        for y in pairs[t][1]:
+        reached = _orbit({cells[t][0]}, gens)
+        for y in cells[t]:
             if y in reached:
                 continue
             found = settled(i, y)
             if found is None:
-                nxt = _refine_pair(weights, _individualize(pairs, t, x, y), memo, (t,))
-                found = _find_one(weights, memo, color, nxt) if nxt is not None else None
+                found = _find_one(weights, color, branch, i + 1, _match(weights, _individualize(cells, t, y), rounds))
             if found is not None:
                 yield i, found
                 gens.append(found)  # maps x to y, so y is reached now
@@ -397,8 +377,8 @@ def _color_automorphism_generators(color, rank, G):
     automorphisms on as many points; an image G reaches is settled by
     the least element of its coset, read off the chain's deeper levels.
     """
-    weights, memo, branch = _principal_branch(color, rank, G.is_transitive())
-    chain = StabilizerChain(G.degree, (), [p[t][0][0] for p, t in branch])
+    weights, branch = _principal_branch(color, rank, G.is_transitive())
+    chain = StabilizerChain(G.degree, (), [cells[t][0] for cells, t, _ in branch[:-1]])
     _, tail, product = chain._codec
     known = G._chain_on(chain.base).levels
 
@@ -411,7 +391,7 @@ def _color_automorphism_generators(color, rank, G):
         return _decode(u)
 
     gens = []
-    for i, found in _descent(color, weights, memo, branch, settled):
+    for i, found in _descent(color, weights, branch, settled):
         if found is None:
             chain._walk_level(i)
         else:
@@ -437,10 +417,10 @@ def _outside_automorphism(G: PermGroup, degree_cap: int = DEFAULT_CAPS.closure_d
     """A permutation preserving every pair orbit of G that G lacks, or
     None when G is 2-closed (see the module docstring)."""
     part = _pair_orbits(G, degree_cap)
-    weights, memo, branch = _principal_branch(part.color, part.rank, G.is_transitive())
-    if prod(len(p[t][1]) for p, t in branch) == G.order():
+    weights, branch = _principal_branch(part.color, part.rank, G.is_transitive())
+    if prod(len(cells[t]) for cells, t, _ in branch[:-1]) == G.order():
         return None
-    found = (g for _, g in _descent(part.color, weights, memo, branch) if g is not None)
+    found = (g for _, g in _descent(part.color, weights, branch) if g is not None)
     return next((g for g in found if not G.contains(g)), None)
 
 

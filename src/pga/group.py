@@ -295,10 +295,6 @@ class StabilizerChain:
             g = product(g, rep[1])
         return g
 
-    def _strip(self, g, start=0):
-        """The residue of the permutation g sifted from level start on."""
-        return _decode(self._sift(self._codec[0](g.images), start))
-
     @property
     def base(self):
         return [lvl.point for lvl in self.levels]

@@ -11,10 +11,11 @@ from pga.closure import (
     _color_automorphism_generators,
     _first_non_singleton,
     _individualize,
+    _match,
     _outside_automorphism,
     _preserves_colors,
     _principal_branch,
-    _refine_pair,
+    _refine,
     is_2_closed,
     orbitals,
     two_closure,
@@ -105,14 +106,24 @@ def action_on_pairs(G):
 RANK_THREE = [action_on_pairs(group("symmetric", 5)), product_wreath_s2(group("symmetric", 4))]
 
 
-def refine_all(weights, pairs, memo):
-    """_refine_pair with its first round counting into every cell."""
-    return _refine_pair(weights, pairs, memo, tuple(range(len(pairs))))
+def refine_pair(weights, pairs, new):
+    """Refine matched (domain, image) cell lists to a stable pair list:
+    the domain cells by _refine, the image cells by _match replaying its
+    rounds.  None when the image side fails to match."""
+    cells, rounds = _refine(weights, [p for p, _ in pairs], new)
+    images = _match(weights, [q for _, q in pairs], rounds)
+    return None if images is None else list(zip(cells, images))
+
+
+def individualize_pair(pairs, t, x, y):
+    """The pairs with x fixed in the domain cell at t and y in its image."""
+    return list(zip(_individualize([p for p, _ in pairs], t, x), _individualize([q for _, q in pairs], t, y)))
 
 
 def refine_cells(part, cells):
-    """The domain side of the stable refinement of the pairs (c, c)."""
-    return [p for p, _ in refine_all(_arc_weights(part.color, part.rank), [(c, c) for c in cells], {})]
+    """The stable refinement of the cells, its first round counting into
+    every cell."""
+    return _refine(_arc_weights(part.color, part.rank), cells, tuple(range(len(cells))))[0]
 
 
 def random_cells(data, n):
@@ -236,13 +247,15 @@ class TestRefinementOracle:
     @settings(max_examples=150, deadline=None)
     @given(random_groups(8), st.data())
     def test_individualized_refinement_matches_count_oracle(self, G, data):
+        """Individualize random point pairs of stable pairs, level after
+        level, while the refinement succeeds and leaves a cell to split;
+        counting first into every cell or into the new singleton only
+        must each equal explicit counting."""
         part = orbitals(G)
         weights = _arc_weights(part.color, part.rank)
         unit = tuple(range(G.degree))
-        pairs = _refine_pair(weights, [(unit, unit)], {}, (0,))
+        pairs = refine_pair(weights, [(unit, unit)], (0,))
         assert pairs == count_refine_pair(part.color, part.rank, [(unit, unit)])
-        # individualize random point pairs, level after level, while the
-        # refinement succeeds and leaves a cell to split
         while pairs is not None:
             open_cells = [t for t, (cp, _) in enumerate(pairs) if len(cp) > 1]
             if not open_cells:
@@ -250,87 +263,90 @@ class TestRefinementOracle:
             t = data.draw(st.sampled_from(open_cells))
             cp, cq = pairs[t]
             x, y = data.draw(st.sampled_from(cp)), data.draw(st.sampled_from(cq))
-            individualized = _individualize(pairs, t, x, y)
-            pairs = refine_all(weights, individualized, {})
+            individualized = individualize_pair(pairs, t, x, y)
+            pairs = refine_pair(weights, individualized, tuple(range(len(individualized))))
             assert pairs == count_refine_pair(part.color, part.rank, individualized)
+            assert refine_pair(weights, individualized, (t,)) == pairs
+
+    def test_match_fails_on_a_signature_the_domain_lacks(self):
+        """The triangle 1 2 3 with the path 1 4 0 5 hanging from 1, whose
+        only automorphism other than the identity swaps 2 and 3.  Fixing
+        4 or 2 splits the other points alike in the first round.  In the
+        second, the domain cell (2, 3) takes one signature into the new
+        cells, but its image cell (0, 4) takes two, as 0 is adjacent to 5
+        and 4 is not.  The match must fail there, as explicit counting
+        does, and not keep the one image point whose signature the
+        domain cell takes."""
+        edges = {(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)}
+        color = graph_colors(6, lambda x, y: (min(x, y), max(x, y)) in edges)
+        pairs = [((4,), (2,)), ((0, 1, 2, 3, 5), (0, 1, 3, 4, 5))]
+        assert count_refine_pair(color, 3, pairs) is None
+        assert refine_pair(_arc_weights(color, 3), pairs, (0, 1)) is None
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(random_groups(8), st.sampled_from(RANK_THREE)), st.data())
-    def test_shared_memo_matches_count_oracle_and_fresh_memo(self, G, data):
-        """Refine individualized stable pairs as the search does, counting
-        first into the new singleton only, with a fresh memo and with one
-        shared by the branches, which may also hold a full first round of
-        the same pairs; each must equal explicit counting and a full first
-        round with a fresh memo.  The branches start from one refined
-        random partition, which may be a single cell as in the search, and
-        mostly individualize the first point of the first open domain
-        cell, as the search does, so domain partitions repeat."""
+    def test_replay_matches_count_oracle(self, G, data):
+        """At each principal level, fix a random image y of the level's
+        point and replay the level's rounds (see replayed).  The image
+        cells are the previous level's match, so the walk follows one
+        branch of the search down, or the level's own cells at the top
+        and after a failed match.  A group's orbital colors seldom if
+        ever fail a match, so TestColorSearchRejections replays colors
+        that do."""
         part = orbitals(G)
-        weights = _arc_weights(part.color, part.rank)
-        memo = {}
-        cells = random_cells(data, G.degree)
-        start = refine_all(weights, [(c, c) for c in cells], memo)
-        assert start == count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            pairs = start
-            while pairs is not None:
-                open_cells = [t for t, (cp, _) in enumerate(pairs) if len(cp) > 1]
-                if not open_cells:
-                    break
-                if data.draw(st.booleans()):
-                    t = open_cells[0]
-                    x = pairs[t][0][0]
-                else:
-                    t = data.draw(st.sampled_from(open_cells))
-                    x = data.draw(st.sampled_from(pairs[t][0]))
-                y = data.draw(st.sampled_from(pairs[t][1]))
-                individualized = _individualize(pairs, t, x, y)
-                expected = count_refine_pair(part.color, part.rank, individualized)
-                assert refine_all(weights, individualized, {}) == expected
-                assert _refine_pair(weights, individualized, {}, (t,)) == expected
-                if data.draw(st.booleans()):
-                    assert refine_all(weights, individualized, memo) == expected
-                pairs = _refine_pair(weights, individualized, memo, (t,))
-                assert pairs == expected
+        weights, branch = _principal_branch(part.color, part.rank, G.is_transitive())
+        images = None
+        for level in branch[:-1]:
+            cells, t, _ = level
+            images = images or cells
+            images = replayed(part.color, part.rank, weights, level, images, data.draw(st.sampled_from(images[t])))
+
+
+def replayed(color, rank, weights, level, images, y):
+    """_match on a principal level's rounds, with image cells matched to
+    the level's cells and y fixed in the cell of the level's point.  It
+    must split them as explicit counting splits the individualized
+    pairs, or return None where that fails."""
+    cells, t, rounds = level
+    pairs = list(zip(_individualize(cells, t, cells[t][0]), _individualize(images, t, y)))
+    expected = count_refine_pair(color, rank, pairs)
+    matched = _match(weights, [q for _, q in pairs], rounds)
+    assert matched == (None if expected is None else [q for _, q in expected])
+    return matched
 
 
 def assert_principal_branch_splits_once(G):
-    """Refine the principal branch step by step, as the search does, with
-    _split and _domain_round counted.  Every image cell of a principal
-    step is its domain cell, so _split must run only from _domain_round,
-    once per non-singleton domain cell of each round (a fresh memo per
-    step makes every round a _domain_round call); and each step must
-    still equal explicit counting."""
+    """Build the principal branch, its first round not skipped, with
+    _split's callers and _refine's calls recorded.  Every image cell of
+    the principal branch is its domain cell, so _split must run only
+    from _refine, once per non-singleton cell of each round; and each
+    refinement must equal explicit counting."""
     part = orbitals(G)
-    weights = _arc_weights(part.color, part.rank)
-    callers, open_cells = [], []
-    split, domain_round = pga.closure._split, pga.closure._domain_round
+    callers, refinements = [], []
+    split, refine = pga.closure._split, pga.closure._refine
 
     def counted_split(weights, cell, layout):
         callers.append(sys._getframe(1).f_code.co_name)
         return split(weights, cell, layout)
 
-    def counted_round(weights, cells, new):
-        open_cells.append(sum(len(cell) > 1 for cell in cells))
-        return domain_round(weights, cells, new)
+    def recorded_refine(weights, cells, new):
+        refinements.append((cells, refine(weights, cells, new)))
+        return refinements[-1][1]
 
-    unit = tuple(range(G.degree))
-    individualized, new = [(unit, unit)], (0,)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pga.closure, "_split", counted_split)
-        patch.setattr(pga.closure, "_domain_round", counted_round)
-        while True:
-            callers.clear()
-            open_cells.clear()
-            pairs = _refine_pair(weights, individualized, {}, new)
-            assert open_cells
-            assert callers == ["_domain_round"] * sum(open_cells)
-            assert pairs == count_refine_pair(part.color, part.rank, individualized)
-            t = _first_non_singleton(pairs)
-            if t is None:
-                break
-            x = pairs[t][0][0]
-            individualized, new = _individualize(pairs, t, x, x), (t,)
+        patch.setattr(pga.closure, "_refine", recorded_refine)
+        branch = _principal_branch(part.color, part.rank, False)[1]
+    open_cells = 0
+    for cells, (stable, rounds) in refinements:
+        expected = count_refine_pair(part.color, part.rank, [(c, c) for c in cells])
+        assert stable == [p for p, _ in expected]
+        for _, keyed in rounds:
+            open_cells += sum(len(cell) > 1 for cell in cells)
+            cells = [f for cell, frags in zip(cells, keyed) for f in ([cell] if frags is None else dict(frags).values())]
+        assert cells == stable
+    assert callers == ["_refine"] * open_cells
+    assert [rounds for _, t, rounds in branch[:-1]] == [rounds for _, (_, rounds) in refinements[1:]]
 
 
 class TestPrincipalBranchSplitsOnce:
@@ -366,14 +382,14 @@ def transitive_groups(max_degree):
 
 def assert_first_round_cannot_split(G):
     """A transitive G preserves its pair colors, so every row holds each
-    color equally often: a first round leaves the unit pair as it is,
+    color equally often: a first round leaves the unit cell as it is,
     and the principal branch with that round skipped is the one with it."""
     assert G.is_transitive()
     part = orbitals(G)
     weights = _arc_weights(part.color, part.rank)
     unit = tuple(range(G.degree))
-    assert _refine_pair(weights, [(unit, unit)], {}, (0,)) == [(unit, unit)]
-    assert _principal_branch(part.color, part.rank, True)[2] == _principal_branch(part.color, part.rank, False)[2]
+    assert _refine(weights, [unit], (0,))[0] == [unit]
+    assert _principal_branch(part.color, part.rank, True)[1] == _principal_branch(part.color, part.rank, False)[1]
 
 
 def path(x, y):
@@ -422,7 +438,7 @@ class TestFirstRound:
 
         monkeypatch.setattr(pga.closure, "_principal_branch", recorded)
         gens, chain = _color_automorphism_generators(color, 3, PermGroup(n))
-        assert branches[0][2][0][0] == expected
+        assert branches[0][1][0][0] == [p for p, _ in expected]
         assert chain.order() == order
         assert all(color[g.images[x]][g.images[y]] == color[x][y] for g in gens for x in range(n) for y in range(n))
 
@@ -513,7 +529,7 @@ class TestTwoClosedDecision:
     def test_degree_one(self):
         G = PermGroup(1)
         part = orbitals(G)
-        assert _principal_branch(part.color, part.rank, G.is_transitive())[2] == []
+        assert _principal_branch(part.color, part.rank, G.is_transitive())[1] == [([(0,)], None, None)]
         assert _outside_automorphism(G) is None
         assert is_2_closed(G)
 
@@ -666,6 +682,15 @@ def disjoint_union(a, size_a, b):
     return lambda x, y: a(x, y) if max(x, y) < size_a else min(x, y) >= size_a and b(x - size_a, y - size_a)
 
 
+@pytest.mark.parametrize(
+    "n, adjacent, order",
+    [
+        (16, shrikhande, 192),
+        (32, disjoint_union(rook, 16, shrikhande), 1152 * 192),
+        (12, disjoint_union(cycle(6), 6, disjoint_union(cycle(3), 3, cycle(3))), 12 * 72),
+    ],
+    ids=["shrikhande", "rook_and_shrikhande", "c6_and_two_c3"],
+)
 class TestColorSearchRejections:
     """Colourings that no group's orbitals give, so that the search meets
     a refinement whose two sides split differently, a branch with no
@@ -673,15 +698,6 @@ class TestColorSearchRejections:
     rook's graph and the Shrikhande graph share their parameters, so
     refinement cannot tell their points apart."""
 
-    @pytest.mark.parametrize(
-        "n, adjacent, order",
-        [
-            (16, shrikhande, 192),
-            (32, disjoint_union(rook, 16, shrikhande), 1152 * 192),
-            (12, disjoint_union(cycle(6), 6, disjoint_union(cycle(3), 3, cycle(3))), 12 * 72),
-        ],
-        ids=["shrikhande", "rook_and_shrikhande", "c6_and_two_c3"],
-    )
     def test_automorphism_group(self, n, adjacent, order):
         color = graph_colors(n, adjacent)
         gens, chain = _color_automorphism_generators(color, 3, PermGroup(n))
@@ -689,6 +705,14 @@ class TestColorSearchRejections:
         assert chain.order() == order
         assert all(color[g.images[x]][g.images[y]] == color[x][y] for g in gens for x in range(n) for y in range(n))
         assert_every_schreier_generator_sifts(chain)
+
+    def test_replay_matches_count_oracle(self, n, adjacent, order):
+        """Every image of each principal level's point in its cell,
+        replayed on the level's cells (see replayed); some must fail."""
+        color = graph_colors(n, adjacent)
+        weights, branch = _principal_branch(color, 3, False)
+        matched = [replayed(color, 3, weights, level, level[0], y) for level in branch[:-1] for y in level[0][level[1]]]
+        assert None in matched
 
 
 class TestOracleEquivalence:

@@ -3,7 +3,7 @@ reference counting as soon as a call returns.
 
 A recursive function nested in another refers to itself through its
 closure cell, so the cell, the function and everything it closes over
-(a search's memo, a walk's transversal lists) form a cycle that only
+(a search's branch, a walk's transversal lists) form a cycle that only
 the cyclic collector frees, whenever it next runs.  Each test runs one
 computation on a fresh group with the collector disabled and then asks
 it to collect: it must find nothing.
