@@ -12,11 +12,14 @@ complete.  A level stops sifting once the generators no sift at or below
 it left are through: by Schreier's lemma the rest would sift, and the
 chain is unchanged.
 
-Levels only grow: a transversal keeps its elements, and each level
-records, by each generator's table (see below), which generators its
-orbit has been walked with and which Schreier generators are known to
-sift, so an orbit point meets an old generator once and no Schreier
-generator is sifted twice.  The Schreier generator u_b s u_s(b)^-1 of
+Levels only grow: a level starts with the identity at its base point, a
+transversal keeps its elements, and each level records, by each
+generator's table (see below), which generators its orbit has been
+walked with and which Schreier generators are known to sift, so an
+orbit point meets an old generator once and no Schreier generator is
+sifted twice.  A completion keeps the lists of the strong generators at
+and below each level only while it runs, rebuilding those an install
+changed.  The Schreier generator u_b s u_s(b)^-1 of
 orbit point b and generator s is sifted as u_b s from its own level,
 whose first strip step forms it, which saves one product; and a strip
 stops with the identity as soon as the running element equals the
@@ -31,11 +34,12 @@ walk, and nothing is sifted (_walk_level).  A chain of a group on
 another base (PermGroup._chain_on) sifts the codes of seeded uniform
 elements, drawn off the group's own chain, decodes and installs each
 residue that is not the identity, walks the orbits of its level and
-those above with it, and is certified complete once its orbit sizes
-multiply to the group's order; a point stabilizer is the levels below
-the first of the chain on a base starting at its point.  A group is
-immutable once constructed; its chain is built lazily and cached, after
-which the value can be shared freely between threads.
+those above with it, skipping an orbit the residue maps into itself,
+and is certified complete once its orbit sizes multiply to the group's
+order; a point stabilizer is the levels below the first of the chain on
+a base starting at its point.  A group is immutable once constructed;
+its chain is built lazily and cached, after which the value can be
+shared freely between threads.
 
 The chain stores each coset representative once, as a code, and the
 walk, the sift and the element walk run on codes.  Up to degree 256 a
@@ -129,12 +133,12 @@ def _orbit(points, gens):
 class _Level:
     __slots__ = ("point", "own_gens", "own_tables", "origins", "codes", "checked")
 
-    def __init__(self, point):
+    def __init__(self, point, ident, tail):
         self.point = point
         self.own_gens = []
         self.own_tables = []  # (table of s, code of s^-1) for s in own_gens
         self.origins = []  # per s in own_gens, the level whose sift left it, or -1
-        self.codes = {}  # orbit point b -> (code of u_b, table of u_b^-1)
+        self.codes = {point: (ident, ident + tail)}  # orbit point b -> (code of u_b, table of u_b^-1)
         # table of generator s -> k: the orbit has been walked with s, and
         # the Schreier generators of s with the first k orbit points (in
         # transversal order) are known to sift; up to degree 256 a table
@@ -151,13 +155,15 @@ class StabilizerChain:
         self.degree = degree
         self.levels = []
         self._codec = _codec(degree)
+        encode, tail, _ = self._codec
         for p in base_prefix:
             if not 0 <= p < degree:
                 raise PgaError(f"base point {p} out of range")
-            self.levels.append(_Level(p))
+            self.levels.append(_Level(p, encode(range(degree)), tail))
         for g in generators:
             self._insert(g)
-        self._complete(len(self.levels) - 1)
+        if generators:  # a bare base is complete as it stands
+            self._complete(len(self.levels) - 1)
 
     def _walk_level(self, i):
         """Walk level i's orbit under the strong generators fixing the first
@@ -174,10 +180,10 @@ class StabilizerChain:
         i = 0
         while i < len(self.levels) and g.images[self.levels[i].point] == self.levels[i].point:
             i += 1
+        encode, tail, _ = self._codec
         if i == len(self.levels):
             moved = next(p for p in range(self.degree) if g.images[p] != p)
-            self.levels.append(_Level(moved))
-        encode, tail, _ = self._codec
+            self.levels.append(_Level(moved, encode(range(self.degree)), tail))
         self.levels[i].own_gens.append(g)
         self.levels[i].own_tables.append((encode(g.images) + tail, encode(g.inverse().images)))
         self.levels[i].origins.append(origin)
@@ -196,12 +202,25 @@ class StabilizerChain:
 
     def _complete(self, i):
         """Complete levels i, i-1, ..., 0 in turn, going back to the level
-        where a residue got stuck whenever one is installed."""
+        where a residue got stuck whenever one is installed.  A level reads
+        the (table of s, code of s^-1) pairs and the origins of the strong
+        generators s at and below it, its own prepended to the next
+        level's; an install at level k changes those of levels k and above,
+        which are popped off the stack."""
+        stack = [([], [])]  # stack[m]: the lists of level len(self.levels) - m
         while i >= 0:
-            stuck = self._grow_level(i)
-            i = i - 1 if stuck is None else stuck
+            while len(stack) <= len(self.levels) - i:
+                own = self.levels[len(self.levels) - len(stack)]
+                tables, origins = stack[-1]
+                stack.append((own.own_tables + tables, own.origins + origins))
+            stuck = self._grow_level(i, *stack[-1])
+            if stuck is None:
+                i -= 1
+            else:
+                del stack[len(self.levels) - stuck :]
+                i = stuck
 
-    def _grow_level(self, i):
+    def _grow_level(self, i, tables, origins):
         """Extend level i's orbit and sift its unchecked Schreier generators.
 
         The transversal keeps its elements and only gains the new orbit
@@ -214,33 +233,35 @@ class StabilizerChain:
         return that level for reprocessing; return None once every
         Schreier generator of the level is checked.
 
-        Let T be the level's generators whose origin lies above it (-1 for
-        a given one).  T generates the level's group, as a residue left by
-        level k >= i is a product of earlier generators of level k's group.
-        By Schreier's lemma the Schreier generators of T then generate the
-        stabilizer, so once the last of T in list order is through, the rest
-        sift through the complete deeper levels: they are marked checked
-        unsifted, as a full sift would mark them, and the chain is unchanged.
+        tables and origins are the lists of the generators at and below
+        level i (see _complete).  Let T be those whose origin lies above it
+        (-1 for a given one).  T generates the level's group, as a residue
+        left by level k >= i is a product of earlier generators of level
+        k's group.  By Schreier's lemma the Schreier generators of T then
+        generate the stabilizer, so once the last of T in list order is
+        through, the rest sift through the complete deeper levels: they are
+        marked checked unsifted, as a full sift would mark them, and the
+        chain is unchanged.
         """
         lvl = self.levels[i]
-        tables = self._tables_below(i)
         codes, checked = lvl.codes, lvl.checked
         done = [checked.get(table) for table, _ in tables]  # None for a generator new here
-        points = self._walk(lvl, tables, [t for t, k in zip(tables, done) if k is None])
-        for (table, _), k in zip(tables, done):
-            if k is None:
-                checked[table] = 0
-        needed = count = 0  # tables[:needed] ends with the last of T
-        for level in self.levels[i:]:
-            for o in level.origins:
-                count += 1
-                if o < i:
-                    needed = count
+        fresh = [t for t, k in zip(tables, done) if k is None]
+        points = self._walk(lvl, tables, fresh)
+        for table, _ in fresh:
+            checked[table] = 0
+        n = len(points)
+        needed = len(origins)  # tables[:needed] ends with the last of T
+        while needed and origins[needed - 1] >= i:
+            needed -= 1
         product = self._codec[2]
         ident = codes[lvl.point][0]
-        for j, ((table, _), start) in enumerate(zip(tables, done)):
+        for j, start in enumerate(done):
+            if start == n:
+                continue  # checked on the whole orbit
+            table = tables[j][0]
             # past the last generator of T, nothing is sifted
-            for k in range(start or 0, len(points) if j < needed else 0):
+            for k in range(start or 0, n if j < needed else 0):
                 # u_b s maps the base point to s(b), so its first strip
                 # step at this level forms the Schreier generator
                 # u_b s u_s(b)^-1, and the rest strips that below
@@ -248,8 +269,7 @@ class StabilizerChain:
                 if h != ident:
                     checked[table] = k
                     return self._insert(_decode(h), i)
-            if start != len(points):
-                checked[table] = len(points)
+            checked[table] = n
         return None
 
     def _walk(self, lvl, tables, fresh):
@@ -260,14 +280,10 @@ class StabilizerChain:
         codes stay; b's codes are read only then, as most walks of old
         points meet no new one.  Return the orbit points in transversal
         order."""
-        encode, tail, product = self._codec
+        _, tail, product = self._codec
         codes = lvl.codes
         points = list(codes)
         old = len(points)
-        if not codes:
-            ident = encode(range(self.degree))
-            codes[lvl.point] = (ident, ident + tail)
-            points.append(lvl.point)
         for k, b in enumerate(points):  # grows while it is walked
             for table, s_inv in fresh if k < old else tables:
                 c = table[b]
@@ -435,10 +451,13 @@ class PermGroup:
             if h != ident:
                 i = new._insert(_decode(h))
                 fresh = new.levels[i].own_tables[-1:]
+                table = fresh[0][0]
                 tables = new._tables_below(i + 1)
                 for lvl in reversed(new.levels[: i + 1]):
                     tables = lvl.own_tables + tables  # _tables_below of lvl
-                    new._walk(lvl, tables, fresh)
+                    # an orbit the residue maps into itself gains no point
+                    if not all(map(lvl.codes.__contains__, map(table.__getitem__, lvl.codes))):
+                        new._walk(lvl, tables, fresh)
         return new
 
     def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration_cap) -> list:

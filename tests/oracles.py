@@ -298,13 +298,14 @@ class FullSiftChain(StabilizerChain):
     sifting a level once generators known to generate its group are
     through, and by Schreier's lemma marks the rest as sifted, so both
     must build the same chain: base, generators, transversals and the
-    checked record, keyed by each generator's table."""
+    checked record, keyed by each generator's table.  It rebuilds its own
+    lists on every visit rather than read those its completion keeps."""
 
     __slots__ = ()
 
-    def _grow_level(self, i):
+    def _grow_level(self, i, tables, origins):
         lvl = self.levels[i]
-        tables = self._tables_below(i)
+        tables = self._tables_below(i)  # rebuilt, not the list given
         codes, checked = lvl.codes, lvl.checked
         done = [checked.get(table) for table, _ in tables]
         points = self._walk(lvl, tables, [t for t, k in zip(tables, done) if k is None])

@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import reduce
 from itertools import permutations as all_perms, product
@@ -6,9 +7,11 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pga.closure import two_closure
 from pga.errors import CapExceededError, PgaError
 from pga.group import PermGroup, StabilizerChain, _decode
 from pga.perm import Permutation
+from pga.structure import is_solvable
 
 import oracles
 from oracles import FullSiftChain, naive_closure, transversal
@@ -515,6 +518,76 @@ class TestChainOnBase:
         groups = [e.group for e in corpus_entries] + workload_groups(1)
         digest = chain_digest(G._chain_on((G.degree - 1,)) for G in groups)
         assert digest == "288366ffdbbf6fc73bb566b25323595655886ce12bcfca5ca6cc36e4bb33a1c9"
+
+
+class TestBareBase:
+    """A chain on a bare base, as the 2-closure search and a re-based
+    chain start from: each level holds the identity at its base point,
+    its code and its table, and has checked nothing."""
+
+    @pytest.mark.parametrize("degree, base", [(5, (4, 0, 2)), (31, (30, 7)), (300, (299, 0, 150)), (6, (3, 3))])
+    def test_each_level_holds_the_identity_alone(self, degree, base):
+        chain = StabilizerChain(degree, (), base)
+        if degree <= 256:
+            identity = (bytes(range(degree)), bytes(range(256)))
+        else:
+            identity = (tuple(range(degree)), tuple(range(degree)))
+        assert chain.base == list(base)
+        for lvl in chain.levels:
+            assert lvl.codes == {lvl.point: identity}
+            assert lvl.checked == {}
+            assert lvl.own_gens == lvl.own_tables == lvl.origins == []
+        assert chain.order() == 1
+        assert chain.contains(Permutation.identity(degree))
+
+
+LEVEL_FIELDS = ("point", "own_gens", "own_tables", "origins", "codes", "checked")
+
+
+def held(obj):
+    """The ids of the objects obj references, its type aside."""
+    return sorted(id(x) for x in gc.get_referents(obj) if x is not type(obj))
+
+
+def assert_nothing_else_held(chain):
+    """The chain references its degree, levels and codec, and each level
+    its six fields, and nothing more: the lists a completion keeps while
+    it runs are gone.  A level's checked record is keyed by the tables of
+    the strong generators at and below it alone."""
+    assert held(chain) == sorted(map(id, (chain.degree, chain.levels, chain._codec)))
+    encode, tail, _ = chain._codec
+    for i, lvl in enumerate(chain.levels):
+        assert held(lvl) == sorted(id(getattr(lvl, field)) for field in LEVEL_FIELDS), i
+        assert len(lvl.own_tables) == len(lvl.origins) == len(lvl.own_gens)
+        assert set(lvl.checked) <= {encode(s.images) + tail for s in chain.strong_generators_below(i)}
+
+
+class TestNoBookkeepingSurvives:
+    """Completing a chain keeps lists of the strong generators below each
+    level; none of them may outlive the completion on any chain."""
+
+    NAMES = ("symmetric_5", "frobenius_11_5", "m11_12", "dihedral_12")
+
+    def test_built_rebased_stabilizer_and_closure_chains(self, corpus_by_name):
+        for G in [corpus_by_name[name].group for name in self.NAMES] + workload_groups(1)[:1]:
+            assert_nothing_else_held(G.chain())
+            assert_nothing_else_held(G._chain_on((G.degree - 1,)))
+            assert_nothing_else_held(G.point_stabilizer(G.degree - 1).chain())
+            assert_nothing_else_held(two_closure(G, G.degree).chain())
+
+    def test_after_every_extend_of_a_normal_closure(self, corpus_by_name, monkeypatch):
+        extend = StabilizerChain.extend
+        calls = []
+
+        def checked_extend(self, g):
+            extend(self, g)
+            calls.append(g)
+            assert_nothing_else_held(self)
+
+        monkeypatch.setattr(StabilizerChain, "extend", checked_extend)
+        for name in self.NAMES:
+            is_solvable(corpus_by_name[name].group)
+        assert calls
 
 
 class TestSeededSampler:

@@ -7,11 +7,13 @@ function, public class and public method defined in src/pga must be
 used somewhere outside its own definition.  Matching is by name only:
 a use of any object of the same name counts, so the scan can miss dead
 code.  Every error class but the base is caught or tested for in
-src/pga, or carries state of its own.
+src/pga, or carries state of its own, and src/pga imports nothing but
+the standard library and itself.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,3 +150,24 @@ def test_every_error_class_is_reacted_to():
         and not any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
     ]
     assert idle == [], f"error classes nothing in src/pga catches or tests for: {idle}"
+
+
+def imported_modules():
+    """(file, top-level module) for each absolute import in src/pga."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name.partition(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((path.name, node.module.partition(".")[0]))
+    return found
+
+
+def test_imports_only_the_standard_library_and_itself():
+    """pga depends on nothing outside the standard library.  CI installs
+    only the test tools, so a module that imported any other package would
+    pass wherever that package happens to be installed and fail every CI
+    job."""
+    foreign = [(f, m) for f, m in imported_modules() if m != "pga" and m not in sys.stdlib_module_names]
+    assert foreign == [], f"imports from outside the standard library: {foreign}"
